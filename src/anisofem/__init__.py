@@ -5,16 +5,16 @@ and an experiment harness reproducing the associated convergence,
 robustness and conditioning studies."""
 
 from .fields import (DegenerateFieldError, FieldSpec, LinearFunctional,
-                     ManufacturedCase, eval_A, eval_b, eval_exact,
-                     rhs_functional, source_functional)
+                     ManufacturedCase, eval_A, eval_b, rhs_functional,
+                     source_functional)
 from .fem import (FemSpace, assemble, assemble_rhs, error_norms, make_space,
                   parallel_seminorm, dual_norm)
 from .geometry import (BoundaryTags, Mesh, Tag, build_quad_mesh,
-                       build_tri_mesh, classify_boundary, dump_mesh)
+                       build_tri_mesh, classify_boundary)
 from .schemes import (BlockSystem, ProblemSpec, SchemeOperators, SchemeResult,
                       build_system, solve_scheme)
-from .solver import (LuFactor, SingularMatrixError, cond1_estimate, dump_matrix,
-                     finalize_csr, lu_factor, solve, solve_transpose)
+from .solver import (LuFactor, SingularMatrixError, cond1_estimate,
+                     finalize_csr, lu_factor, solve)
 from .spectral import (DegenerateSpectralProblem, FourierRhs, SpectralSolution,
                        eval_series, sobolev_seminorm, spectral_solve)
 from .studies import (StudyConfig, StudyRecord, emit_csv, emit_plot_script,

@@ -24,15 +24,12 @@ import ast
 import configparser
 from dataclasses import dataclass
 
+from .schemes import SCHEME_KINDS
 from .studies import STUDY_KINDS, StudyConfig
 
 
 class ConfigError(ValueError):
     """Malformed configuration file."""
-
-
-_SCHEME_ALIASES = {"inflow": "inflow", "stabilized": "stabilized",
-                   "standard": "standard"}
 
 
 def _parse_scalar(text: str):
@@ -109,7 +106,7 @@ def load_config(path) -> list[ConfiguredStudy]:
             raise ConfigError(f"section [{name}] needs study = one of {STUDY_KINDS}")
         schemes = _as_list(raw.pop("scheme", None))
         if schemes is not None:
-            bad = [s for s in schemes if s not in _SCHEME_ALIASES]
+            bad = [s for s in schemes if s not in SCHEME_KINDS]
             if bad:
                 raise ConfigError(f"unknown scheme(s) {bad} in section [{name}]")
         sigma_raw = raw.pop("sigma", None)

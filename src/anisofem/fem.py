@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from .geometry import Mesh, BoundaryTags
 from .fields import FieldSpec, LinearFunctional, eval_A, eval_b
+from .solver import finalize_csr, lu_factor, solve
 
 FAMILIES = {"q1": ("quad", 1), "q2": ("quad", 2), "p1": ("triangle", 1),
             "p2": ("triangle", 2)}
@@ -120,8 +121,8 @@ class FemSpace:
     """Lagrange space of degree 1 or 2 with optional boundary constraints.
 
     ``constrained`` holds the dof indices pinned by the requested boundary
-    tags; their values default to zero and can be set from a callable for
-    inhomogeneous Dirichlet data.
+    tags.  The pinned values are not part of the space: callers pass them
+    to :meth:`expand`, so one space serves any Dirichlet data.
     """
 
     def __init__(self, mesh: Mesh, family: str,
@@ -155,7 +156,6 @@ class FemSpace:
         mask[self.constrained] = True
         self.constrained_mask = mask
         self.free = np.flatnonzero(~mask)
-        self.dirichlet_values = np.zeros(len(self.constrained))
         self._tables: dict[str, dict] = {}
 
     # -- dof layout ------------------------------------------------------
@@ -208,22 +208,18 @@ class FemSpace:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(dofs))
 
-    def set_dirichlet_values(self, fn) -> None:
-        """Pin constrained dofs to fn(x, y) instead of zero."""
-        pts = self.coords[self.constrained]
-        self.dirichlet_values = np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float)
-
     # -- vectors ----------------------------------------------------------
 
     def interpolate(self, fn):
         """Nodal interpolant: fn evaluated at the dof lattice."""
         return np.asarray(fn(self.coords[:, 0], self.coords[:, 1]), dtype=float)
 
-    def expand(self, reduced):
-        """Free-dof vector -> full-length vector with pinned values filled in."""
+    def expand(self, reduced, pinned):
+        """Free-dof vector -> full-length vector with the pinned values
+        (one per constrained dof, or a scalar) filled in."""
         full = np.empty(self.n_dofs)
         full[self.free] = reduced
-        full[self.constrained] = self.dirichlet_values
+        full[self.constrained] = pinned
         return full
 
     # -- geometric/basis tables -------------------------------------------
@@ -272,15 +268,6 @@ def make_space(mesh: Mesh, family: str, dirichlet_tags=frozenset(),
     return FemSpace(mesh, family, dirichlet_tags, boundary_tags)
 
 
-def _finalize(K: sp.coo_matrix) -> sp.csr_matrix:
-    A = K.tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    A.data[np.abs(A.data) < 1e-300] = 0.0
-    A.eliminate_zeros()
-    return A
-
-
 def assemble(space_row: FemSpace, space_col: FemSpace, kind: str,
              field: FieldSpec | None = None) -> sp.csr_matrix:
     """Assemble a bilinear form over the full (unconstrained) dof lattice.
@@ -314,7 +301,7 @@ def assemble(space_row: FemSpace, space_col: FemSpace, kind: str,
     cols = np.tile(ed, (1, space.n_local)).ravel()
     K = sp.coo_matrix((Ke.ravel(), (rows, cols)),
                       shape=(space.n_dofs, space.n_dofs))
-    return _finalize(K)
+    return finalize_csr(K)
 
 
 def assemble_rhs(space: FemSpace, functional: LinearFunctional) -> np.ndarray:
@@ -398,8 +385,6 @@ def dual_norm(q_coefficients, field: FieldSpec, u_space: FemSpace,
     on the free dofs of the u-space; returns |v*| in the energy product.
     The two assembled matrices can be passed in to amortize repeated calls.
     """
-    from .solver import lu_factor, solve
-
     if a_par_matrix is None:
         a_par_matrix = assemble(u_space, u_space, "a_par", field)
     if a_full_matrix is None:

@@ -233,17 +233,6 @@ class ManufacturedCase:
                       c2m1 * np.pi * c * ty)
 
 
-_EXACT_WHICH = ("u", "grad_u", "q", "u_limit", "grad_perturbation")
-
-
-def eval_exact(case: ManufacturedCase, which: str, x, y):
-    """Dispatch closed-form evaluations; gradients are analytic."""
-    which = which.lower()
-    if which not in _EXACT_WHICH:
-        raise ValueError(f"which must be one of {_EXACT_WHICH}")
-    return getattr(case, which)(x, y)
-
-
 class LinearFunctional:
     """Right-hand side in the generic form  l(v) = int F.grad(v) + f0*v.
 

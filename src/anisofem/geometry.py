@@ -79,9 +79,6 @@ class Mesh:
     def n_elements(self) -> int:
         return self.elements.shape[0]
 
-    def cell_sizes(self) -> tuple[float, float]:
-        return self.Lx / self.nx, self.Ly / self.ny
-
 
 def _lattice_nodes(nx: int, ny: int, Lx: float, Ly: float) -> np.ndarray:
     x = np.linspace(0.0, Lx, nx + 1)
@@ -174,15 +171,9 @@ def build_tri_mesh(n: int, Lx: float = 1.0, Ly: float = 1.0) -> Mesh:
 
 @dataclass
 class BoundaryTags:
-    """Per-edge and per-node boundary tags.
-
-    edge_tags is parallel to mesh.boundary_edges.  A node shared by edges
-    of different tags takes DIRICHLET if any adjacent edge is Dirichlet,
-    else INFLOW if any adjacent edge is inflow.
-    """
+    """Per-edge boundary tags, parallel to mesh.boundary_edges."""
 
     edge_tags: list[Tag]
-    node_tags: dict[int, Tag]
 
     def count(self, tag: Tag) -> int:
         return sum(1 for t in self.edge_tags if t is tag)
@@ -202,29 +193,4 @@ def classify_boundary(mesh: Mesh, field) -> BoundaryTags:
             edge_tags.append(Tag.INFLOW)
         else:
             edge_tags.append(Tag.OUTFLOW)
-
-    node_tags: dict[int, Tag] = {}
-    for edge, tag in zip(mesh.boundary_edges, edge_tags):
-        for node in edge.nodes:
-            prev = node_tags.get(node)
-            if prev is Tag.DIRICHLET or tag is Tag.DIRICHLET:
-                node_tags[node] = Tag.DIRICHLET
-            elif prev is Tag.INFLOW or tag is Tag.INFLOW:
-                node_tags[node] = Tag.INFLOW
-            else:
-                node_tags[node] = tag
-    return BoundaryTags(edge_tags, node_tags)
-
-
-def dump_mesh(mesh: Mesh, path) -> None:
-    """Plain-text dump, one node/element/boundary-edge record per line."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"mesh {mesh.element_kind} nx={mesh.nx} ny={mesh.ny} "
-                 f"Lx={mesh.Lx:.17g} Ly={mesh.Ly:.17g} h={mesh.h:.17g}\n")
-        for k, (x, y) in enumerate(mesh.nodes):
-            fh.write(f"node {k} {x:.17g} {y:.17g}\n")
-        for k, conn in enumerate(mesh.elements):
-            fh.write("element " + str(k) + " " + " ".join(str(c) for c in conn) + "\n")
-        for edge in mesh.boundary_edges:
-            fh.write(f"boundary_edge {edge.side} {edge.index} "
-                     f"{edge.nodes[0]} {edge.nodes[1]}\n")
+    return BoundaryTags(edge_tags)

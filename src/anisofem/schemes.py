@@ -73,7 +73,8 @@ class ProblemSpec:
 
 class SchemeOperators:
     """Mesh, spaces and the three assembled forms, reusable across
-    (eps, sigma) instances on the same mesh and field."""
+    (case, eps, sigma) instances on the same mesh and field.  Nothing
+    that builds or solves a system writes into them."""
 
     def __init__(self, mesh: Mesh, field: FieldSpec, family: str):
         self.mesh = mesh
@@ -102,6 +103,7 @@ class BlockSystem:
     u_space: FemSpace
     q_space: FemSpace | None
     operators: SchemeOperators
+    u_pinned: np.ndarray   # values of u at u_space.constrained
 
 
 class SchemeResult(NamedTuple):
@@ -114,18 +116,17 @@ def _sub(A, rows, cols):
     return A[rows][:, cols].tocsr()
 
 
-def build_system(spec: ProblemSpec, mesh: Mesh | None = None,
-                 operators: SchemeOperators | None = None,
+def build_system(spec: ProblemSpec, operators: SchemeOperators | None = None,
                  functional: LinearFunctional | None = None) -> BlockSystem:
     """Assemble the block system for one problem instance.
 
     The load functional defaults to the one manufactured from spec.case.
+    u is pinned to the limit solution's trace for the low_reg case and to
+    zero otherwise; the auxiliary variable is always pinned to zero.
     For the standard scheme the system is the single primal block.
     """
     if operators is None:
-        if mesh is None:
-            mesh = spec.build_mesh()
-        operators = SchemeOperators(mesh, spec.field, spec.family)
+        operators = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
     if functional is None:
         if spec.case is None:
             raise ValueError("no manufactured case and no explicit load functional")
@@ -133,18 +134,20 @@ def build_system(spec: ProblemSpec, mesh: Mesh | None = None,
 
     ops = operators
     us = ops.u_space
-    if spec.case is not None and spec.case.case_id == "low_reg":
-        us.set_dirichlet_values(spec.case.u_limit)
-    ell = ops.load_vector(functional)
     uf, uc = us.free, us.constrained
-    gu = us.dirichlet_values
+    if spec.case is not None and spec.case.case_id == "low_reg":
+        pts = us.coords[uc]
+        gu = np.asarray(spec.case.u_limit(pts[:, 0], pts[:, 1]), dtype=float)
+    else:
+        gu = np.zeros(len(uc))
+    ell = ops.load_vector(functional)
     eps = spec.eps
 
     if spec.scheme == "standard":
         S = (ops.K + ((1.0 - eps) / eps) * ops.P).tocsr()
         rhs = ell[uf] - _sub(S, uf, uc) @ gu
         return BlockSystem(_sub(S, uf, uf), rhs, len(uf), 0, spec.scheme,
-                           us, None, ops)
+                           us, None, ops, gu)
 
     qs = ops.q_space if spec.scheme == "inflow" else ops.u_space
     qf = qs.free
@@ -160,7 +163,7 @@ def build_system(spec: ProblemSpec, mesh: Mesh | None = None,
         A21, A22, rhs_q = -A21, -A22, -rhs_q
     matrix = sp.bmat([[A11, A12], [A21, A22]], format="csr")
     return BlockSystem(matrix, np.concatenate([rhs_u, rhs_q]),
-                       len(uf), len(qf), spec.scheme, us, qs, ops)
+                       len(uf), len(qf), spec.scheme, us, qs, ops, gu)
 
 
 # Scheme solves keep going until the pivots reach the float64 noise floor:
@@ -179,13 +182,9 @@ def solve_scheme(system: BlockSystem) -> SchemeResult:
     factor = lu_factor(system.matrix, pivot_rtol=SCHEME_PIVOT_RTOL)
     x = solve(factor, system.rhs)
     cond1 = cond1_estimate(system.matrix, factor)
-    u = system.u_space.expand(x[:system.n_u])
+    u = system.u_space.expand(x[:system.n_u], system.u_pinned)
     if system.q_space is None:
         q = np.empty(0)
     else:
-        q = system.q_space.expand(x[system.n_u:])
-        if system.scheme == "stabilized":
-            # the auxiliary space reuses the primal one; its own pinned
-            # values stay zero even when u carries inhomogeneous data
-            q[system.q_space.constrained] = 0.0
+        q = system.q_space.expand(x[system.n_u:], 0.0)
     return SchemeResult(u, q, cond1)

@@ -76,13 +76,6 @@ def solve(factor: LuFactor, b) -> np.ndarray:
     return x + factor.lu.solve(r)
 
 
-def solve_transpose(factor: LuFactor, b) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    x = factor.lu.solve(b, trans="T")
-    r = b - factor.matrix.T @ x
-    return x + factor.lu.solve(r, trans="T")
-
-
 def _hager_inverse_norm(factor: LuFactor, max_iter: int = 5) -> float:
     """Lower-bound estimate of ||A^-1||_1 by gradient ascent on the 1-ball.
 
@@ -123,25 +116,3 @@ def cond1_estimate(A, factor: LuFactor) -> float:
         raise ValueError("matrix must be square")
     norm_a = float(np.max(np.abs(A).sum(axis=0))) if A.nnz else 0.0
     return norm_a * _hager_inverse_norm(factor)
-
-
-def dump_matrix(A, path) -> None:
-    """Coordinate text dump: one '<i> <j> <value>' line, 0-based indices."""
-    A = sp.coo_matrix(A)
-    with open(path, "w", newline="\n") as fh:
-        for i, j, v in zip(A.row, A.col, A.data):
-            fh.write(f"{i} {j} {v:.17g}\n")
-
-
-def load_matrix(path, shape) -> sp.csr_matrix:
-    """Read a coordinate text dump written by dump_matrix."""
-    rows, cols, vals = [], [], []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            rows.append(int(parts[0]))
-            cols.append(int(parts[1]))
-            vals.append(float(parts[2]))
-    return finalize_csr(sp.coo_matrix((vals, (rows, cols)), shape=shape))

@@ -25,13 +25,14 @@ never abort a sweep.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 
 import numpy as np
 
-from .fields import FieldSpec, ManufacturedCase, source_functional
-from .fem import (assemble, error_components, make_space, parallel_seminorm,
-                  dual_norm)
+from .fields import (FieldSpec, LinearFunctional, ManufacturedCase,
+                     source_functional)
+from .fem import (assemble, assemble_rhs, error_components, make_space,
+                  parallel_seminorm, dual_norm)
 from .geometry import Tag, build_quad_mesh, build_tri_mesh, classify_boundary
 from .schemes import (ProblemSpec, SchemeOperators, build_system,
                       solve_scheme)
@@ -170,19 +171,44 @@ def run_instance(spec: ProblemSpec, operators: SchemeOperators | None = None,
                        l2, h1, l2r, h1r, q_l2, q_h1, result.cond1, "OK", elapsed)
 
 
-def _operators_for(n: int, alpha: float, family: str, Lx=1.0, Ly=1.0,
-                   field_kind="variable_alpha") -> tuple[FieldSpec, SchemeOperators]:
-    field = FieldSpec(field_kind, alpha)
-    if family.startswith("q"):
-        mesh = build_quad_mesh(n, n, Lx, Ly)
-    else:
-        mesh = build_tri_mesh(n, Lx, Ly)
-    return field, SchemeOperators(mesh, field, family)
+def _run_specs(specs, functional=None, exact=None) -> list[StudyRecord]:
+    """Run a study's grid of instances in order.
+
+    Consecutive specs on the same (family, n, field, domain) share one
+    operator set; a new key drops the previous set before building the
+    next, so at most one set is alive.
+    """
+    records, key, ops = [], None, None
+    for spec in specs:
+        spec_key = (spec.family, spec.n, spec.field, spec.Lx, spec.Ly)
+        if spec_key != key:
+            key, ops = spec_key, None
+            ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
+        records.append(run_instance(spec, ops, functional, exact))
+    return records
 
 
 # -- the sweeps -------------------------------------------------------------
 
 _THREE_REGIMES = ((1.0, 0.0), (1e-10, 0.0), (1e-10, 2.0))   # (eps, alpha)
+
+
+def _regimes(cfg: StudyConfig):
+    """(eps, alpha) pairs: the three reference regimes unless eps is given."""
+    if cfg.eps_list is None:
+        return _THREE_REGIMES
+    return [(e, a) for e in cfg.eps_list for a in (cfg.alpha_list or [2.0])]
+
+
+def _spec(cfg: StudyConfig, scheme: str, family: str, n: int, eps: float,
+          sigma_rule, alpha: float, case_id: str = "smooth") -> ProblemSpec:
+    """One grid point on the variable field; sigma, resolved at the record
+    h, reaches only the stabilized scheme."""
+    sigma = resolve_sigma(sigma_rule, record_h(family, n))
+    return ProblemSpec(scheme, eps, FieldSpec("variable_alpha", alpha),
+                       ManufacturedCase(case_id, alpha, eps),
+                       sigma=sigma if scheme == "stabilized" else 0.0,
+                       family=family, n=n, flip_second_row=cfg.flip_second_row)
 
 
 def run_sigma_sweep(cfg: StudyConfig) -> list[StudyRecord]:
@@ -194,28 +220,13 @@ def run_sigma_sweep(cfg: StudyConfig) -> list[StudyRecord]:
     family = cfg.family or "q2"
     n = (cfg.n_list or [50])[0]          # h = 0.01 for the default Q2 family
     sigmas = cfg.sigma_list or [10.0 ** (-i) for i in range(16)]
-    regimes = [(e, a) for e, a in _THREE_REGIMES] if cfg.eps_list is None else \
-        [(e, a) for e in cfg.eps_list for a in (cfg.alpha_list or [2.0])]
-    records = []
-    for eps, alpha in regimes:
-        field, ops = _operators_for(n, alpha, family)
-        case = ManufacturedCase("smooth", alpha, eps)
-        for sigma in sigmas:
-            spec = ProblemSpec("stabilized", eps, field, case, sigma=sigma,
-                               family=family, n=n,
-                               flip_second_row=cfg.flip_second_row)
-            records.append(run_instance(spec, ops))
+    specs = [_spec(cfg, "stabilized", family, n, eps, ("fixed", sigma), alpha)
+             for eps, alpha in _regimes(cfg) for sigma in sigmas]
     if cfg.multi_h:
-        eps, alpha = 1e-10, 2.0
-        case = ManufacturedCase("smooth", alpha, eps)
-        for n_h in (cfg.n_list or [5, 10, 20, 40, 80]):
-            field, ops = _operators_for(n_h, alpha, family)
-            for sigma in sigmas:
-                spec = ProblemSpec("stabilized", eps, field, case, sigma=sigma,
-                                   family=family, n=n_h,
-                                   flip_second_row=cfg.flip_second_row)
-                records.append(run_instance(spec, ops))
-    return records
+        specs += [_spec(cfg, "stabilized", family, n_h, 1e-10, ("fixed", sigma), 2.0)
+                  for n_h in (cfg.n_list or [5, 10, 20, 40, 80])
+                  for sigma in sigmas]
+    return _run_specs(specs)
 
 
 def run_h_convergence(cfg: StudyConfig) -> list[StudyRecord]:
@@ -225,21 +236,9 @@ def run_h_convergence(cfg: StudyConfig) -> list[StudyRecord]:
     n_list = cfg.n_list or [5, 10, 20, 40, 80]   # h = 0.1 ... 0.00625
     sigma_rule = cfg.sigma_rule or ("power", 3)
     case_id = cfg.case_id or "smooth"
-    regimes = _THREE_REGIMES if cfg.eps_list is None else \
-        [(e, a) for e in cfg.eps_list for a in (cfg.alpha_list or [2.0])]
-    records = []
-    for eps, alpha in regimes:
-        for n in n_list:
-            field, ops = _operators_for(n, alpha, family)
-            case = ManufacturedCase(case_id, alpha, eps)
-            sigma = resolve_sigma(sigma_rule, record_h(family, n))
-            for scheme in schemes:
-                spec = ProblemSpec(scheme, eps, field, case,
-                                   sigma=sigma if scheme == "stabilized" else 0.0,
-                                   family=family, n=n,
-                                   flip_second_row=cfg.flip_second_row)
-                records.append(run_instance(spec, ops))
-    return records
+    return _run_specs([_spec(cfg, scheme, family, n, eps, sigma_rule, alpha, case_id)
+                       for eps, alpha in _regimes(cfg)
+                       for n in n_list for scheme in schemes])
 
 
 def run_eps_sweep(cfg: StudyConfig) -> list[StudyRecord]:
@@ -250,19 +249,10 @@ def run_eps_sweep(cfg: StudyConfig) -> list[StudyRecord]:
     alpha = (cfg.alpha_list or [2.0])[0]
     eps_list = cfg.eps_list or [1e-20, 1e-16, 1e-12, 1e-10, 1e-8, 1e-6,
                                 1e-4, 1e-2, 1e-1, 1.0, 10.0]
-    sigma = resolve_sigma(cfg.sigma_rule or ("power", 3), record_h(family, n))
+    sigma_rule = cfg.sigma_rule or ("power", 3)
     case_id = cfg.case_id or "smooth"
-    field, ops = _operators_for(n, alpha, family)
-    records = []
-    for scheme in schemes:
-        for eps in eps_list:
-            case = ManufacturedCase(case_id, alpha, eps)
-            spec = ProblemSpec(scheme, eps, field, case,
-                               sigma=sigma if scheme == "stabilized" else 0.0,
-                               family=family, n=n,
-                               flip_second_row=cfg.flip_second_row)
-            records.append(run_instance(spec, ops))
-    return records
+    return _run_specs([_spec(cfg, scheme, family, n, eps, sigma_rule, alpha, case_id)
+                       for scheme in schemes for eps in eps_list])
 
 
 def run_conditioning(cfg: StudyConfig) -> list[StudyRecord]:
@@ -273,19 +263,8 @@ def run_conditioning(cfg: StudyConfig) -> list[StudyRecord]:
     eps_list = cfg.eps_list or [1e-10]
     alpha = (cfg.alpha_list or [2.0])[0]
     sigma_rule = cfg.sigma_rule or ("power", 3)
-    records = []
-    for n in n_list:
-        field, ops = _operators_for(n, alpha, family)
-        sigma = resolve_sigma(sigma_rule, record_h(family, n))
-        for scheme in schemes:
-            for eps in eps_list:
-                case = ManufacturedCase("smooth", alpha, eps)
-                spec = ProblemSpec(scheme, eps, field, case,
-                                   sigma=sigma if scheme == "stabilized" else 0.0,
-                                   family=family, n=n,
-                                   flip_second_row=cfg.flip_second_row)
-                records.append(run_instance(spec, ops))
-    return records
+    return _run_specs([_spec(cfg, scheme, family, n, eps, sigma_rule, alpha)
+                       for n in n_list for scheme in schemes for eps in eps_list])
 
 
 def run_low_regularity(cfg: StudyConfig) -> list[StudyRecord]:
@@ -296,19 +275,8 @@ def run_low_regularity(cfg: StudyConfig) -> list[StudyRecord]:
     eps = (cfg.eps_list or [1e-10])[0]
     alphas = cfg.alpha_list if cfg.alpha_list is not None else [0.0, 2.0]
     sigma_rule = cfg.sigma_rule or ("power", 2)
-    records = []
-    for alpha in alphas:
-        case = ManufacturedCase("low_reg", alpha, eps)
-        for n in n_list:
-            field, ops = _operators_for(n, alpha, family)
-            sigma = resolve_sigma(sigma_rule, record_h(family, n))
-            for scheme in schemes:
-                spec = ProblemSpec(scheme, eps, field, case,
-                                   sigma=sigma if scheme == "stabilized" else 0.0,
-                                   family=family, n=n,
-                                   flip_second_row=cfg.flip_second_row)
-                records.append(run_instance(spec, ops))
-    return records
+    return _run_specs([_spec(cfg, scheme, family, n, eps, sigma_rule, alpha, "low_reg")
+                       for alpha in alphas for n in n_list for scheme in schemes])
 
 
 # -- oracle and diagnostics --------------------------------------------------
@@ -344,7 +312,8 @@ def run_oracle_validation(cfg: StudyConfig) -> list[StudyRecord]:
     Error fields hold the FEM-versus-series differences of the primal
     variable; auxiliary norms hold the discrete auxiliary variable norms.
     When 1 - eps and sigma are both exactly zero the primal block decouples
-    from the (then non-unique) auxiliary one and is solved on its own.
+    from the (then non-unique) auxiliary one; it is then solved on its own
+    as the standard scheme at eps = 1, and still recorded as stabilized.
     """
     families = [cfg.family] if cfg.family else ["q1", "q2"]
     n_list = cfg.n_list or [8, 16, 32, 64]
@@ -352,39 +321,13 @@ def run_oracle_validation(cfg: StudyConfig) -> list[StudyRecord]:
     sigma = resolve_sigma(cfg.sigma_rule or ("fixed", 1e-6), 0.0)
     f = FourierRhs.from_modes(cfg.modes or [(1, 1, 1.0)])
     sol = spectral_solve(f, eps, sigma)
-    exact = _series_reference(sol)
-    functional = source_functional(f)
-    records = []
-    for family in families:
-        for n in n_list:
-            field, ops = _operators_for(n, 0.0, family, Lx=np.pi, Ly=np.pi,
-                                        field_kind="aligned_e2")
-            spec = ProblemSpec("stabilized", eps, field, None, sigma=sigma,
-                               family=family, n=n, Lx=np.pi, Ly=np.pi,
-                               flip_second_row=cfg.flip_second_row)
-            if eps == 1.0 and sigma == 0.0:
-                records.append(_run_decoupled(spec, ops, functional, exact))
-            else:
-                records.append(run_instance(spec, ops, functional, exact))
-    return records
-
-
-def _run_decoupled(spec, ops, functional, exact) -> StudyRecord:
-    """Primal block alone; valid exactly when the coupling factor vanishes."""
-    us = ops.u_space
-    t0 = time.perf_counter()
-    ell = ops.load_vector(functional)
-    K = ops.K[us.free][:, us.free].tocsr()
-    factor = lu_factor(K)
-    u = us.expand(solve(factor, ell[us.free]))
-    elapsed = time.perf_counter() - t0
-    from .solver import cond1_estimate
-    cond1 = cond1_estimate(K, factor)
-    l2, h1, l2r, h1r = _norms_from_components(error_components(us, u, exact))
-    nan = float("nan")
-    return StudyRecord(spec.scheme, spec.n, record_h(spec.family, spec.n, spec.Lx),
-                       spec.eps, spec.sigma, spec.field.alpha, l2, h1, l2r, h1r,
-                       nan, nan, cond1, "OK", elapsed)
+    scheme = "standard" if eps == 1.0 and sigma == 0.0 else "stabilized"
+    specs = [ProblemSpec(scheme, eps, FieldSpec("aligned_e2"), None,
+                         sigma=sigma, family=family, n=n, Lx=np.pi, Ly=np.pi,
+                         flip_second_row=cfg.flip_second_row)
+             for family in families for n in n_list]
+    records = _run_specs(specs, source_functional(f), _series_reference(sol))
+    return [replace(rec, scheme="stabilized") for rec in records]
 
 
 def run_infsup_probe(cfg: StudyConfig) -> list[tuple[int, float]]:
@@ -415,34 +358,24 @@ def _infsup_ratio(n: int, field: FieldSpec) -> float:
     Vf = make_space(fine, "p2", {Tag.DIRICHLET}, classify_boundary(fine, field))
     q = Vc.interpolate(lambda x, y: y * np.sin(np.pi * n * x / 2.0))
 
-    Pc = assemble(Vc, Vc, "a_par", field)
-    Kc = assemble(Vc, Vc, "a_full", field)
-    rc = (Pc @ q)[Vc.free]
-    vc = solve(lu_factor(Kc[Vc.free][:, Vc.free].tocsr()), rc)
-    norm_c = np.sqrt(max(vc @ rc, 0.0))
+    norm_c = dual_norm(q, field, Vc)
 
     # the coarse multiplier gradient is constant per coarse triangle; each
-    # fine element is nested inside exactly one of them
+    # fine element, quadrature points included, nests inside one of them
     tab_c = Vc.tables()
     grad_q = np.einsum("el,ela->ea", q[Vc.element_dofs], tab_c["G"][:, :, 0, :])
-    centroids = fine.nodes[fine.elements].mean(axis=1)
     hcell = 1.0 / n
-    ci = np.clip((centroids[:, 0] // hcell).astype(int), 0, n - 1)
-    cj = np.clip((centroids[:, 1] // hcell).astype(int), 0, n - 1)
-    frac_x = centroids[:, 0] - ci * hcell
-    frac_y = centroids[:, 1] - cj * hcell
-    parent = 2 * (cj * n + ci) + (frac_y > frac_x)
 
-    tab_f = Vf.tables()
-    bq = np.zeros(tab_f["wdet"].shape + (2,))
-    bq[..., 1] = 1.0                        # aligned field
-    gpar = grad_q[parent][:, None, :]       # (Ef, 1, 2)
-    s = gpar[..., 0] * bq[..., 0] + gpar[..., 1] * bq[..., 1]
-    re = np.einsum("eq,eq,elqa,eqa->el", tab_f["wdet"], s, tab_f["G"], bq,
-                   optimize=True)
-    rf_full = np.zeros(Vf.n_dofs)
-    np.add.at(rf_full, Vf.element_dofs.ravel(), re.ravel())
+    def flux(x, y):
+        # (b.grad q) b for the aligned field b = e2
+        ci = np.clip((x // hcell).astype(int), 0, n - 1)
+        cj = np.clip((y // hcell).astype(int), 0, n - 1)
+        parent = 2 * (cj * n + ci) + (y - cj * hcell > x - ci * hcell)
+        F = np.zeros(x.shape + (2,))
+        F[..., 1] = grad_q[parent, 1]
+        return F
 
+    rf_full = assemble_rhs(Vf, LinearFunctional(flux=flux))
     Kf = assemble(Vf, Vf, "a_full", field)
     rf = rf_full[Vf.free]
     vf = solve(lu_factor(Kf[Vf.free][:, Vf.free].tocsr()), rf)

@@ -239,7 +239,12 @@ def test_star_norm_ratio_approaches_closed_form():
 
 def test_dirichlet_values_expand():
     sp = _space(3, "q1", {Tag.DIRICHLET}, alpha=0.0)
-    sp.set_dirichlet_values(lambda x, y: 2.0 * y - 0.5)
-    full = sp.expand(np.zeros(len(sp.free)))
     pts = sp.coords[sp.constrained]
-    assert np.allclose(full[sp.constrained], 2.0 * pts[:, 1] - 0.5)
+    pinned = 2.0 * pts[:, 1] - 0.5
+    reduced = np.arange(len(sp.free), dtype=float)
+    full = sp.expand(reduced, pinned)
+    assert np.array_equal(full[sp.constrained], pinned)
+    assert np.array_equal(full[sp.free], reduced)
+    # the space keeps no pinned values of its own
+    assert np.array_equal(sp.expand(reduced, 0.0)[sp.constrained],
+                          np.zeros(len(sp.constrained)))

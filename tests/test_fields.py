@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anisofem.fields import (ALPHA_MAX, DegenerateFieldError, FieldSpec,
-                             ManufacturedCase, eval_A, eval_b, eval_exact,
+                             ManufacturedCase, eval_A, eval_b,
                              field_line_coordinate, rhs_functional)
 
 
@@ -81,9 +81,9 @@ def test_A_symmetry_and_spectral_bound():
 
 def test_exact_values():
     case = ManufacturedCase("smooth", 0.0, 1.0)
-    assert eval_exact(case, "u_limit", 0.42, 0.5) == pytest.approx(1.0, abs=1e-15)
+    assert case.u_limit(0.42, 0.5) == pytest.approx(1.0, abs=1e-15)
     case5 = ManufacturedCase("smooth", 0.0, 0.5)
-    assert eval_exact(case5, "u", 0.25, 0.5) == pytest.approx(1.0, abs=1e-15)
+    assert case5.u(0.25, 0.5) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_q_vanishes_at_inflow():
@@ -157,9 +157,3 @@ def test_rhs_functional_eps_one_drops_parallel_term():
     case = ManufacturedCase("smooth", 2.0, 1.0)
     F = rhs_functional(case, field, 1.0).flux(0.3, 0.6)
     assert np.allclose(F, case.grad_u(0.3, 0.6), atol=1e-13)
-
-
-def test_eval_exact_rejects_unknown():
-    case = ManufacturedCase("smooth", 0.0, 1.0)
-    with pytest.raises(ValueError):
-        eval_exact(case, "nope", 0.1, 0.1)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from anisofem.fields import FieldSpec
+from anisofem.fem import make_space
 from anisofem.geometry import (Tag, build_quad_mesh, build_tri_mesh,
-                               classify_boundary, dump_mesh)
+                               classify_boundary)
 
 
 def test_single_quad_cell():
@@ -112,18 +113,12 @@ def test_refinement_stable_tags():
 def test_corner_dirichlet_dominance():
     mesh = build_quad_mesh(4, 4)
     tags = classify_boundary(mesh, FieldSpec("variable_alpha", 2.0))
-    # lower-left corner joins a Dirichlet (bottom) and an inflow (left) edge
-    assert tags.node_tags[0] is Tag.DIRICHLET
-    # mid-left node joins two inflow edges
+    u_space = make_space(mesh, "q1", {Tag.DIRICHLET}, tags)
+    q_space = make_space(mesh, "q1", {Tag.DIRICHLET, Tag.INFLOW}, tags)
+    # lower-left corner joins a Dirichlet (bottom) and an inflow (left)
+    # edge: pinned already by the Dirichlet tag
+    assert u_space.constrained_mask[0]
+    # mid-left node joins two inflow edges: pinned only with the inflow tag
     mid_left = (4 + 1) * 2
-    assert tags.node_tags[mid_left] is Tag.INFLOW
-
-
-def test_dump_mesh(tmp_path):
-    mesh = build_tri_mesh(2)
-    path = tmp_path / "mesh.txt"
-    dump_mesh(mesh, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("mesh triangle")
-    assert sum(1 for ln in lines if ln.startswith("node ")) == mesh.n_nodes
-    assert sum(1 for ln in lines if ln.startswith("element ")) == mesh.n_elements
+    assert not u_space.constrained_mask[mid_left]
+    assert q_space.constrained_mask[mid_left]

@@ -80,7 +80,7 @@ def test_decoupling_at_eps_one(scheme, sigma):
     ell = ops.load_vector(rhs_functional(spec.case, spec.field, 1.0))
     uf = ops.u_space.free
     K = ops.K[uf][:, uf].tocsr()
-    u_pure = ops.u_space.expand(solve(lu_factor(K), ell[uf]))
+    u_pure = ops.u_space.expand(solve(lu_factor(K), ell[uf]), 0.0)
     scale = np.abs(u_pure).max()
     assert np.abs(result.u - u_pure).max() <= 1e-10 * scale
 

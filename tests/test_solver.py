@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from anisofem.solver import (SingularMatrixError, cond1_estimate, dump_matrix,
-                             finalize_csr, load_matrix, lu_factor, solve,
-                             solve_transpose)
+from anisofem.solver import (SingularMatrixError, cond1_estimate,
+                             finalize_csr, lu_factor, solve)
 
 
 def test_identity_solve():
@@ -37,15 +36,6 @@ def test_residual_contract_random_dd():
         x = solve(F, b)
         assert np.abs(A @ x - b).max() <= 1e-8 * (norm1 * np.abs(x).max()
                                                   + np.abs(b).max())
-
-
-def test_transpose_solve():
-    rng = np.random.default_rng(1)
-    A = _random_dd(rng, 60)
-    F = lu_factor(A)
-    b = rng.standard_normal(60)
-    x = solve_transpose(F, b)
-    assert np.abs(A.T @ x - b).max() <= 1e-10 * max(1.0, np.abs(b).max())
 
 
 def test_manufactured_solution_recovered():
@@ -116,14 +106,3 @@ def test_finalize_csr_contract():
     assert B[0, 1] == 3.0                # duplicates summed
     assert B.nnz == 2                    # tiny entry dropped
     assert B.has_sorted_indices
-
-
-def test_dump_and_load_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    A = _random_dd(rng, 30)
-    path = tmp_path / "matrix.txt"
-    dump_matrix(A, path)
-    B = load_matrix(path, A.shape)
-    assert np.array_equal(A.toarray(), B.toarray())
-    first = path.read_text().splitlines()[0].split()
-    assert len(first) == 3 and first[0].isdigit()

@@ -4,11 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from anisofem.studies import (STUDY_KINDS, StudyConfig, StudyRecord, emit_csv,
-                              emit_plot_script, loglog_slope, observed_orders,
-                              read_csv, record_h, separated_mode_ratio,
-                              resolve_sigma, run_h_convergence,
-                              run_infsup_probe, run_low_regularity,
+from anisofem.fields import FieldSpec, ManufacturedCase
+from anisofem.schemes import ProblemSpec, SchemeOperators
+from anisofem.studies import (STUDY_KINDS, STUDY_RUNNERS, StudyConfig,
+                              StudyRecord, emit_csv, emit_plot_script,
+                              loglog_slope, observed_orders, read_csv,
+                              record_h, separated_mode_ratio, resolve_sigma,
+                              run_h_convergence, run_infsup_probe,
+                              run_instance, run_low_regularity,
                               run_oracle_validation, run_dual_norm_check,
                               run_sigma_sweep)
 
@@ -128,14 +131,74 @@ def test_sigma_sweep_records_failures_without_aborting():
     assert math.isnan(records[1].err_L2_abs)
 
 
-def test_h_convergence_grid_order():
-    cfg = StudyConfig("h_convergence", schemes=["inflow"], family="q1",
-                      n_list=[4, 8], eps_list=[1.0], alpha_list=[0.0])
-    records = run_h_convergence(cfg)
-    assert [r.n for r in records] == [4, 8]
-    assert records[0].h == pytest.approx(0.25)
-    # sigma = h^3 rule is recorded even though the inflow scheme ignores it
-    assert all(r.sigma == 0.0 for r in records)
+_I, _S = "inflow", "stabilized"
+_S4, _S8 = 0.25 ** 3, 0.125 ** 3            # sigma = h^3 on the Q1 ladder
+
+# (config, expected (scheme, n, eps, sigma, alpha) of every record, in order)
+_GRID_ORDER = {
+    "sigma_sweep": (
+        dict(n_list=[4, 8], sigma_list=[1e-2, 1e-4], multi_h=True),
+        [(_S, 4, 1.0, 1e-2, 0.0), (_S, 4, 1.0, 1e-4, 0.0),
+         (_S, 4, 1e-10, 1e-2, 0.0), (_S, 4, 1e-10, 1e-4, 0.0),
+         (_S, 4, 1e-10, 1e-2, 2.0), (_S, 4, 1e-10, 1e-4, 2.0),
+         # multi_h ladder: the variable-field regime over every n
+         (_S, 4, 1e-10, 1e-2, 2.0), (_S, 4, 1e-10, 1e-4, 2.0),
+         (_S, 8, 1e-10, 1e-2, 2.0), (_S, 8, 1e-10, 1e-4, 2.0)]),
+    "h_convergence": (
+        dict(n_list=[4, 8]),
+        [(_I, 4, 1.0, 0.0, 0.0), (_S, 4, 1.0, _S4, 0.0),
+         (_I, 8, 1.0, 0.0, 0.0), (_S, 8, 1.0, _S8, 0.0),
+         (_I, 4, 1e-10, 0.0, 0.0), (_S, 4, 1e-10, _S4, 0.0),
+         (_I, 8, 1e-10, 0.0, 0.0), (_S, 8, 1e-10, _S8, 0.0),
+         (_I, 4, 1e-10, 0.0, 2.0), (_S, 4, 1e-10, _S4, 2.0),
+         (_I, 8, 1e-10, 0.0, 2.0), (_S, 8, 1e-10, _S8, 2.0)]),
+    "eps_sweep": (
+        dict(n_list=[4], eps_list=[1e-8, 1.0]),
+        [(_I, 4, 1e-8, 0.0, 2.0), (_I, 4, 1.0, 0.0, 2.0),
+         (_S, 4, 1e-8, _S4, 2.0), (_S, 4, 1.0, _S4, 2.0)]),
+    "conditioning": (
+        dict(n_list=[4, 8], eps_list=[1e-10, 1.0]),
+        [(_I, 4, 1e-10, 0.0, 2.0), (_I, 4, 1.0, 0.0, 2.0),
+         (_S, 4, 1e-10, _S4, 2.0), (_S, 4, 1.0, _S4, 2.0),
+         (_I, 8, 1e-10, 0.0, 2.0), (_I, 8, 1.0, 0.0, 2.0),
+         (_S, 8, 1e-10, _S8, 2.0), (_S, 8, 1.0, _S8, 2.0)]),
+    "low_regularity": (
+        dict(n_list=[4, 8]),
+        [(_I, 4, 1e-10, 0.0, 0.0), (_S, 4, 1e-10, 0.25 ** 2, 0.0),
+         (_I, 8, 1e-10, 0.0, 0.0), (_S, 8, 1e-10, 0.125 ** 2, 0.0),
+         (_I, 4, 1e-10, 0.0, 2.0), (_S, 4, 1e-10, 0.25 ** 2, 2.0),
+         (_I, 8, 1e-10, 0.0, 2.0), (_S, 8, 1e-10, 0.125 ** 2, 2.0)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GRID_ORDER))
+def test_h_convergence_grid_order(kind):
+    # every sweep keeps its grid order; sigma reaches only the stabilized
+    # scheme, the inflow scheme records 0 whatever the sigma rule
+    overrides, expected = _GRID_ORDER[kind]
+    records = STUDY_RUNNERS[kind](StudyConfig(kind, family="q1", **overrides))
+    assert [(r.scheme, r.n, r.eps, r.sigma, r.alpha) for r in records] == expected
+    assert all(r.h == 1.0 / r.n for r in records)
+
+
+@pytest.mark.parametrize("scheme,sigma", [("inflow", 0.0), ("stabilized", 1e-4)])
+def test_operators_reusable_after_low_regularity_solve(scheme, sigma):
+    # the inhomogeneous Dirichlet data of a low_reg instance must not leak
+    # into the next instance solved on the same operators
+    eps = 1e-10
+    field = FieldSpec("variable_alpha", 2.0)
+
+    def spec(case_id):
+        return ProblemSpec(scheme, eps, field, ManufacturedCase(case_id, 2.0, eps),
+                           sigma=sigma, family="q1", n=16)
+
+    ops = SchemeOperators(spec("smooth").build_mesh(), field, "q1")
+    run_instance(spec("low_reg"), ops)
+    reused = run_instance(spec("smooth"), ops)
+    fresh = run_instance(spec("smooth"))
+    for name in StudyRecord.__dataclass_fields__:
+        if name != "wall_time_seconds":
+            assert getattr(reused, name) == getattr(fresh, name), name
 
 
 def test_low_regularity_uses_h_squared():
