@@ -133,7 +133,6 @@ def load_config(path) -> list[ConfiguredStudy]:
             k_list=_as_list(raw.pop("k", None)),
             multi_h=bool(raw.pop("multi_h", False)),
             flip_second_row=bool(raw.pop("flip_second_row", False)),
-            strict=strict,
         )
         if raw:
             raise ConfigError(f"unknown key(s) {sorted(raw)} in section [{name}]")

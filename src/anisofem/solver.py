@@ -1,6 +1,7 @@
 """Sparse direct solver and 1-norm condition estimation.
 
-A thin layer over SuperLU: factorization with partial pivoting, solves
+A thin layer over SuperLU: factorization with threshold pivoting (retried
+with partial pivoting when the threshold factor fails the pivot test), solves
 with one step of iterative refinement (the saddle-point systems reach
 condition numbers around 1/h^5, which erodes ~9 digits; refinement
 restores them for the error studies), and a Hager-style estimator for
@@ -16,6 +17,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 PIVOT_RTOL = 1e-14
+# SuperLU keeps the diagonal (hence COLAMD's fill-reducing column order)
+# whenever |a_jj| >= DIAG_PIVOT_THRESH * max_i |a_ij|; 1.0 is partial pivoting.
+DIAG_PIVOT_THRESH = 0.01
 
 
 class SingularMatrixError(RuntimeError):
@@ -45,10 +49,13 @@ def finalize_csr(A) -> sp.csr_matrix:
 
 
 def lu_factor(A, pivot_rtol: float = PIVOT_RTOL) -> LuFactor:
-    """Factor a square sparse matrix with row pivoting.
+    """Factor a square sparse matrix with threshold row pivoting.
 
-    Raises SingularMatrixError on an exactly singular matrix or when the
-    smallest pivot falls below pivot_rtol times the largest matrix entry.
+    The first attempt uses DIAG_PIVOT_THRESH, which keeps most of COLAMD's
+    fill-reducing order on the saddle-point systems.  When that factor is
+    exactly singular, or its smallest pivot falls below pivot_rtol times the
+    largest matrix entry, the matrix is factored once more with partial
+    pivoting.  SingularMatrixError is raised only if both attempts fail.
     Callers that deliberately probe near-singular regimes (the
     stabilization sweeps) pass a smaller pivot_rtol.
     """
@@ -56,16 +63,22 @@ def lu_factor(A, pivot_rtol: float = PIVOT_RTOL) -> LuFactor:
     n, m = A.shape
     if n != m:
         raise ValueError("matrix must be square")
-    try:
-        lu = spla.splu(A.tocsc())
-    except RuntimeError as exc:       # "Factor is exactly singular"
-        raise SingularMatrixError(str(exc)) from exc
+    Ac = A.tocsc()
     amax = np.abs(A.data).max() if A.nnz else 0.0
-    pivots = np.abs(lu.U.diagonal())
-    if amax == 0.0 or pivots.min() < pivot_rtol * amax:
-        raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below threshold {pivot_rtol * amax:.3e}")
-    return LuFactor(A, lu)
+    # Only the message survives a failed attempt: a kept exception would tie
+    # its traceback, and with it the failed factor, into a reference cycle.
+    for thresh in (DIAG_PIVOT_THRESH, 1.0):
+        try:
+            lu = spla.splu(Ac, diag_pivot_thresh=thresh)
+        except RuntimeError as exc:       # "Factor is exactly singular"
+            message = str(exc)
+            continue
+        pivot = np.abs(lu.U.diagonal()).min()
+        if amax > 0.0 and pivot >= pivot_rtol * amax:
+            return LuFactor(A, lu)
+        message = f"pivot {pivot:.3e} below threshold {pivot_rtol * amax:.3e}"
+        lu = None
+    raise SingularMatrixError(message)
 
 
 def solve(factor: LuFactor, b) -> np.ndarray:

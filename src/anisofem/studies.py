@@ -62,13 +62,14 @@ class StudyConfig:
     k_list: list | None = None
     multi_h: bool = False
     flip_second_row: bool = False
-    strict: bool = False
-    output: str | None = None
-    plot: str | None = None
 
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
             raise ValueError(f"unknown study kind {self.kind!r}")
+        if (self.kind == "oracle_validation" and self.sigma_rule is not None
+                and self.sigma_rule[0] != "fixed"):
+            raise ValueError("oracle_validation needs a fixed sigma: the mode "
+                             "solver has no mesh size for an h^p rule")
 
 
 @dataclass

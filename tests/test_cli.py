@@ -130,6 +130,21 @@ strict = true
         assert main(["run", strict]) == 2
 
 
+def test_cli_rejects_power_sigma_for_oracle(tmp_path, capsys):
+    # the mode solver has no mesh size, so h^p would silently become sigma = 0
+    cfg = _write(tmp_path, """
+[oracle]
+study = oracle_validation
+family = q1
+n = [8]
+sigma = h^2
+""")
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+    assert main(["run", cfg]) == 1
+    assert "configuration error:" in capsys.readouterr().err
+
+
 def test_cli_check_smoke(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out

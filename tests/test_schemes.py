@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from anisofem.fields import FieldSpec, LinearFunctional, ManufacturedCase
 from anisofem.fem import error_norms
@@ -150,3 +151,19 @@ def test_mesh_kind_follows_family():
     field = FieldSpec("aligned_e2")
     spec = ProblemSpec("inflow", 0.5, field, None, family="p2", n=4)
     assert spec.build_mesh().element_kind == "triangle"
+
+
+def test_sigma_tail_point_solves_after_threshold_failure():
+    # canonical sigma-sweep point whose threshold-pivoted factor fails the
+    # scheme's pivot test; the partial-pivoting retry must still solve it
+    spec = _smooth_spec("stabilized", 1e-10, 0.0, 30, sigma=1e-12)
+    assert run_instance(spec).solve_status == "OK"
+
+
+def test_threshold_pivoting_cuts_fill():
+    # guards against a silent return to partial pivoting (splu's default)
+    matrix = build_system(_smooth_spec("stabilized", 1e-8, 0.0, 20,
+                                       sigma=1e-6)).matrix
+    ours = lu_factor(matrix).lu
+    partial = spla.splu(matrix.tocsc())
+    assert ours.L.nnz + ours.U.nnz <= 0.8 * (partial.L.nnz + partial.U.nnz)

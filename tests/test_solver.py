@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -68,6 +70,22 @@ def test_pivot_threshold_raises():
     # a relaxed threshold lets the same matrix through
     F = lu_factor(A, pivot_rtol=0.0)
     assert np.allclose(solve(F, np.array([1.0, 1e-20])), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("dense", [[[1.0, 2.0], [2.0, 4.0]],      # exactly singular
+                                   [[1.0, 0.0], [0.0, 1e-20]]])   # fails the pivot test
+def test_singular_verdict_leaves_no_cyclic_garbage(dense):
+    # a failed factor pinned by a reference cycle would stay alive until the
+    # cyclic collector runs, which on large systems multiplies peak memory
+    A = finalize_csr(sp.csr_matrix(np.array(dense)))
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(SingularMatrixError):
+            lu_factor(A)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_nonsquare_rejected():
