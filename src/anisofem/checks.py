@@ -75,7 +75,7 @@ def check_star_norm():
     mesh = build_quad_mesh(8, 8)
     tags = classify_boundary(mesh, field)
     u_space = make_space(mesh, "q2", {Tag.DIRICHLET}, tags)
-    q_space = make_space(mesh, "q2", {Tag.DIRICHLET, Tag.INFLOW}, tags)
+    q_space = u_space.with_constraints({Tag.DIRICHLET, Tag.INFLOW}, tags)
     P = assemble(u_space, u_space, "a_par", field)
     K = assemble(u_space, u_space, "a_full", field)
     rng = np.random.default_rng(7)

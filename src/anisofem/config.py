@@ -112,10 +112,14 @@ def load_config(path) -> list[ConfiguredStudy]:
         sigma_raw = raw.pop("sigma", None)
         sigma_rule = None
         sigma_list = None
-        if isinstance(sigma_raw, (list, tuple)):
-            sigma_list = [float(s) for s in sigma_raw]
-        else:
-            sigma_rule = _sigma_rule(sigma_raw)
+        try:
+            if isinstance(sigma_raw, (list, tuple)):
+                sigma_list = [float(s) for s in sigma_raw]
+            else:
+                sigma_rule = _sigma_rule(sigma_raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot parse sigma {sigma_raw!r} in section "
+                              f"[{name}]") from exc
         output = raw.pop("output", None)
         plot = raw.pop("plot", None)
         strict = bool(raw.pop("strict", False))

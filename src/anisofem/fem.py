@@ -12,6 +12,9 @@ assembly time, elimination happens when systems are built.
 
 from __future__ import annotations
 
+import copy
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -147,7 +150,10 @@ class FemSpace:
 
         self.element_dofs = self._build_element_dofs()
         self.n_local = self.element_dofs.shape[1]
+        self._tables: dict[str, dict] = {}
+        self._constrain(dirichlet_tags, boundary_tags)
 
+    def _constrain(self, dirichlet_tags, boundary_tags):
         dirichlet_tags = frozenset(dirichlet_tags)
         if dirichlet_tags and boundary_tags is None:
             raise ValueError("boundary tags are required to constrain dofs")
@@ -156,7 +162,17 @@ class FemSpace:
         mask[self.constrained] = True
         self.constrained_mask = mask
         self.free = np.flatnonzero(~mask)
-        self._tables: dict[str, dict] = {}
+
+    def with_constraints(self, dirichlet_tags=frozenset(),
+                         boundary_tags: BoundaryTags | None = None) -> FemSpace:
+        """The same space with another constrained set.
+
+        Mesh, dof layout and the quadrature-table cache are shared with
+        this space, so each rule's tables are built once for both.
+        """
+        other = copy.copy(self)
+        other._constrain(dirichlet_tags, boundary_tags)
+        return other
 
     # -- dof layout ------------------------------------------------------
 
@@ -254,9 +270,16 @@ class FemSpace:
         invJ[:, 0, 1] = -J[:, 0, 1] / detJ
         invJ[:, 1, 0] = -J[:, 1, 0] / detJ
         invJ[:, 1, 1] = J[:, 0, 0] / detJ
-        # physical gradients: G[e,l,q,i] = sum_j dN[l,q,j] * invJ[e,j,i]
-        G = np.einsum("lqj,eji->elqi", dN, invJ)
-        xq = origin[:, None, :] + np.einsum("eij,qj->eqi", J, pts)
+        # physical gradients G[e,l,q,i] = sum_j dN[l,q,j] * invJ[e,j,i] and
+        # points xq[e,q,i] = origin[e,i] + sum_j J[e,i,j] * pts[q,j], each sum
+        # written out as its two terms: the same products and additions as
+        # einsum's generic loop (bit-identical tables), 2.7-3.5x faster for
+        # the n = 128 Q1/Q2 error rules on a 2-core Xeon.  An optimized
+        # einsum may take a BLAS path and round differently.
+        G = (dN[None, :, :, 0, None] * invJ[:, None, None, 0, :]
+             + dN[None, :, :, 1, None] * invJ[:, None, None, 1, :])
+        xq = origin[:, None, :] + (J[:, None, :, 0] * pts[None, :, 0, None]
+                                   + J[:, None, :, 1] * pts[None, :, 1, None])
         wdet = wts[None, :] * detJ[:, None]
         out = {"N": N, "G": G, "wdet": wdet, "xq": xq}
         self._tables[purpose] = out
@@ -326,35 +349,47 @@ def assemble_rhs(space: FemSpace, functional: LinearFunctional) -> np.ndarray:
 NORM_WHICH = ("l2", "h1", "l2_rel", "h1_rel")
 
 
-def _exact_callables(case):
-    """Accepts a ManufacturedCase, a (u, grad_u) pair, or None (zero)."""
+class ExactValues(NamedTuple):
+    """An error reference evaluated at a space's error quadrature points."""
+
+    u: np.ndarray          # (E, Q)
+    grad_u: np.ndarray     # (E, Q, 2)
+
+
+def exact_values(space: FemSpace, case) -> ExactValues | None:
+    """Evaluate a ManufacturedCase or a (u, grad_u) pair of callables at the
+    error quadrature points of the space; None (zero) stays None."""
     if case is None:
-        return None, None
-    if isinstance(case, tuple):
-        return case
-    return case.u, case.grad_u
+        return None
+    u_fn, gu_fn = case if isinstance(case, tuple) else (case.u, case.grad_u)
+    xq = space.tables("error")["xq"]
+    return ExactValues(np.asarray(u_fn(xq[..., 0], xq[..., 1]), dtype=float),
+                       np.asarray(gu_fn(xq[..., 0], xq[..., 1]), dtype=float))
 
 
 def error_components(space: FemSpace, coefficients, case=None):
     """Squared L2/H1-seminorm of (u_h - exact) and of u_h itself.
 
-    Integrated with a rule one order above the assembly rule so the
-    quadrature error stays below the discretization error being measured.
+    ``case`` is anything :func:`exact_values` takes, or its ExactValues
+    for this space.  Integrated with a rule one order above the assembly
+    rule so the quadrature error stays below the discretization error
+    being measured.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (space.n_dofs,):
         raise ValueError("coefficient vector does not match the space")
+    if not isinstance(case, ExactValues):
+        case = exact_values(space, case)
     tab = space.tables("error")
-    N, G, wdet, xq = tab["N"], tab["G"], tab["wdet"], tab["xq"]
+    N, G, wdet = tab["N"], tab["G"], tab["wdet"]
     ce = coefficients[space.element_dofs]                 # (E, nd)
     uh = np.einsum("el,lq->eq", ce, N)
     guh = np.einsum("el,elqa->eqa", ce, G)
-    u_fn, gu_fn = _exact_callables(case)
-    if u_fn is None:
+    if case is None:
         du, dg = uh, guh
     else:
-        du = uh - np.asarray(u_fn(xq[..., 0], xq[..., 1]), dtype=float)
-        dg = guh - np.asarray(gu_fn(xq[..., 0], xq[..., 1]), dtype=float)
+        du = uh - case.u
+        dg = guh - case.grad_u
     err_l2_sq = float(np.sum(wdet * du * du))
     err_h1_sq = float(np.sum(wdet[..., None] * dg * dg))
     uh_l2_sq = float(np.sum(wdet * uh * uh))

@@ -23,7 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import FieldSpec, ManufacturedCase, LinearFunctional, rhs_functional
-from .fem import FAMILIES, FemSpace, assemble, assemble_rhs, make_space
+from .fem import (FAMILIES, ExactValues, FemSpace, assemble, assemble_rhs,
+                  exact_values, make_space)
 from .geometry import Mesh, Tag, build_quad_mesh, build_tri_mesh, classify_boundary
 from .solver import cond1_estimate, lu_factor, solve
 
@@ -74,7 +75,16 @@ class ProblemSpec:
 class SchemeOperators:
     """Mesh, spaces and the three assembled forms, reusable across
     (case, eps, sigma) instances on the same mesh and field.  Nothing
-    that builds or solves a system writes into them."""
+    that builds or solves a system writes into them.
+
+    The inflow q-space is the u-space with a larger constrained set, so
+    the two share their quadrature tables.  Two one-entry memos keep what
+    consecutive instances of a sweep recompute otherwise: the manufactured
+    load vector of the last (case, field, eps) and the exact values of the
+    last case at the error quadrature points.  Both return read-only
+    arrays, drop their old entry before computing a new one, and live as
+    long as the operator set.
+    """
 
     def __init__(self, mesh: Mesh, field: FieldSpec, family: str):
         self.mesh = mesh
@@ -82,13 +92,37 @@ class SchemeOperators:
         self.family = family
         self.tags = classify_boundary(mesh, field)
         self.u_space = make_space(mesh, family, {Tag.DIRICHLET}, self.tags)
-        self.q_space = make_space(mesh, family, {Tag.DIRICHLET, Tag.INFLOW}, self.tags)
+        self.q_space = self.u_space.with_constraints({Tag.DIRICHLET, Tag.INFLOW},
+                                                     self.tags)
         self.K = assemble(self.u_space, self.u_space, "a_full", field)
         self.P = assemble(self.u_space, self.u_space, "a_par", field)
         self.M = assemble(self.u_space, self.u_space, "mass")
+        self._load = (None, None)       # ((case, field, eps), load vector)
+        self._exact = (None, None)      # (case, ExactValues)
 
     def load_vector(self, functional: LinearFunctional) -> np.ndarray:
         return assemble_rhs(self.u_space, functional)
+
+    def manufactured_load(self, case: ManufacturedCase, field: FieldSpec,
+                          eps: float) -> np.ndarray:
+        """Load vector of rhs_functional(case, field, eps) on the u-space."""
+        key = (case, field, eps)
+        if self._load[0] != key:
+            self._load = (None, None)
+            ell = self.load_vector(rhs_functional(case, field, eps))
+            ell.flags.writeable = False
+            self._load = (key, ell)
+        return self._load[1]
+
+    def exact_values(self, case: ManufacturedCase | None) -> ExactValues | None:
+        """case.u and case.grad_u at the u-space's error quadrature points."""
+        if self._exact[0] != case:
+            self._exact = (None, None)
+            values = exact_values(self.u_space, case)
+            for array in values or ():
+                array.flags.writeable = False
+            self._exact = (case, values)
+        return self._exact[1]
 
 
 @dataclass
@@ -120,17 +154,16 @@ def build_system(spec: ProblemSpec, operators: SchemeOperators | None = None,
                  functional: LinearFunctional | None = None) -> BlockSystem:
     """Assemble the block system for one problem instance.
 
-    The load functional defaults to the one manufactured from spec.case.
+    The load functional defaults to the one manufactured from spec.case,
+    whose load vector the operator set remembers for the next instance.
     u is pinned to the limit solution's trace for the low_reg case and to
     zero otherwise; the auxiliary variable is always pinned to zero.
     For the standard scheme the system is the single primal block.
     """
     if operators is None:
         operators = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
-    if functional is None:
-        if spec.case is None:
-            raise ValueError("no manufactured case and no explicit load functional")
-        functional = rhs_functional(spec.case, spec.field, spec.eps)
+    if functional is None and spec.case is None:
+        raise ValueError("no manufactured case and no explicit load functional")
 
     ops = operators
     us = ops.u_space
@@ -140,7 +173,10 @@ def build_system(spec: ProblemSpec, operators: SchemeOperators | None = None,
         gu = np.asarray(spec.case.u_limit(pts[:, 0], pts[:, 1]), dtype=float)
     else:
         gu = np.zeros(len(uc))
-    ell = ops.load_vector(functional)
+    if functional is None:
+        ell = ops.manufactured_load(spec.case, spec.field, spec.eps)
+    else:
+        ell = ops.load_vector(functional)
     eps = spec.eps
 
     if spec.scheme == "standard":

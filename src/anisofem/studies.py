@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields as dataclass_fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
-from .fields import (FieldSpec, LinearFunctional, ManufacturedCase,
-                     source_functional)
-from .fem import (assemble, assemble_rhs, error_components, make_space,
+from .fields import (ALPHA_MAX, CASE_IDS, FieldSpec, LinearFunctional,
+                     ManufacturedCase, source_functional)
+from .fem import (FAMILIES, assemble, assemble_rhs, error_components, make_space,
                   parallel_seminorm, dual_norm)
 from .geometry import Tag, build_quad_mesh, build_tri_mesh, classify_boundary
 from .schemes import (ProblemSpec, SchemeOperators, build_system,
@@ -47,7 +48,8 @@ STUDY_KINDS = ("sigma_sweep", "h_convergence", "eps_sweep", "conditioning",
 @dataclass
 class StudyConfig:
     """Grids and selectors for one study; None fields fall back to the
-    defaults used throughout the built-in experiments."""
+    defaults used throughout the built-in experiments.  Values a study
+    cannot run with raise ValueError here, before any instance is built."""
 
     kind: str
     schemes: list | None = None
@@ -70,6 +72,47 @@ class StudyConfig:
                 and self.sigma_rule[0] != "fixed"):
             raise ValueError("oracle_validation needs a fixed sigma: the mode "
                              "solver has no mesh size for an h^p rule")
+        # membership in a tuple, so that an unhashable family is reported too
+        if self.family is not None and self.family not in tuple(FAMILIES):
+            raise ValueError(f"unknown family {self.family!r}; "
+                             f"expected one of {tuple(FAMILIES)}")
+        if (self.kind == "dual_norm_check" and self.family is not None
+                and FAMILIES[self.family][0] != "quad"):
+            raise ValueError("dual_norm_check runs on rectangles: family q1 or q2")
+        if self.case_id is not None and self.case_id not in CASE_IDS:
+            raise ValueError(f"unknown case {self.case_id!r}; expected one of {CASE_IDS}")
+        bad = [a for a in self.alpha_list or ()
+               if not isinstance(a, Real) or not 0.0 <= a <= ALPHA_MAX]
+        if bad:
+            raise ValueError(f"alpha {bad} outside [0, {ALPHA_MAX:.6f}], where "
+                             "the inflow/outflow split of the boundary is fixed")
+        if (self.kind in ("sigma_sweep", "h_convergence") and self.eps_list is None
+                and self.alpha_list is not None):
+            raise ValueError(f"{self.kind} takes alpha only together with eps: "
+                             "without eps it runs its three reference "
+                             "(eps, alpha) regimes")
+        if any(not isinstance(n, Integral) or n < 1 for n in self.n_list or ()):
+            raise ValueError(f"n {self.n_list}: resolutions are positive integers")
+        if any(not isinstance(k, Integral) or k < 1 for k in self.k_list or ()):
+            raise ValueError(f"k {self.k_list}: mode indices are positive integers")
+        if self.kind == "infsup_probe" and any(n % 2 for n in self.n_list or ()):
+            raise ValueError("infsup_probe needs even resolutions n: the probe "
+                             "function vanishes on the constrained sides only then")
+        if any(not isinstance(e, Real) or not e >= 0.0 for e in self.eps_list or ()):
+            raise ValueError(f"eps {self.eps_list}: anisotropy strengths are >= 0")
+        if "standard" in (self.schemes or ()) and 0.0 in (self.eps_list or ()):
+            raise ValueError("the standard scheme needs eps > 0")
+        sigmas = list(self.sigma_list or ())
+        if self.sigma_rule is not None and self.sigma_rule[0] == "fixed":
+            sigmas.append(self.sigma_rule[1])
+        if any(not sigma >= 0.0 for sigma in sigmas):
+            raise ValueError(f"sigma {sigmas}: stabilization parameters are >= 0")
+        if self.modes is not None:
+            try:
+                FourierRhs.from_modes(self.modes)
+            except (TypeError, IndexError, ValueError) as exc:
+                raise ValueError(f"modes {self.modes!r} are not [[k, l, coeff], ...] "
+                                 f"with k >= 1 and l >= 0") from exc
 
 
 @dataclass
@@ -98,8 +141,6 @@ def record_h(family: str, n: int, Lx: float = 1.0) -> float:
     Lx/(degree*n).  For degree-1 families this is the cell size; for
     degree-2 ones it is half of it, which is the convention the reference
     error tables and the sigma = h^p rules follow."""
-    from .fem import FAMILIES
-
     return Lx / (FAMILIES[family][1] * n)
 
 
@@ -144,7 +185,8 @@ def run_instance(spec: ProblemSpec, operators: SchemeOperators | None = None,
     """Build, solve and measure one problem instance.
 
     ``exact`` overrides the error reference (a (u, grad_u) pair); by
-    default the manufactured case attached to the problem is used.
+    default the manufactured case attached to the problem is used, its
+    values at the quadrature points remembered by the operator set.
     """
     alpha = spec.field.alpha
     h = record_h(spec.family, spec.n, spec.Lx)
@@ -159,10 +201,10 @@ def run_instance(spec: ProblemSpec, operators: SchemeOperators | None = None,
         return StudyRecord(spec.scheme, spec.n, h, spec.eps, spec.sigma, alpha,
                            nan, nan, nan, nan, nan, nan, nan, "SINGULAR", elapsed)
     elapsed = time.perf_counter() - t0
-    reference = exact if exact is not None else spec.case
-    us = system.u_space
+    if exact is None:
+        exact = system.operators.exact_values(spec.case)
     l2, h1, l2r, h1r = _norms_from_components(
-        error_components(us, result.u, reference))
+        error_components(system.u_space, result.u, exact))
     if system.q_space is not None:
         qn = _norms_from_components(error_components(system.q_space, result.q, None))
         q_l2, q_h1 = qn[0], qn[1]
@@ -344,12 +386,7 @@ def run_infsup_probe(cfg: StudyConfig) -> list[tuple[int, float]]:
     """
     n_list = cfg.n_list or [4, 8, 16, 32]
     field = FieldSpec("aligned_e2")
-    out = []
-    for n in n_list:
-        if n % 2:
-            raise ValueError("the probe needs an even resolution")
-        out.append((n, _infsup_ratio(n, field)))
-    return out
+    return [(n, _infsup_ratio(n, field)) for n in n_list]
 
 
 def _infsup_ratio(n: int, field: FieldSpec) -> float:
@@ -403,7 +440,7 @@ def run_dual_norm_check(cfg: StudyConfig) -> list[tuple[int, float, float]]:
     mesh = build_quad_mesh(n, n, np.pi, np.pi)
     tags = classify_boundary(mesh, field)
     u_space = make_space(mesh, family, {Tag.DIRICHLET}, tags)
-    q_space = make_space(mesh, family, {Tag.DIRICHLET, Tag.INFLOW}, tags)
+    q_space = u_space.with_constraints({Tag.DIRICHLET, Tag.INFLOW}, tags)
     P = assemble(u_space, u_space, "a_par", field)
     K = assemble(u_space, u_space, "a_full", field)
     out = []

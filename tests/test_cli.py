@@ -150,3 +150,41 @@ def test_cli_check_smoke(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 8
     assert "FAIL" not in out
+
+
+# each value used to end in a traceback, most of them partway through the
+# run, or (alpha without eps) to be silently replaced by the three
+# reference regimes
+@pytest.mark.parametrize("body", [
+    "study = h_convergence\nfamily = q3\nn = [4]",
+    "study = eps_sweep\ncase = rough\nn = [4]",
+    "study = infsup_probe\nn = [4, 5]",
+    "study = eps_sweep\nfamily = q1\nn = [4]\nalpha = [5]",
+    "study = h_convergence\nfamily = q1\nn = [4]\nalpha = [5]",
+    "study = sigma_sweep\nfamily = q1\nn = [4]\nalpha = [5]",
+    "study = h_convergence\nfamily = q1\nn = [4]\nalpha = [2]",
+    "study = sigma_sweep\nfamily = q1\nn = [4]\nalpha = [0]",
+    "study = dual_norm_check\nfamily = p1\nn = [8]",
+    "study = h_convergence\nfamily = q1\nn = [0]",
+    "study = eps_sweep\nfamily = q1\nn = [4]\neps = [-1]",
+    "study = eps_sweep\nscheme = standard\nfamily = q1\nn = [4]\neps = [0, 1]",
+    "study = sigma_sweep\nfamily = q1\nn = [4]\nsigma = [1e-3, -1]",
+    "study = eps_sweep\nfamily = q1\nn = [4]\nsigma = h^x",
+    "study = oracle_validation\nfamily = q1\nn = [4]\nmodes = [1, 1, 1.0]",
+    "study = dual_norm_check\nn = [8]\nk = [0]",
+], ids=["family_q3", "case_rough", "infsup_odd_n", "alpha_5_eps_sweep",
+        "alpha_5_h_convergence", "alpha_5_sigma_sweep",
+        "alpha_without_eps_h_convergence", "alpha_without_eps_sigma_sweep",
+        "dual_norm_check_triangles", "n_zero", "eps_negative",
+        "standard_eps_zero", "sigma_negative", "sigma_unparsable", "modes_flat",
+        "k_zero"])
+def test_cli_rejects_bad_study_values(tmp_path, capsys, body):
+    out_csv = tmp_path / "out.csv"
+    cfg = _write(tmp_path, f"[bad]\n{body}\noutput = {out_csv}\n")
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+    assert main(["run", cfg]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error:" in captured.err
+    assert "running" not in captured.out
+    assert not out_csv.exists()

@@ -53,6 +53,45 @@ def test_partition_of_unity():
         assert np.abs(N.sum(axis=0) - 1.0).max() <= 1e-13
 
 
+def _reference_tables(mesh, family, purpose):
+    """The quadrature tables from their einsum formulas, the reference the
+    broadcast tables of FemSpace.tables must match bit for bit."""
+    pts, wts = reference_rule(family, purpose)
+    N, dN = shape_functions(family, pts)
+    c = mesh.nodes[mesh.elements]
+    J = np.empty((mesh.n_elements, 2, 2))
+    if mesh.element_kind == "quad":
+        J[:, :, 0] = 0.5 * (c[:, 1] - c[:, 0])
+        J[:, :, 1] = 0.5 * (c[:, 3] - c[:, 0])
+        origin = 0.5 * (c[:, 0] + c[:, 2])
+    else:
+        J[:, :, 0] = c[:, 1] - c[:, 0]
+        J[:, :, 1] = c[:, 2] - c[:, 0]
+        origin = c[:, 0]
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    inv = np.empty_like(J)
+    inv[:, 0, 0] = J[:, 1, 1] / det
+    inv[:, 0, 1] = -J[:, 0, 1] / det
+    inv[:, 1, 0] = -J[:, 1, 0] / det
+    inv[:, 1, 1] = J[:, 0, 0] / det
+    return {"N": N, "G": np.einsum("lqj,eji->elqi", dN, inv),
+            "wdet": wts[None, :] * det[:, None],
+            "xq": origin[:, None, :] + np.einsum("eij,qj->eqi", J, pts)}
+
+
+@pytest.mark.parametrize("purpose", ["default", "error"])
+@pytest.mark.parametrize("family", ["q1", "q2", "p1", "p2"])
+def test_tables_match_einsum_reference(family, purpose):
+    if FAMILIES[family][0] == "quad":
+        mesh = build_quad_mesh(6, 5, 1.0, 1.3)
+    else:
+        mesh = build_tri_mesh(6, 1.0, 1.3)
+    tab = make_space(mesh, family).tables(purpose)
+    ref = _reference_tables(mesh, family, purpose)
+    for name in ("N", "G", "wdet", "xq"):
+        assert np.array_equal(tab[name], ref[name]), name
+
+
 M1 = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0        # 1D linear mass on [0,1]
 K1 = np.array([[1.0, -1.0], [-1.0, 1.0]])            # 1D linear stiffness
 M2 = np.array([[4.0, 2.0, -1.0], [2.0, 16.0, 2.0], [-1.0, 2.0, 4.0]]) / 30.0

@@ -276,3 +276,50 @@ def test_xi_against_mode_series():
     exact = (lambda x, y: eval_series(sol, "xi", x, y), grad_xi)
     diff = fem.error_norms(system.q_space, result.q, exact, "l2")
     assert diff < 1e-4
+
+
+def test_operator_memos_match_fresh_operators():
+    # one operator set through changes of case, eps and scheme, with an
+    # explicit functional and an explicit reference in between, back to the
+    # first spec: every record equals the one from fresh operators
+    from anisofem.fields import LinearFunctional
+
+    field = FieldSpec("variable_alpha", 2.0)
+    smooth = ManufacturedCase("smooth", 2.0, 1e-10)
+
+    def spec(scheme, case_id, eps, case_eps=None):
+        case = ManufacturedCase(case_id, 2.0, eps if case_eps is None else case_eps)
+        return ProblemSpec(scheme, eps, field, case,
+                           sigma=1e-4 if scheme == "stabilized" else 0.0,
+                           family="q1", n=8)
+
+    first = spec("inflow", "smooth", 1e-10)
+    runs = [(first, None, None),
+            (spec("stabilized", "smooth", 1e-10), None, None),
+            (spec("inflow", "smooth", 1e-4, case_eps=1e-10), None, None),
+            (spec("inflow", "low_reg", 1e-10), None, None),
+            (spec("stabilized", "low_reg", 1e-10), None, None),
+            (spec("stabilized", "low_reg", 1e-4), None, None),
+            (first, None, None),
+            (first, LinearFunctional(source=lambda x, y: 1.0 + x * y), None),
+            (first, None, (smooth.u_limit, smooth.grad_u_limit)),
+            (spec("stabilized", "smooth", 1e-4), None, None),
+            (first, None, None)]
+    ops = SchemeOperators(first.build_mesh(), field, "q1")
+    records = []
+    for s, functional, exact in runs:
+        reused = run_instance(s, ops, functional, exact)
+        fresh = run_instance(s, None, functional, exact)
+        for name in StudyRecord.__dataclass_fields__:
+            if name != "wall_time_seconds":
+                assert getattr(reused, name) == getattr(fresh, name), name
+        records.append(reused)
+    # an eps-only change, an explicit functional and an explicit reference
+    # each give another record than the memo's entry would
+    for i in (2, 7, 8):
+        assert records[i].err_L2_abs != records[0].err_L2_abs
+    # the inflow q-space shares the u-space's tables, not its constraints
+    for purpose in ("default", "error"):
+        assert ops.q_space.tables(purpose) is ops.u_space.tables(purpose)
+    assert len(ops.q_space.constrained) > len(ops.u_space.constrained)
+    assert not np.array_equal(ops.q_space.free, ops.u_space.free)
