@@ -34,7 +34,7 @@ def check_assembly_symmetry():
     space = make_space(mesh, "q2", {Tag.DIRICHLET}, tags)
     worst = 0.0
     for kind in ("a_full", "a_par", "mass"):
-        worst = max(worst, _sym_defect(assemble(space, space, kind, field)))
+        worst = max(worst, _sym_defect(assemble(space, kind, field)))
     return worst <= 1e-12, f"max relative asymmetry {worst:.2e}"
 
 
@@ -76,8 +76,8 @@ def check_star_norm():
     tags = classify_boundary(mesh, field)
     u_space = make_space(mesh, "q2", {Tag.DIRICHLET}, tags)
     q_space = u_space.with_constraints({Tag.DIRICHLET, Tag.INFLOW}, tags)
-    P = assemble(u_space, u_space, "a_par", field)
-    K = assemble(u_space, u_space, "a_full", field)
+    P = assemble(u_space, "a_par", field)
+    K = assemble(u_space, "a_full", field)
     rng = np.random.default_rng(7)
     worst_hom, worst_dom = 0.0, 0.0
     for _ in range(100):

@@ -144,6 +144,9 @@ def load_config(path) -> list[ConfiguredStudy]:
             cfg = StudyConfig(**cfg_kwargs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if kind in ("infsup_probe", "dual_norm_check") and (plot is not None or strict):
+            raise ConfigError(f"{kind} writes a table, not study records: plot "
+                              f"and strict do not apply in section [{name}]")
         studies.append(ConfiguredStudy(name, cfg, output, plot, strict))
     if not studies:
         raise ConfigError("configuration file defines no study section")

@@ -291,22 +291,18 @@ def make_space(mesh: Mesh, family: str, dirichlet_tags=frozenset(),
     return FemSpace(mesh, family, dirichlet_tags, boundary_tags)
 
 
-def assemble(space_row: FemSpace, space_col: FemSpace, kind: str,
+def assemble(space: FemSpace, kind: str,
              field: FieldSpec | None = None) -> sp.csr_matrix:
     """Assemble a bilinear form over the full (unconstrained) dof lattice.
 
     kind: ``a_full`` is int A grad(u).grad(v); ``a_par`` is
-    int A_par (b.grad u)(b.grad v); ``mass`` the L2 product.  Row and
-    column spaces must share mesh and family (they may differ in their
-    constrained sets, which assembly ignores).
+    int A_par (b.grad u)(b.grad v); ``mass`` the L2 product.  The
+    space's constrained set is ignored.
     """
     if kind not in FORM_KINDS:
         raise ValueError(f"unknown form kind {kind!r}")
-    if space_row.mesh is not space_col.mesh or space_row.family != space_col.family:
-        raise ValueError("row and column spaces must share mesh and family")
     if kind != "mass" and field is None:
         raise ValueError(f"form {kind!r} needs a field")
-    space = space_row
     tab = space.tables()
     N, G, wdet, xq = tab["N"], tab["G"], tab["wdet"], tab["xq"]
     if kind == "mass":
@@ -357,23 +353,22 @@ class ExactValues(NamedTuple):
 
 
 def exact_values(space: FemSpace, case) -> ExactValues | None:
-    """Evaluate a ManufacturedCase or a (u, grad_u) pair of callables at the
-    error quadrature points of the space; None (zero) stays None."""
+    """case.u and case.grad_u at the error quadrature points of the space;
+    None (zero) stays None."""
     if case is None:
         return None
-    u_fn, gu_fn = case if isinstance(case, tuple) else (case.u, case.grad_u)
     xq = space.tables("error")["xq"]
-    return ExactValues(np.asarray(u_fn(xq[..., 0], xq[..., 1]), dtype=float),
-                       np.asarray(gu_fn(xq[..., 0], xq[..., 1]), dtype=float))
+    return ExactValues(np.asarray(case.u(xq[..., 0], xq[..., 1]), dtype=float),
+                       np.asarray(case.grad_u(xq[..., 0], xq[..., 1]), dtype=float))
 
 
 def error_components(space: FemSpace, coefficients, case=None):
     """Squared L2/H1-seminorm of (u_h - exact) and of u_h itself.
 
-    ``case`` is anything :func:`exact_values` takes, or its ExactValues
-    for this space.  Integrated with a rule one order above the assembly
-    rule so the quadrature error stays below the discretization error
-    being measured.
+    ``case`` is None (zero), any object with u and grad_u, or its
+    ExactValues for this space.  Integrated with a rule one order above
+    the assembly rule so the quadrature error stays below the
+    discretization error being measured.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (space.n_dofs,):
@@ -421,9 +416,9 @@ def dual_norm(q_coefficients, field: FieldSpec, u_space: FemSpace,
     The two assembled matrices can be passed in to amortize repeated calls.
     """
     if a_par_matrix is None:
-        a_par_matrix = assemble(u_space, u_space, "a_par", field)
+        a_par_matrix = assemble(u_space, "a_par", field)
     if a_full_matrix is None:
-        a_full_matrix = assemble(u_space, u_space, "a_full", field)
+        a_full_matrix = assemble(u_space, "a_full", field)
     q = np.asarray(q_coefficients, dtype=float)
     r = (a_par_matrix @ q)[u_space.free]
     K = a_full_matrix[u_space.free][:, u_space.free].tocsr()

@@ -163,6 +163,9 @@ class ManufacturedCase:
     integrable but not square-integrably differentiable.  Its trace on the
     tangential boundary is a nonzero constant per side, so solves carry
     inhomogeneous Dirichlet data.
+
+    As a problem case it supplies u and grad_u (the error reference), the
+    load functional and the Dirichlet values of the instance.
     """
 
     case_id: str = "smooth"
@@ -214,6 +217,19 @@ class ManufacturedCase:
 
     def grad_u(self, x, y):
         return self.grad_u_limit(x, y) + self.eps * self.grad_perturbation(x, y)
+
+    # -- problem data: load functional and Dirichlet values --------------
+
+    def functional(self, field: FieldSpec, eps: float) -> LinearFunctional:
+        return rhs_functional(self, field, eps)
+
+    def boundary_values(self, x, y):
+        """Dirichlet data on the tangential boundary: the trace of u_limit
+        for low_reg; zero for smooth, where sin(pi*t) vanishes (evaluated,
+        it leaves round-off such as 1.2e-16 at y = 1)."""
+        if self.case_id == "low_reg":
+            return self.u_limit(x, y)
+        return np.zeros(np.shape(x))
 
     # -- auxiliary variable ----------------------------------------------
 

@@ -41,13 +41,11 @@ class BoundaryEdge:
     """One element edge lying on the domain boundary.
 
     ``side`` is the rectangle side it belongs to and ``index`` its 0-based
-    position along that side; ``nodes`` are its endpoint node ids.
+    position along that side.
     """
 
     side: str
     index: int
-    nodes: tuple[int, int]
-    element: int
     midpoint: tuple[float, float]
     normal: tuple[float, float]
 
@@ -87,31 +85,24 @@ def _lattice_nodes(nx: int, ny: int, Lx: float, Ly: float) -> np.ndarray:
     return np.column_stack([X.ravel(), Y.ravel()])
 
 
-def _boundary_edges_structured(nodes, nx, ny, elem_of_cell):
-    """Boundary edges of an nx-by-ny cell grid, counter-clockwise per side.
-
-    elem_of_cell(i, j, side) gives the element owning the boundary edge of
-    cell (i, j) on the given side.
-    """
+def _boundary_edges_structured(nodes, nx, ny):
+    """Boundary edges of an nx-by-ny cell grid, counter-clockwise per side."""
     edges = []
 
-    def add(side, index, n0, n1, elem):
+    def add(side, index, n0, n1):
         mid = 0.5 * (nodes[n0] + nodes[n1])
-        edges.append(BoundaryEdge(side, index, (int(n0), int(n1)),
-                                  int(elem), (float(mid[0]), float(mid[1])),
+        edges.append(BoundaryEdge(side, index, (float(mid[0]), float(mid[1])),
                                   tuple(_SIDE_NORMALS[side])))
 
     stride = nx + 1
     for i in range(nx):
-        add("bottom", i, i, i + 1, elem_of_cell(i, 0, "bottom"))
+        add("bottom", i, i, i + 1)
     for j in range(ny):
-        add("right", j, j * stride + nx, (j + 1) * stride + nx,
-            elem_of_cell(nx - 1, j, "right"))
+        add("right", j, j * stride + nx, (j + 1) * stride + nx)
     for i in range(nx):
-        add("top", i, ny * stride + i, ny * stride + i + 1,
-            elem_of_cell(i, ny - 1, "top"))
+        add("top", i, ny * stride + i, ny * stride + i + 1)
     for j in range(ny):
-        add("left", j, j * stride, (j + 1) * stride, elem_of_cell(0, j, "left"))
+        add("left", j, j * stride, (j + 1) * stride)
     return edges
 
 
@@ -128,11 +119,7 @@ def build_quad_mesh(nx: int, ny: int, Lx: float = 1.0, Ly: float = 1.0) -> Mesh:
     ll = j * stride + i
     elements = np.column_stack([ll, ll + 1, ll + stride + 1, ll + stride])
     hx, hy = Lx / nx, Ly / ny
-
-    def elem_of_cell(ci, cj, side):
-        return cj * nx + ci
-
-    edges = _boundary_edges_structured(nodes, nx, ny, elem_of_cell)
+    edges = _boundary_edges_structured(nodes, nx, ny)
     return Mesh(nodes, elements.astype(np.int64), "quad", Lx, Ly, nx, ny,
                 float(np.hypot(hx, hy)), edges)
 
@@ -157,14 +144,7 @@ def build_tri_mesh(n: int, Lx: float = 1.0, Ly: float = 1.0) -> Mesh:
     elements = np.empty((2 * n * n, 3), dtype=np.int64)
     elements[0::2] = lower
     elements[1::2] = upper
-
-    def elem_of_cell(ci, cj, side):
-        cell = 2 * (cj * n + ci)
-        # bottom and right edges belong to the lower triangle, top and left
-        # to the upper one
-        return cell if side in ("bottom", "right") else cell + 1
-
-    edges = _boundary_edges_structured(nodes, n, n, elem_of_cell)
+    edges = _boundary_edges_structured(nodes, n, n)
     return Mesh(nodes, elements, "triangle", Lx, Ly, n, n,
                 float(np.hypot(Lx / n, Ly / n)), edges)
 

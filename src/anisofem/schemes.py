@@ -22,23 +22,30 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .fields import FieldSpec, ManufacturedCase, LinearFunctional, rhs_functional
+from .fields import FieldSpec, ManufacturedCase
 from .fem import (FAMILIES, ExactValues, FemSpace, assemble, assemble_rhs,
                   exact_values, make_space)
 from .geometry import Mesh, Tag, build_quad_mesh, build_tri_mesh, classify_boundary
 from .solver import cond1_estimate, lu_factor, solve
+from .spectral import SpectralSolution
 
 SCHEME_KINDS = ("standard", "inflow", "stabilized")
 
 
 @dataclass
 class ProblemSpec:
-    """Full description of one discrete problem instance."""
+    """Full description of one discrete problem instance.
+
+    ``case`` supplies the instance's data: ``functional(field, eps)``, the
+    load functional; ``boundary_values(x, y)``, the Dirichlet values of u;
+    and ``u``/``grad_u``, the error reference.  A manufactured solution and
+    the closed-form mode solution are the two built-in cases.
+    """
 
     scheme: str
     eps: float
     field: FieldSpec
-    case: ManufacturedCase | None = None
+    case: ManufacturedCase | SpectralSolution | None = None
     sigma: float = 0.0
     family: str = "q2"
     n: int = 10
@@ -79,11 +86,11 @@ class SchemeOperators:
 
     The inflow q-space is the u-space with a larger constrained set, so
     the two share their quadrature tables.  Two one-entry memos keep what
-    consecutive instances of a sweep recompute otherwise: the manufactured
-    load vector of the last (case, field, eps) and the exact values of the
-    last case at the error quadrature points.  Both return read-only
-    arrays, drop their old entry before computing a new one, and live as
-    long as the operator set.
+    consecutive instances of a sweep recompute otherwise: the load vector
+    of the last (case, field, eps) and the exact values of the last case
+    at the error quadrature points.  Both return read-only arrays, drop
+    their old entry before computing a new one, and live as long as the
+    operator set.
     """
 
     def __init__(self, mesh: Mesh, field: FieldSpec, family: str):
@@ -94,27 +101,23 @@ class SchemeOperators:
         self.u_space = make_space(mesh, family, {Tag.DIRICHLET}, self.tags)
         self.q_space = self.u_space.with_constraints({Tag.DIRICHLET, Tag.INFLOW},
                                                      self.tags)
-        self.K = assemble(self.u_space, self.u_space, "a_full", field)
-        self.P = assemble(self.u_space, self.u_space, "a_par", field)
-        self.M = assemble(self.u_space, self.u_space, "mass")
+        self.K = assemble(self.u_space, "a_full", field)
+        self.P = assemble(self.u_space, "a_par", field)
+        self.M = assemble(self.u_space, "mass")
         self._load = (None, None)       # ((case, field, eps), load vector)
         self._exact = (None, None)      # (case, ExactValues)
 
-    def load_vector(self, functional: LinearFunctional) -> np.ndarray:
-        return assemble_rhs(self.u_space, functional)
-
-    def manufactured_load(self, case: ManufacturedCase, field: FieldSpec,
-                          eps: float) -> np.ndarray:
-        """Load vector of rhs_functional(case, field, eps) on the u-space."""
+    def case_load(self, case, field: FieldSpec, eps: float) -> np.ndarray:
+        """Load vector of case.functional(field, eps) on the u-space."""
         key = (case, field, eps)
         if self._load[0] != key:
             self._load = (None, None)
-            ell = self.load_vector(rhs_functional(case, field, eps))
+            ell = assemble_rhs(self.u_space, case.functional(field, eps))
             ell.flags.writeable = False
             self._load = (key, ell)
         return self._load[1]
 
-    def exact_values(self, case: ManufacturedCase | None) -> ExactValues | None:
+    def exact_values(self, case) -> ExactValues | None:
         """case.u and case.grad_u at the u-space's error quadrature points."""
         if self._exact[0] != case:
             self._exact = (None, None)
@@ -133,7 +136,6 @@ class BlockSystem:
     rhs: np.ndarray
     n_u: int
     n_q: int
-    scheme: str
     u_space: FemSpace
     q_space: FemSpace | None
     operators: SchemeOperators
@@ -150,40 +152,30 @@ def _sub(A, rows, cols):
     return A[rows][:, cols].tocsr()
 
 
-def build_system(spec: ProblemSpec, operators: SchemeOperators | None = None,
-                 functional: LinearFunctional | None = None) -> BlockSystem:
+def build_system(spec: ProblemSpec,
+                 operators: SchemeOperators | None = None) -> BlockSystem:
     """Assemble the block system for one problem instance.
 
-    The load functional defaults to the one manufactured from spec.case,
-    whose load vector the operator set remembers for the next instance.
-    u is pinned to the limit solution's trace for the low_reg case and to
-    zero otherwise; the auxiliary variable is always pinned to zero.
-    For the standard scheme the system is the single primal block.
+    The load vector is that of spec.case's functional, remembered by the
+    operator set for the next instance; u is pinned to the case's
+    boundary values and the auxiliary variable to zero.  For the standard
+    scheme the system is the single primal block.
     """
     if operators is None:
         operators = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
-    if functional is None and spec.case is None:
-        raise ValueError("no manufactured case and no explicit load functional")
 
     ops = operators
     us = ops.u_space
     uf, uc = us.free, us.constrained
-    if spec.case is not None and spec.case.case_id == "low_reg":
-        pts = us.coords[uc]
-        gu = np.asarray(spec.case.u_limit(pts[:, 0], pts[:, 1]), dtype=float)
-    else:
-        gu = np.zeros(len(uc))
-    if functional is None:
-        ell = ops.manufactured_load(spec.case, spec.field, spec.eps)
-    else:
-        ell = ops.load_vector(functional)
+    pts = us.coords[uc]
+    gu = np.asarray(spec.case.boundary_values(pts[:, 0], pts[:, 1]), dtype=float)
+    ell = ops.case_load(spec.case, spec.field, spec.eps)
     eps = spec.eps
 
     if spec.scheme == "standard":
         S = (ops.K + ((1.0 - eps) / eps) * ops.P).tocsr()
         rhs = ell[uf] - _sub(S, uf, uc) @ gu
-        return BlockSystem(_sub(S, uf, uf), rhs, len(uf), 0, spec.scheme,
-                           us, None, ops, gu)
+        return BlockSystem(_sub(S, uf, uf), rhs, len(uf), 0, us, None, ops, gu)
 
     qs = ops.q_space if spec.scheme == "inflow" else ops.u_space
     qf = qs.free
@@ -199,7 +191,7 @@ def build_system(spec: ProblemSpec, operators: SchemeOperators | None = None,
         A21, A22, rhs_q = -A21, -A22, -rhs_q
     matrix = sp.bmat([[A11, A12], [A21, A22]], format="csr")
     return BlockSystem(matrix, np.concatenate([rhs_u, rhs_q]),
-                       len(uf), len(qf), spec.scheme, us, qs, ops, gu)
+                       len(uf), len(qf), us, qs, ops, gu)
 
 
 # Scheme solves keep going until the pivots reach the float64 noise floor:

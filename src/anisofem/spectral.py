@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import LinearFunctional, source_functional
+
 
 class DegenerateSpectralProblem(ValueError):
     """eps = sigma = 0 with an l >= 1 mode present: no closed form."""
@@ -45,20 +47,47 @@ class FourierRhs:
 
     def __call__(self, x, y):
         """Evaluate f(x, y); usable directly as a source term."""
-        x = np.asarray(x, dtype=float)[..., None]
-        y = np.asarray(y, dtype=float)[..., None]
-        return np.sum(self.coeff * np.sin(self.k * x) * np.cos(self.l * y), axis=-1)
+        return _mode_sum(self.coeff, self.k, self.l, x, y)
 
 
-@dataclass(frozen=True)
+def _mode_sum(coeff, k, l, x, y, fx=np.sin, fy=np.cos):
+    """sum over the modes of coeff * fx(k x) * fy(l y), pointwise."""
+    x = np.asarray(x, dtype=float)[..., None]
+    y = np.asarray(y, dtype=float)[..., None]
+    return np.sum(coeff * fx(k * x) * fy(l * y), axis=-1)
+
+
+# eq=False: two solutions compare by identity, since comparing their
+# coefficient arrays with == is ambiguous for multi-mode solutions
+@dataclass(frozen=True, eq=False)
 class SpectralSolution:
-    """Mode coefficients of the primal and auxiliary solutions."""
+    """Mode coefficients of the primal and auxiliary solutions.
+
+    As a problem case on the aligned field over (0, pi)^2 it loads the
+    source f, pins u to zero (sin(kx) vanishes on the tangential sides
+    x = 0 and x = pi) and measures errors against the primal series.
+    """
 
     rhs: FourierRhs
     eps: float
     sigma: float
     u_coeff: np.ndarray
     xi_coeff: np.ndarray   # zero for l = 0 modes
+
+    def u(self, x, y):
+        return _mode_sum(self.u_coeff, self.rhs.k, self.rhs.l, x, y)
+
+    def grad_u(self, x, y):
+        k, l, c = self.rhs.k, self.rhs.l, self.u_coeff
+        return np.stack([_mode_sum(c * k, k, l, x, y, np.cos, np.cos),
+                         _mode_sum(-c * l, k, l, x, y, np.sin, np.sin)], axis=-1)
+
+    def functional(self, field, eps) -> LinearFunctional:
+        """The source f; the mode formulas already fixed field and eps."""
+        return source_functional(self.rhs)
+
+    def boundary_values(self, x, y):
+        return np.zeros(np.shape(x))
 
 
 def spectral_solve(f: FourierRhs, eps: float, sigma: float) -> SpectralSolution:
@@ -91,16 +120,14 @@ def eval_series(sol: SpectralSolution, which: str, x, y):
     which = which.lower()
     if which not in _SERIES_WHICH:
         raise ValueError(f"which must be one of {_SERIES_WHICH}")
-    x = np.asarray(x, dtype=float)[..., None]
-    y = np.asarray(y, dtype=float)[..., None]
-    k, l = sol.rhs.k, sol.rhs.l
     if which == "u":
-        return np.sum(sol.u_coeff * np.sin(k * x) * np.cos(l * y), axis=-1)
+        return sol.u(x, y)
+    k, l = sol.rhs.k, sol.rhs.l
     if which == "xi":
-        return np.sum(sol.xi_coeff * np.sin(k * x) * np.cos(l * y), axis=-1)
+        return _mode_sum(sol.xi_coeff, k, l, x, y)
     if sol.sigma != 0.0 or sol.eps <= 0.0:
         raise ValueError("the inflow auxiliary series needs sigma = 0 and eps > 0")
-    return np.sum(sol.xi_coeff * np.sin(k * x) * (np.cos(l * y) - 1.0), axis=-1)
+    return _mode_sum(sol.xi_coeff, k, l, x, y, fy=lambda t: np.cos(t) - 1.0)
 
 
 def sobolev_seminorm(modes, s: float) -> float:

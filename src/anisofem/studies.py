@@ -30,8 +30,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .fields import (ALPHA_MAX, CASE_IDS, FieldSpec, LinearFunctional,
-                     ManufacturedCase, source_functional)
+from .fields import ALPHA_MAX, CASE_IDS, FieldSpec, LinearFunctional, ManufacturedCase
 from .fem import (FAMILIES, assemble, assemble_rhs, error_components, make_space,
                   parallel_seminorm, dual_norm)
 from .geometry import Tag, build_quad_mesh, build_tri_mesh, classify_boundary
@@ -43,6 +42,32 @@ from .spectral import FourierRhs, spectral_solve
 STUDY_KINDS = ("sigma_sweep", "h_convergence", "eps_sweep", "conditioning",
                "low_regularity", "oracle_validation", "infsup_probe",
                "dual_norm_check")
+
+# The StudyConfig fields each study reads, and those of which it reads
+# only the first value (sigma_sweep reads every n only with multi_h).
+# Setting any other field, or more values, would run something else.
+_READS = {
+    "sigma_sweep": ("family", "n_list", "eps_list", "alpha_list", "sigma_list",
+                    "multi_h", "flip_second_row"),
+    "h_convergence": ("schemes", "family", "n_list", "eps_list", "alpha_list",
+                      "sigma_rule", "case_id", "flip_second_row"),
+    "eps_sweep": ("schemes", "family", "n_list", "eps_list", "alpha_list",
+                  "sigma_rule", "case_id", "flip_second_row"),
+    "conditioning": ("schemes", "family", "n_list", "eps_list", "alpha_list",
+                     "sigma_rule", "flip_second_row"),
+    "low_regularity": ("schemes", "family", "n_list", "eps_list", "alpha_list",
+                       "sigma_rule", "flip_second_row"),
+    "oracle_validation": ("family", "n_list", "eps_list", "sigma_rule", "modes",
+                          "flip_second_row"),
+    "infsup_probe": ("n_list",),
+    "dual_norm_check": ("family", "n_list", "k_list"),
+}
+_FIRST_ONLY = {"sigma_sweep": ("n_list",), "eps_sweep": ("n_list", "alpha_list"),
+               "conditioning": ("alpha_list",), "low_regularity": ("eps_list",),
+               "oracle_validation": ("eps_list",), "dual_norm_check": ("n_list",)}
+# config-file key of each field whose name differs
+_KEY = {"schemes": "scheme", "n_list": "n", "eps_list": "eps", "sigma_rule": "sigma",
+        "sigma_list": "sigma", "alpha_list": "alpha", "case_id": "case", "k_list": "k"}
 
 
 @dataclass
@@ -68,6 +93,22 @@ class StudyConfig:
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
             raise ValueError(f"unknown study kind {self.kind!r}")
+        reads = _READS[self.kind]
+        for f in dataclass_fields(self)[1:]:      # every field but kind
+            value = getattr(self, f.name)
+            if f.name in reads or value is None or value is False:
+                continue
+            if f.name == "sigma_rule" and "sigma_list" in reads:
+                raise ValueError(f"{self.kind} takes sigma as a list of values")
+            if f.name == "sigma_list" and "sigma_rule" in reads:
+                raise ValueError(f"{self.kind} takes one sigma value or an h^p "
+                                 "rule, not a list")
+            raise ValueError(f"{self.kind} does not use {_KEY.get(f.name, f.name)}")
+        first_only = () if self.multi_h else _FIRST_ONLY.get(self.kind, ())
+        for name in first_only:
+            if len(getattr(self, name) or ()) > 1:
+                raise ValueError(f"{self.kind} takes a single {_KEY[name]}, "
+                                 f"got {getattr(self, name)}")
         if (self.kind == "oracle_validation" and self.sigma_rule is not None
                 and self.sigma_rule[0] != "fixed"):
             raise ValueError("oracle_validation needs a fixed sigma: the mode "
@@ -180,19 +221,15 @@ def _norms_from_components(comp):
     return l2, h1, l2 / np.sqrt(u2), h1 / np.sqrt(u2 + uh2)
 
 
-def run_instance(spec: ProblemSpec, operators: SchemeOperators | None = None,
-                 functional=None, exact=None) -> StudyRecord:
-    """Build, solve and measure one problem instance.
-
-    ``exact`` overrides the error reference (a (u, grad_u) pair); by
-    default the manufactured case attached to the problem is used, its
-    values at the quadrature points remembered by the operator set.
-    """
+def run_instance(spec: ProblemSpec,
+                 operators: SchemeOperators | None = None) -> StudyRecord:
+    """Build, solve and measure one problem instance against spec.case,
+    whose values at the quadrature points the operator set remembers."""
     alpha = spec.field.alpha
     h = record_h(spec.family, spec.n, spec.Lx)
     t0 = time.perf_counter()
     try:
-        system = build_system(spec, operators=operators, functional=functional)
+        system = build_system(spec, operators=operators)
         result = solve_scheme(system)
         status = "OK"
     except SingularMatrixError:
@@ -201,8 +238,7 @@ def run_instance(spec: ProblemSpec, operators: SchemeOperators | None = None,
         return StudyRecord(spec.scheme, spec.n, h, spec.eps, spec.sigma, alpha,
                            nan, nan, nan, nan, nan, nan, nan, "SINGULAR", elapsed)
     elapsed = time.perf_counter() - t0
-    if exact is None:
-        exact = system.operators.exact_values(spec.case)
+    exact = system.operators.exact_values(spec.case)
     l2, h1, l2r, h1r = _norms_from_components(
         error_components(system.u_space, result.u, exact))
     if system.q_space is not None:
@@ -214,7 +250,7 @@ def run_instance(spec: ProblemSpec, operators: SchemeOperators | None = None,
                        l2, h1, l2r, h1r, q_l2, q_h1, result.cond1, "OK", elapsed)
 
 
-def _run_specs(specs, functional=None, exact=None) -> list[StudyRecord]:
+def _run_specs(specs) -> list[StudyRecord]:
     """Run a study's grid of instances in order.
 
     Consecutive specs on the same (family, n, field, domain) share one
@@ -227,7 +263,7 @@ def _run_specs(specs, functional=None, exact=None) -> list[StudyRecord]:
         if spec_key != key:
             key, ops = spec_key, None
             ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
-        records.append(run_instance(spec, ops, functional, exact))
+        records.append(run_instance(spec, ops))
     return records
 
 
@@ -325,30 +361,6 @@ def run_low_regularity(cfg: StudyConfig) -> list[StudyRecord]:
 # -- oracle and diagnostics --------------------------------------------------
 
 
-def _series_reference(sol):
-    """(u, grad_u) callables of the primal mode series."""
-    k = sol.rhs.k.astype(float)
-    l = sol.rhs.l.astype(float)
-    c = sol.u_coeff
-
-    def u(x, y):
-        x = np.asarray(x, dtype=float)[..., None]
-        y = np.asarray(y, dtype=float)[..., None]
-        return np.sum(c * np.sin(k * x) * np.cos(l * y), axis=-1)
-
-    def grad_u(x, y):
-        x = np.asarray(x, dtype=float)[..., None]
-        y = np.asarray(y, dtype=float)[..., None]
-        gx = np.sum(c * k * np.cos(k * x) * np.cos(l * y), axis=-1)
-        gy = np.sum(-c * l * np.sin(k * x) * np.sin(l * y), axis=-1)
-        out = np.empty(gx.shape + (2,))
-        out[..., 0] = gx
-        out[..., 1] = gy
-        return out
-
-    return u, grad_u
-
-
 def run_oracle_validation(cfg: StudyConfig) -> list[StudyRecord]:
     """Stabilized finite elements against the mode solver on (0, pi)^2.
 
@@ -365,11 +377,11 @@ def run_oracle_validation(cfg: StudyConfig) -> list[StudyRecord]:
     f = FourierRhs.from_modes(cfg.modes or [(1, 1, 1.0)])
     sol = spectral_solve(f, eps, sigma)
     scheme = "standard" if eps == 1.0 and sigma == 0.0 else "stabilized"
-    specs = [ProblemSpec(scheme, eps, FieldSpec("aligned_e2"), None,
+    specs = [ProblemSpec(scheme, eps, FieldSpec("aligned_e2"), sol,
                          sigma=sigma, family=family, n=n, Lx=np.pi, Ly=np.pi,
                          flip_second_row=cfg.flip_second_row)
              for family in families for n in n_list]
-    records = _run_specs(specs, source_functional(f), _series_reference(sol))
+    records = _run_specs(specs)
     return [replace(rec, scheme="stabilized") for rec in records]
 
 
@@ -414,7 +426,7 @@ def _infsup_ratio(n: int, field: FieldSpec) -> float:
         return F
 
     rf_full = assemble_rhs(Vf, LinearFunctional(flux=flux))
-    Kf = assemble(Vf, Vf, "a_full", field)
+    Kf = assemble(Vf, "a_full", field)
     rf = rf_full[Vf.free]
     vf = solve(lu_factor(Kf[Vf.free][:, Vf.free].tocsr()), rf)
     norm_f = np.sqrt(max(vf @ rf, 0.0))
@@ -441,8 +453,8 @@ def run_dual_norm_check(cfg: StudyConfig) -> list[tuple[int, float, float]]:
     tags = classify_boundary(mesh, field)
     u_space = make_space(mesh, family, {Tag.DIRICHLET}, tags)
     q_space = u_space.with_constraints({Tag.DIRICHLET, Tag.INFLOW}, tags)
-    P = assemble(u_space, u_space, "a_par", field)
-    K = assemble(u_space, u_space, "a_full", field)
+    P = assemble(u_space, "a_par", field)
+    K = assemble(u_space, "a_full", field)
     out = []
     for k in ks:
         q = q_space.interpolate(

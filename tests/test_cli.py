@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import pytest
 
 from anisofem.cli import main
@@ -152,9 +155,9 @@ def test_cli_check_smoke(capsys):
     assert "FAIL" not in out
 
 
-# each value used to end in a traceback, most of them partway through the
-# run, or (alpha without eps) to be silently replaced by the three
-# reference regimes
+# the first values used to end in a traceback, most of them partway
+# through the run, or (alpha without eps) to be silently replaced by the
+# three reference regimes
 @pytest.mark.parametrize("body", [
     "study = h_convergence\nfamily = q3\nn = [4]",
     "study = eps_sweep\ncase = rough\nn = [4]",
@@ -172,12 +175,34 @@ def test_cli_check_smoke(capsys):
     "study = eps_sweep\nfamily = q1\nn = [4]\nsigma = h^x",
     "study = oracle_validation\nfamily = q1\nn = [4]\nmodes = [1, 1, 1.0]",
     "study = dual_norm_check\nn = [8]\nk = [0]",
+    # keys and values a study used to ignore silently, running something
+    # other than what was asked
+    "study = eps_sweep\nfamily = q1\nn = [4, 8]",
+    "study = eps_sweep\nfamily = q1\nn = [4]\nalpha = [0, 2]",
+    "study = low_regularity\nfamily = q1\nn = [4]\neps = [1e-10, 1e-4]",
+    "study = oracle_validation\nfamily = q1\nn = [4]\neps = [1e-10, 1]",
+    "study = conditioning\nfamily = q1\nn = [4]\nalpha = [0, 2]",
+    "study = sigma_sweep\nfamily = q1\nn = [4, 8]",
+    "study = dual_norm_check\nn = [8, 16]",
+    "study = sigma_sweep\nfamily = q1\nn = [4]\nsigma = 1e-3",
+    "study = sigma_sweep\nfamily = q1\nn = [4]\nscheme = [inflow]",
+    "study = eps_sweep\nfamily = q1\nn = [4]\nsigma = [1e-3, 1e-5]",
+    "study = conditioning\nfamily = q1\nn = [4]\ncase = low_reg",
+    "study = infsup_probe\nn = [4]\nplot = probe.gp",
+    "study = infsup_probe\nn = [4]\nstrict = true",
+    "study = dual_norm_check\nn = [8]\nplot = probe.gp",
+    "study = dual_norm_check\nn = [8]\nstrict = true",
 ], ids=["family_q3", "case_rough", "infsup_odd_n", "alpha_5_eps_sweep",
         "alpha_5_h_convergence", "alpha_5_sigma_sweep",
         "alpha_without_eps_h_convergence", "alpha_without_eps_sigma_sweep",
         "dual_norm_check_triangles", "n_zero", "eps_negative",
         "standard_eps_zero", "sigma_negative", "sigma_unparsable", "modes_flat",
-        "k_zero"])
+        "k_zero", "eps_sweep_two_n", "eps_sweep_two_alpha",
+        "low_regularity_two_eps", "oracle_two_eps", "conditioning_two_alpha",
+        "sigma_sweep_two_n", "dual_norm_check_two_n", "sigma_sweep_scalar_sigma",
+        "sigma_sweep_scheme", "eps_sweep_sigma_list", "conditioning_case",
+        "infsup_plot", "infsup_strict", "dual_norm_check_plot",
+        "dual_norm_check_strict"])
 def test_cli_rejects_bad_study_values(tmp_path, capsys, body):
     out_csv = tmp_path / "out.csv"
     cfg = _write(tmp_path, f"[bad]\n{body}\noutput = {out_csv}\n")
@@ -188,3 +213,16 @@ def test_cli_rejects_bad_study_values(tmp_path, capsys, body):
     assert "configuration error:" in captured.err
     assert "running" not in captured.out
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_benchmark_workload_configs_load(tmp_path, monkeypatch, seed):
+    # the benchmark's generated configs must pass the loader's validation
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        outdir = tmp_path / name
+        outdir.mkdir()
+        workload.write_config(seed, str(outdir))
+        studies = load_config(outdir / "study.cfg")
+        assert [s.name for s in studies] == [s.name for s in workload.sections(seed)]

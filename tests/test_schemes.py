@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from anisofem.fields import FieldSpec, LinearFunctional, ManufacturedCase
-from anisofem.fem import error_norms
+from anisofem.fem import assemble_rhs, error_norms
 from anisofem.schemes import (ProblemSpec, SchemeOperators, build_system,
                               solve_scheme)
 from anisofem.solver import lu_factor, solve
@@ -61,9 +61,20 @@ def test_rhs_lower_block_zero_for_homogeneous_case():
     assert np.all(system.rhs[system.n_u:] == 0.0)
 
 
+class _ZeroCase:
+    """Zero load functional and zero Dirichlet values."""
+
+    def functional(self, field, eps):
+        return LinearFunctional()
+
+    def boundary_values(self, x, y):
+        return np.zeros(np.shape(x))
+
+
 def test_zero_load_gives_zero_solution():
-    spec = _smooth_spec("inflow", 0.5, 2.0, 5)
-    system = build_system(spec, functional=LinearFunctional())
+    spec = ProblemSpec("inflow", 0.5, FieldSpec("variable_alpha", 2.0),
+                       _ZeroCase(), n=5)
+    system = build_system(spec)
     result = solve_scheme(system)
     assert np.abs(result.u).max() == 0.0
     assert np.abs(result.q).max() == 0.0
@@ -76,9 +87,7 @@ def test_decoupling_at_eps_one(scheme, sigma):
     system = build_system(spec, operators=ops)
     result = solve_scheme(system)
     # pure primal solve of the same load
-    from anisofem.fields import rhs_functional
-
-    ell = ops.load_vector(rhs_functional(spec.case, spec.field, 1.0))
+    ell = assemble_rhs(ops.u_space, spec.case.functional(spec.field, 1.0))
     uf = ops.u_space.free
     K = ops.K[uf][:, uf].tocsr()
     u_pure = ops.u_space.expand(solve(lu_factor(K), ell[uf]), 0.0)

@@ -1,11 +1,13 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from anisofem.fields import FieldSpec, ManufacturedCase
+from anisofem.fields import FieldSpec, LinearFunctional, ManufacturedCase
 from anisofem.schemes import ProblemSpec, SchemeOperators
+from anisofem.spectral import FourierRhs, eval_series, spectral_solve
 from anisofem.studies import (STUDY_KINDS, STUDY_RUNNERS, StudyConfig,
                               StudyRecord, emit_csv, emit_plot_script,
                               loglog_slope, observed_orders, read_csv,
@@ -251,17 +253,15 @@ def test_sigma_sweep_multi_h_variant():
 def test_xi_against_mode_series():
     # the discrete auxiliary variable approaches its closed-form series
     import anisofem.fem as fem
-    from anisofem.fields import FieldSpec, source_functional
-    from anisofem.schemes import ProblemSpec, build_system, solve_scheme
-    from anisofem.spectral import FourierRhs, eval_series, spectral_solve
+    from anisofem.schemes import build_system, solve_scheme
 
     f = FourierRhs.from_modes([(1, 1, 1.0)])
     eps, sigma = 1e-10, 1e-6
     sol = spectral_solve(f, eps, sigma)
     field = FieldSpec("aligned_e2")
-    spec = ProblemSpec("stabilized", eps, field, None, sigma=sigma,
+    spec = ProblemSpec("stabilized", eps, field, sol, sigma=sigma,
                        family="q2", n=32, Lx=np.pi, Ly=np.pi)
-    system = build_system(spec, functional=source_functional(f))
+    system = build_system(spec)
     result = solve_scheme(system)
     k, l, c = sol.rhs.k.astype(float), sol.rhs.l.astype(float), sol.xi_coeff
 
@@ -273,49 +273,63 @@ def test_xi_against_mode_series():
         out[..., 1] = np.sum(-c * l * np.sin(k * x) * np.sin(l * y), axis=-1)
         return out
 
-    exact = (lambda x, y: eval_series(sol, "xi", x, y), grad_xi)
-    diff = fem.error_norms(system.q_space, result.q, exact, "l2")
+    xi = SimpleNamespace(u=lambda x, y: eval_series(sol, "xi", x, y), grad_u=grad_xi)
+    diff = fem.error_norms(system.q_space, result.q, xi, "l2")
     assert diff < 1e-4
 
 
+class _UnitSourceCase(ManufacturedCase):
+    """A manufactured case loaded with the plain source 1 + x*y instead."""
+
+    def functional(self, field, eps):
+        return LinearFunctional(source=lambda x, y: 1.0 + x * y)
+
+
+class _LimitReferenceCase(ManufacturedCase):
+    """A manufactured case measured against its eps -> 0 limit."""
+
+    def u(self, x, y):
+        return self.u_limit(x, y)
+
+    def grad_u(self, x, y):
+        return self.grad_u_limit(x, y)
+
+
 def test_operator_memos_match_fresh_operators():
-    # one operator set through changes of case, eps and scheme, with an
-    # explicit functional and an explicit reference in between, back to the
+    # one operator set through changes of case, eps and scheme, with a case
+    # of another load and one of another reference in between, back to the
     # first spec: every record equals the one from fresh operators
-    from anisofem.fields import LinearFunctional
-
     field = FieldSpec("variable_alpha", 2.0)
-    smooth = ManufacturedCase("smooth", 2.0, 1e-10)
 
-    def spec(scheme, case_id, eps, case_eps=None):
-        case = ManufacturedCase(case_id, 2.0, eps if case_eps is None else case_eps)
+    def spec(scheme, case_id, eps, case_eps=None, case_type=ManufacturedCase):
+        case = case_type(case_id, 2.0, eps if case_eps is None else case_eps)
         return ProblemSpec(scheme, eps, field, case,
                            sigma=1e-4 if scheme == "stabilized" else 0.0,
                            family="q1", n=8)
 
     first = spec("inflow", "smooth", 1e-10)
-    runs = [(first, None, None),
-            (spec("stabilized", "smooth", 1e-10), None, None),
-            (spec("inflow", "smooth", 1e-4, case_eps=1e-10), None, None),
-            (spec("inflow", "low_reg", 1e-10), None, None),
-            (spec("stabilized", "low_reg", 1e-10), None, None),
-            (spec("stabilized", "low_reg", 1e-4), None, None),
-            (first, None, None),
-            (first, LinearFunctional(source=lambda x, y: 1.0 + x * y), None),
-            (first, None, (smooth.u_limit, smooth.grad_u_limit)),
-            (spec("stabilized", "smooth", 1e-4), None, None),
-            (first, None, None)]
+    runs = [first,
+            spec("stabilized", "smooth", 1e-10),
+            spec("inflow", "smooth", 1e-4, case_eps=1e-10),
+            spec("inflow", "low_reg", 1e-10),
+            spec("stabilized", "low_reg", 1e-10),
+            spec("stabilized", "low_reg", 1e-4),
+            first,
+            spec("inflow", "smooth", 1e-10, case_type=_UnitSourceCase),
+            spec("inflow", "smooth", 1e-10, case_type=_LimitReferenceCase),
+            spec("stabilized", "smooth", 1e-4),
+            first]
     ops = SchemeOperators(first.build_mesh(), field, "q1")
     records = []
-    for s, functional, exact in runs:
-        reused = run_instance(s, ops, functional, exact)
-        fresh = run_instance(s, None, functional, exact)
+    for s in runs:
+        reused = run_instance(s, ops)
+        fresh = run_instance(s)
         for name in StudyRecord.__dataclass_fields__:
             if name != "wall_time_seconds":
                 assert getattr(reused, name) == getattr(fresh, name), name
         records.append(reused)
-    # an eps-only change, an explicit functional and an explicit reference
-    # each give another record than the memo's entry would
+    # an eps-only change, another load and another reference each give
+    # another record than the memo's entry would
     for i in (2, 7, 8):
         assert records[i].err_L2_abs != records[0].err_L2_abs
     # the inflow q-space shares the u-space's tables, not its constraints
@@ -323,3 +337,33 @@ def test_operator_memos_match_fresh_operators():
         assert ops.q_space.tables(purpose) is ops.u_space.tables(purpose)
     assert len(ops.q_space.constrained) > len(ops.u_space.constrained)
     assert not np.array_equal(ops.q_space.free, ops.u_space.free)
+
+
+def test_oracle_cases_share_operators():
+    # two multi-mode mode solutions and a manufactured case alternate on one
+    # operator set: every record equals the one from fresh operators.  The
+    # memos compare cases with !=, so a mode solution compared by value
+    # (its coefficient arrays) would raise here.
+    field = FieldSpec("aligned_e2")
+    eps, sigma = 1e-4, 1e-3
+    sol_a = spectral_solve(FourierRhs.from_modes([(1, 1, 1.0), (2, 3, -0.5)]),
+                           eps, sigma)
+    sol_b = spectral_solve(FourierRhs.from_modes([(1, 2, 0.7), (3, 0, 0.25)]),
+                           eps, sigma)
+    manufactured = ManufacturedCase("smooth", 0.0, eps)
+
+    def spec(case):
+        return ProblemSpec("stabilized", eps, field, case, sigma=sigma,
+                           family="q1", n=8, Lx=np.pi, Ly=np.pi)
+
+    ops = SchemeOperators(spec(sol_a).build_mesh(), field, "q1")
+    records = {}
+    for case in (sol_a, sol_b, manufactured, sol_a, manufactured, sol_b, sol_b):
+        reused = run_instance(spec(case), ops)
+        fresh = run_instance(spec(case))
+        for name in StudyRecord.__dataclass_fields__:
+            if name != "wall_time_seconds":
+                assert getattr(reused, name) == getattr(fresh, name), name
+        records[id(case)] = reused
+    errors = {records[id(c)].err_L2_abs for c in (sol_a, sol_b, manufactured)}
+    assert len(errors) == 3
