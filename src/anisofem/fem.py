@@ -286,6 +286,43 @@ class FemSpace:
         return out
 
 
+# Lattice regions at most this many points on each side are not split.
+ND_LEAF = 8
+
+
+def nd_blocks(mx: int, my: int, k: int):
+    """Nested dissection of an mx x my dof lattice, as (points, is_separator)
+    blocks in elimination order; a point is its index j*mx + i.
+
+    A region is cut at the lattice line nearest its middle that is a
+    multiple of k, across its longer side: that line is a union of element
+    edges (triangle diagonals stay inside their cell), so no element
+    couples the two halves.  Both halves come first, then the separator.
+    Leaves are ordered lexicographically, x fastest.
+    """
+    def dissect(i0, i1, j0, j1):
+        if i1 - i0 <= ND_LEAF and j1 - j0 <= ND_LEAF:
+            yield (np.arange(j0, j1)[:, None] * mx + np.arange(i0, i1)).ravel(), False
+        elif i1 - i0 >= j1 - j0:
+            s = (i0 + i1 - 1) // 2 // k * k
+            yield from dissect(i0, s, j0, j1)
+            yield from dissect(s + 1, i1, j0, j1)
+            yield np.arange(j0, j1) * mx + s, True
+        else:
+            s = (j0 + j1 - 1) // 2 // k * k
+            yield from dissect(i0, i1, j0, s)
+            yield from dissect(i0, i1, s + 1, j1)
+            yield s * mx + np.arange(i0, i1), True
+
+    yield from dissect(0, mx, 0, my)
+
+
+def nested_dissection(space: FemSpace) -> np.ndarray:
+    """The space's lattice points in nested-dissection order."""
+    return np.concatenate([points for points, _ in
+                           nd_blocks(space.mx, space.my, space.degree)])
+
+
 def make_space(mesh: Mesh, family: str, dirichlet_tags=frozenset(),
                boundary_tags: BoundaryTags | None = None) -> FemSpace:
     return FemSpace(mesh, family, dirichlet_tags, boundary_tags)

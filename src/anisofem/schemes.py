@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .fields import FieldSpec, ManufacturedCase
 from .fem import (FAMILIES, ExactValues, FemSpace, assemble, assemble_rhs,
-                  exact_values, make_space)
+                  exact_values, make_space, nested_dissection)
 from .geometry import Mesh, Tag, build_quad_mesh, build_tri_mesh, classify_boundary
 from .solver import cond1_estimate, lu_factor, solve
 from .spectral import SpectralSolution
@@ -91,6 +91,10 @@ class SchemeOperators:
     at the error quadrature points.  Both return read-only arrays, drop
     their old entry before computing a new one, and live as long as the
     operator set.
+
+    The nested-dissection order of each scheme's unknowns is computed by
+    the first system of that scheme, not here, so it is timed with that
+    instance.
     """
 
     def __init__(self, mesh: Mesh, field: FieldSpec, family: str):
@@ -106,6 +110,27 @@ class SchemeOperators:
         self.M = assemble(self.u_space, "mass")
         self._load = (None, None)       # ((case, field, eps), load vector)
         self._exact = (None, None)      # (case, ExactValues)
+        self._orders: dict[str, np.ndarray] = {}
+
+    def aux_space(self, scheme: str) -> FemSpace | None:
+        """The auxiliary variable's space; None for the standard scheme."""
+        if scheme == "standard":
+            return None
+        return self.q_space if scheme == "inflow" else self.u_space
+
+    def dof_order(self, scheme: str) -> np.ndarray:
+        """The scheme's unknowns (free u, then free q) in the
+        nested-dissection order of their lattice points, u before q at a
+        shared point."""
+        if scheme not in self._orders:
+            us, qs = self.u_space, self.aux_space(scheme)
+            rank = np.empty(us.n_dofs, dtype=np.int64)
+            rank[nested_dissection(us)] = np.arange(us.n_dofs)
+            keys = 2 * rank[us.free]
+            if qs is not None:
+                keys = np.concatenate([keys, 2 * rank[qs.free] + 1])
+            self._orders[scheme] = np.argsort(keys)
+        return self._orders[scheme]
 
     def case_load(self, case, field: FieldSpec, eps: float) -> np.ndarray:
         """Load vector of case.functional(field, eps) on the u-space."""
@@ -140,6 +165,7 @@ class BlockSystem:
     q_space: FemSpace | None
     operators: SchemeOperators
     u_pinned: np.ndarray   # values of u at u_space.constrained
+    order: np.ndarray      # elimination order of the unknowns
 
 
 class SchemeResult(NamedTuple):
@@ -161,6 +187,9 @@ def build_system(spec: ProblemSpec,
     boundary values and the auxiliary variable to zero.  For the standard
     scheme the system is the single primal block.
     """
+    if spec.case is None:
+        raise ValueError("ProblemSpec.case is None: a system needs a case "
+                         "for its load and boundary values")
     if operators is None:
         operators = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
 
@@ -171,13 +200,15 @@ def build_system(spec: ProblemSpec,
     gu = np.asarray(spec.case.boundary_values(pts[:, 0], pts[:, 1]), dtype=float)
     ell = ops.case_load(spec.case, spec.field, spec.eps)
     eps = spec.eps
+    order = ops.dof_order(spec.scheme)
 
     if spec.scheme == "standard":
         S = (ops.K + ((1.0 - eps) / eps) * ops.P).tocsr()
         rhs = ell[uf] - _sub(S, uf, uc) @ gu
-        return BlockSystem(_sub(S, uf, uf), rhs, len(uf), 0, us, None, ops, gu)
+        return BlockSystem(_sub(S, uf, uf), rhs, len(uf), 0, us, None, ops,
+                           gu, order)
 
-    qs = ops.q_space if spec.scheme == "inflow" else ops.u_space
+    qs = ops.aux_space(spec.scheme)
     qf = qs.free
     A11 = _sub(ops.K, uf, uf)
     A12 = (1.0 - eps) * _sub(ops.P, uf, qf)
@@ -191,7 +222,7 @@ def build_system(spec: ProblemSpec,
         A21, A22, rhs_q = -A21, -A22, -rhs_q
     matrix = sp.bmat([[A11, A12], [A21, A22]], format="csr")
     return BlockSystem(matrix, np.concatenate([rhs_u, rhs_q]),
-                       len(uf), len(qf), us, qs, ops, gu)
+                       len(uf), len(qf), us, qs, ops, gu, order)
 
 
 # Scheme solves keep going until the pivots reach the float64 noise floor:
@@ -207,7 +238,8 @@ def solve_scheme(system: BlockSystem) -> SchemeResult:
     example the stabilized scheme at eps = sigma = 0, whose auxiliary
     variable is genuinely non-unique).
     """
-    factor = lu_factor(system.matrix, pivot_rtol=SCHEME_PIVOT_RTOL)
+    factor = lu_factor(system.matrix, pivot_rtol=SCHEME_PIVOT_RTOL,
+                       order=system.order)
     x = solve(factor, system.rhs)
     cond1 = cond1_estimate(system.matrix, factor)
     u = system.u_space.expand(x[:system.n_u], system.u_pinned)

@@ -127,6 +127,10 @@ class StudyConfig:
         if bad:
             raise ValueError(f"alpha {bad} outside [0, {ALPHA_MAX:.6f}], where "
                              "the inflow/outflow split of the boundary is fixed")
+        if self.multi_h and (self.eps_list is not None or self.alpha_list is not None):
+            raise ValueError("sigma_sweep with multi_h runs its three reference "
+                             "regimes and a mesh ladder at eps = 1e-10, "
+                             "alpha = 2; it takes no eps or alpha")
         if (self.kind in ("sigma_sweep", "h_convergence") and self.eps_list is None
                 and self.alpha_list is not None):
             raise ValueError(f"{self.kind} takes alpha only together with eps: "

@@ -192,6 +192,12 @@ def test_cli_check_smoke(capsys):
     "study = infsup_probe\nn = [4]\nstrict = true",
     "study = dual_norm_check\nn = [8]\nplot = probe.gp",
     "study = dual_norm_check\nn = [8]\nstrict = true",
+    # the multi_h ladder used to run at eps = 1e-10, alpha = 2 whatever
+    # eps and alpha said
+    "study = sigma_sweep\nfamily = q1\nn = [4, 8]\neps = [1]\nalpha = [0]\n"
+    "sigma = [1e-3]\nmulti_h = true",
+    "study = sigma_sweep\nfamily = q1\nn = [4, 8]\neps = [1]\n"
+    "sigma = [1e-3]\nmulti_h = true",
 ], ids=["family_q3", "case_rough", "infsup_odd_n", "alpha_5_eps_sweep",
         "alpha_5_h_convergence", "alpha_5_sigma_sweep",
         "alpha_without_eps_h_convergence", "alpha_without_eps_sigma_sweep",
@@ -202,7 +208,8 @@ def test_cli_check_smoke(capsys):
         "sigma_sweep_two_n", "dual_norm_check_two_n", "sigma_sweep_scalar_sigma",
         "sigma_sweep_scheme", "eps_sweep_sigma_list", "conditioning_case",
         "infsup_plot", "infsup_strict", "dual_norm_check_plot",
-        "dual_norm_check_strict"])
+        "dual_norm_check_strict", "sigma_sweep_multi_h_eps_alpha",
+        "sigma_sweep_multi_h_eps"])
 def test_cli_rejects_bad_study_values(tmp_path, capsys, body):
     out_csv = tmp_path / "out.csv"
     cfg = _write(tmp_path, f"[bad]\n{body}\noutput = {out_csv}\n")

@@ -5,9 +5,10 @@ import pytest
 
 from anisofem.fields import (FieldSpec, LinearFunctional, ManufacturedCase,
                              rhs_functional)
-from anisofem.fem import (FAMILIES, assemble, assemble_rhs, error_norms,
-                          make_space, parallel_seminorm, shape_functions,
-                          dual_norm, reference_rule)
+from anisofem.fem import (FAMILIES, ND_LEAF, assemble, assemble_rhs,
+                          error_norms, make_space, nd_blocks, nested_dissection,
+                          parallel_seminorm, shape_functions, dual_norm,
+                          reference_rule)
 from anisofem.geometry import (Tag, build_quad_mesh, build_tri_mesh,
                                classify_boundary)
 
@@ -290,3 +291,40 @@ def test_dirichlet_values_expand():
     # the space keeps no pinned values of its own
     assert np.array_equal(sp.expand(reduced, 0.0)[sp.constrained],
                           np.zeros(len(sp.constrained)))
+
+
+def _check_nested_dissection(space):
+    mx, my, k = space.mx, space.my, space.degree
+    order = nested_dissection(space)
+    assert np.array_equal(np.sort(order), np.arange(space.n_dofs))
+    # lattice coordinates of every element's dofs, to find straddled lines
+    ei, ej = space.element_dofs % mx, space.element_dofs // mx
+    for points, is_separator in nd_blocks(mx, my, k):
+        i, j = points % mx, points // mx
+        if not is_separator:
+            assert np.ptp(i) < ND_LEAF and np.ptp(j) < ND_LEAF
+            continue
+        # a separator is one lattice line through element boundaries only
+        if np.ptp(i) == 0:
+            line, lo, hi = i[0], ei.min(axis=1), ei.max(axis=1)
+        else:
+            assert np.ptp(j) == 0
+            line, lo, hi = j[0], ej.min(axis=1), ej.max(axis=1)
+        assert line % k == 0
+        assert not np.any((lo < line) & (line < hi))
+    return order
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+@pytest.mark.parametrize("family", ["q1", "q2", "p1", "p2"])
+def test_nested_dissection_of_the_lattice(family, n):
+    order = _check_nested_dissection(_space(n, family))
+    # a pattern-only order: a second build gives the same permutation
+    assert np.array_equal(order, nested_dissection(_space(n, family)))
+
+
+@pytest.mark.parametrize("family, nx, ny", [("q1", 20, 7), ("q2", 5, 12)])
+def test_nested_dissection_of_a_rectangular_lattice(family, nx, ny):
+    space = make_space(build_quad_mesh(nx, ny, 1.0, 0.4), family)
+    assert (space.mx, space.my) != (space.my, space.mx)
+    _check_nested_dissection(space)

@@ -156,6 +156,16 @@ def test_inhomogeneous_dirichlet_low_reg():
     assert err < 5e-3
 
 
+def test_build_without_case_names_the_missing_case(monkeypatch):
+    assembled = []
+    monkeypatch.setattr("anisofem.schemes.assemble",
+                        lambda *args, **kwargs: assembled.append(args))
+    spec = ProblemSpec("inflow", 0.5, FieldSpec("variable_alpha", 0.0), n=4)
+    with pytest.raises(ValueError, match=r"ProblemSpec\.case"):
+        run_instance(spec)
+    assert assembled == []          # rejected before any assembly
+
+
 def test_mesh_kind_follows_family():
     field = FieldSpec("aligned_e2")
     spec = ProblemSpec("inflow", 0.5, field, None, family="p2", n=4)
@@ -163,8 +173,10 @@ def test_mesh_kind_follows_family():
 
 
 def test_sigma_tail_point_solves_after_threshold_failure():
-    # canonical sigma-sweep point whose threshold-pivoted factor fails the
-    # scheme's pivot test; the partial-pivoting retry must still solve it
+    # canonical sigma-sweep point whose threshold-pivoted factor failed the
+    # scheme's pivot test in COLAMD's column order and was solved by the
+    # partial-pivoting retry; in the nested-dissection order it passes on
+    # the first attempt (test_solver covers the retry in a given order)
     spec = _smooth_spec("stabilized", 1e-10, 0.0, 30, sigma=1e-12)
     assert run_instance(spec).solve_status == "OK"
 

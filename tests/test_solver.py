@@ -3,7 +3,12 @@ import gc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from anisofem import schemes
+from anisofem.fem import nested_dissection
+from anisofem.fields import FieldSpec, ManufacturedCase
+from anisofem.schemes import ProblemSpec, SchemeOperators, build_system
 from anisofem.solver import (SingularMatrixError, cond1_estimate,
                              finalize_csr, lu_factor, solve)
 
@@ -124,3 +129,112 @@ def test_finalize_csr_contract():
     assert B[0, 1] == 3.0                # duplicates summed
     assert B.nnz == 2                    # tiny entry dropped
     assert B.has_sorted_indices
+
+
+def test_explicit_order_reaches_the_retry(monkeypatch):
+    # the threshold factor keeps the 0.02 pivot, which fails the pivot
+    # test; partial pivoting takes the 1 instead and passes
+    A = finalize_csr(sp.csr_matrix(np.array([[0.02, 1.0], [1.0, 1.0]])))
+    calls, original = [], spla.splu
+
+    def counted(M, **kwargs):
+        calls.append(kwargs)
+        return original(M, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    F = lu_factor(A, pivot_rtol=0.05, order=np.array([0, 1]))
+    assert [(c["permc_spec"], c["diag_pivot_thresh"]) for c in calls] == [
+        ("NATURAL", 0.01), ("COLAMD", 1.0)]
+    assert F.order is None           # the retry factors A itself
+    assert np.allclose(A @ solve(F, np.array([1.0, 2.0])), [1.0, 2.0])
+
+
+def _stabilized(n=20):
+    field = FieldSpec("variable_alpha", 0.0)
+    case = ManufacturedCase("smooth", 0.0, 1e-8)
+    return ProblemSpec("stabilized", 1e-8, field, case, sigma=1e-6,
+                       family="q2", n=n)
+
+
+def test_order_is_solved_in_original_coordinates():
+    # a nontrivial order: the permuted factor must give A's own solution
+    rng = np.random.default_rng(5)
+    A = _random_dd(rng, 60)
+    order = rng.permutation(60)
+    F = lu_factor(A, order=order)
+    b = rng.standard_normal(60)
+    x = solve(F, b)
+    assert np.abs(A @ x - b).max() <= 1e-12 * np.abs(b).max()
+    assert np.allclose(F.solve(b, trans="T"), np.linalg.solve(A.T.toarray(), b))
+
+
+def test_nested_dissection_matches_colamd_solution():
+    system = build_system(_stabilized())
+    A = system.matrix
+    nd = lu_factor(A, pivot_rtol=schemes.SCHEME_PIVOT_RTOL, order=system.order)
+    colamd = lu_factor(A, pivot_rtol=schemes.SCHEME_PIVOT_RTOL)
+    x_nd, x_colamd = solve(nd, system.rhs), solve(colamd, system.rhs)
+    assert np.abs(x_nd - x_colamd).max() <= 1e-6 * np.abs(x_colamd).max()
+    assert cond1_estimate(A, nd) == pytest.approx(cond1_estimate(A, colamd),
+                                                  rel=1e-4)
+
+
+def test_nested_dissection_cuts_fill():
+    # guards against a silent return to COLAMD for the scheme solves
+    system = build_system(_stabilized())
+    nd = lu_factor(system.matrix, order=system.order).lu
+    colamd = lu_factor(system.matrix).lu
+    assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+def test_scheme_solves_factor_in_the_scheme_order(monkeypatch):
+    orders = []
+
+    def recorded(A, pivot_rtol, order=None):
+        orders.append(order)
+        return lu_factor(A, pivot_rtol, order)
+
+    monkeypatch.setattr(schemes, "lu_factor", recorded)
+    system = build_system(_stabilized(n=4))
+    schemes.solve_scheme(system)
+    assert len(orders) == 1 and orders[0] is system.order
+
+
+@pytest.mark.parametrize("scheme", ["standard", "inflow", "stabilized"])
+def test_scheme_order_puts_u_before_q(scheme):
+    spec = _stabilized(n=6)
+    spec.scheme = scheme
+    ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
+    us, qs = ops.u_space, ops.aux_space(scheme)
+    order = ops.dof_order(scheme)
+    q_free = np.empty(0, dtype=int) if qs is None else qs.free
+    points = np.concatenate([us.free, q_free])
+    is_q = np.arange(len(points)) >= len(us.free)
+    assert np.array_equal(np.sort(order), np.arange(len(points)))
+    # the unknowns visit the lattice in nested-dissection order ...
+    rank = np.empty(us.n_dofs, dtype=int)
+    rank[nested_dissection(us)] = np.arange(us.n_dofs)
+    assert np.all(np.diff(rank[points[order]]) >= 0)
+    # ... and at a point that carries both, u comes first
+    same = np.diff(points[order]) == 0
+    assert not is_q[order][:-1][same].any()
+    assert is_q[order][1:][same].all()
+    assert same.sum() == len(q_free)
+
+
+def test_scheme_order_is_computed_once_per_scheme(monkeypatch):
+    calls = []
+
+    def counted(space):
+        calls.append(space)
+        return nested_dissection(space)
+
+    monkeypatch.setattr(schemes, "nested_dissection", counted)
+    spec = _stabilized(n=4)
+    ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
+    assert calls == []               # not at construction: it is timed work
+    first = build_system(spec, ops).order
+    assert build_system(spec, ops).order is first
+    spec.scheme = "inflow"
+    build_system(spec, ops)
+    assert len(calls) == 2

@@ -242,12 +242,18 @@ def test_dual_norm_check_fast_path():
 
 def test_sigma_sweep_multi_h_variant():
     cfg = StudyConfig("sigma_sweep", family="q1", n_list=[4, 8],
-                      eps_list=[1e-10], alpha_list=[2.0],
                       sigma_list=[1e-4], multi_h=True)
     records = run_sigma_sweep(cfg)
-    # one fixed-h record per regime plus the ladder records
-    assert [r.n for r in records] == [4, 4, 8]
+    # one fixed-h record per reference regime plus the ladder records,
+    # which run at eps = 1e-10, alpha = 2
+    assert [r.n for r in records] == [4, 4, 4, 4, 8]
+    assert [(r.eps, r.alpha) for r in records[3:]] == [(1e-10, 2.0)] * 2
     assert all(r.solve_status == "OK" for r in records)
+    # so an eps or alpha given with multi_h would not reach the ladder
+    for grid in (dict(eps_list=[1e-10], alpha_list=[2.0]), dict(eps_list=[1.0])):
+        with pytest.raises(ValueError, match="multi_h"):
+            StudyConfig("sigma_sweep", family="q1", n_list=[4, 8],
+                        sigma_list=[1e-4], multi_h=True, **grid)
 
 
 def test_xi_against_mode_series():
