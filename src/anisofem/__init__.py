@@ -7,8 +7,8 @@ robustness and conditioning studies."""
 from .fields import (DegenerateFieldError, FieldSpec, LinearFunctional,
                      ManufacturedCase, eval_A, eval_b, rhs_functional,
                      source_functional)
-from .fem import (FemSpace, assemble, assemble_rhs, error_norms, make_space,
-                  parallel_seminorm, dual_norm)
+from .fem import (FemSpace, assemble, assemble_rhs, error_norms,
+                  parallel_seminorm)
 from .geometry import (BoundaryTags, Mesh, Tag, build_quad_mesh,
                        build_tri_mesh, classify_boundary)
 from .schemes import (BlockSystem, ProblemSpec, SchemeOperators, SchemeResult,

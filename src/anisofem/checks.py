@@ -13,9 +13,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import FieldSpec, ManufacturedCase, eval_b
-from .fem import (FAMILIES, assemble, make_space, parallel_seminorm,
-                  shape_functions, dual_norm, reference_rule)
-from .geometry import Tag, build_quad_mesh, classify_boundary
+from .fem import FAMILIES, parallel_seminorm, reference_rule, shape_functions
+from .geometry import build_quad_mesh
+from .schemes import SchemeOperators
 from .solver import cond1_estimate, finalize_csr, lu_factor, solve
 from .studies import StudyRecord, emit_csv, read_csv
 
@@ -27,14 +27,14 @@ def _sym_defect(A):
     return dmax / amax
 
 
+def _operators():
+    return SchemeOperators(build_quad_mesh(8, 8), FieldSpec("variable_alpha", 2.0),
+                           "q2")
+
+
 def check_assembly_symmetry():
-    field = FieldSpec("variable_alpha", 2.0)
-    mesh = build_quad_mesh(8, 8)
-    tags = classify_boundary(mesh, field)
-    space = make_space(mesh, "q2", {Tag.DIRICHLET}, tags)
-    worst = 0.0
-    for kind in ("a_full", "a_par", "mass"):
-        worst = max(worst, _sym_defect(assemble(space, kind, field)))
+    ops = _operators()
+    worst = max(_sym_defect(A) for A in (ops.K, ops.P, ops.M))
     return worst <= 1e-12, f"max relative asymmetry {worst:.2e}"
 
 
@@ -71,22 +71,17 @@ def check_limit_parallel_gradient():
 
 
 def check_star_norm():
-    field = FieldSpec("variable_alpha", 2.0)
-    mesh = build_quad_mesh(8, 8)
-    tags = classify_boundary(mesh, field)
-    u_space = make_space(mesh, "q2", {Tag.DIRICHLET}, tags)
-    q_space = u_space.with_constraints({Tag.DIRICHLET, Tag.INFLOW}, tags)
-    P = assemble(u_space, "a_par", field)
-    K = assemble(u_space, "a_full", field)
+    ops = _operators()
+    q_space = ops.q_space
     rng = np.random.default_rng(7)
     worst_hom, worst_dom = 0.0, 0.0
     for _ in range(100):
         q = np.zeros(q_space.n_dofs)
         q[q_space.free] = rng.standard_normal(len(q_space.free))
-        star = dual_norm(q, field, u_space, P, K)
-        par = parallel_seminorm(q, P)
+        star = ops.dual_norm(q)
+        par = parallel_seminorm(q, ops.P)
         c = rng.uniform(0.5, 3.0)
-        star_c = dual_norm(c * q, field, u_space, P, K)
+        star_c = ops.dual_norm(c * q)
         worst_hom = max(worst_hom, abs(star_c - c * star) / max(star_c, 1e-300))
         worst_dom = max(worst_dom, (star - par) / max(par, 1e-300))
     ok = worst_hom <= 1e-12 and worst_dom <= 1e-10
@@ -120,7 +115,7 @@ def check_cond1_sandwich():
     for _ in range(20):
         A = rng.standard_normal((50, 50))
         As = finalize_csr(sp.csr_matrix(A))
-        est = cond1_estimate(As, lu_factor(As))
+        est = cond1_estimate(lu_factor(As))
         exact = float(np.max(np.abs(A).sum(axis=0)) *
                       np.max(np.abs(np.linalg.inv(A)).sum(axis=0)))
         worst_low = min(worst_low, est / exact)

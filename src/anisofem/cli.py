@@ -16,7 +16,7 @@ import os
 import sys
 
 from .config import ConfigError, load_config
-from .studies import STUDY_RUNNERS, StudyRecord, emit_csv, emit_plot_script
+from .studies import STUDY_RUNNERS, TABLE_HEADERS, emit_csv, emit_plot_script
 
 _STUDY_BLURBS = {
     "sigma_sweep": "stabilization-parameter sweep at fixed mesh (3 regimes)",
@@ -53,8 +53,9 @@ def _run(args) -> int:
     for item in studies:
         print(f"running [{item.name}] ({item.config.kind}) ...")
         result = STUDY_RUNNERS[item.config.kind](item.config)
+        header = TABLE_HEADERS.get(item.config.kind)
         try:
-            if result and isinstance(result[0], StudyRecord):
+            if header is None:
                 failures = sum(1 for r in result if r.solve_status != "OK")
                 print(f"  {len(result)} records, {failures} solver failure(s)")
                 if item.output:
@@ -69,8 +70,6 @@ def _run(args) -> int:
                           file=sys.stderr)
                     return 2
             else:
-                header = (("n", "ratio") if item.config.kind == "infsup_probe"
-                          else ("k", "computed_ratio", "analytic_ratio"))
                 for row in result:
                     print("  " + "  ".join(format(v, ".6g") if isinstance(v, float)
                                            else str(v) for v in row))

@@ -25,7 +25,7 @@ import configparser
 from dataclasses import dataclass
 
 from .schemes import SCHEME_KINDS
-from .studies import STUDY_KINDS, StudyConfig
+from .studies import STUDY_KINDS, TABLE_HEADERS, StudyConfig
 
 
 class ConfigError(ValueError):
@@ -144,7 +144,7 @@ def load_config(path) -> list[ConfiguredStudy]:
             cfg = StudyConfig(**cfg_kwargs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if kind in ("infsup_probe", "dual_norm_check") and (plot is not None or strict):
+        if kind in TABLE_HEADERS and (plot is not None or strict):
             raise ConfigError(f"{kind} writes a table, not study records: plot "
                               f"and strict do not apply in section [{name}]")
         studies.append(ConfiguredStudy(name, cfg, output, plot, strict))

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .geometry import Mesh, BoundaryTags
 from .fields import FieldSpec, LinearFunctional, eval_A, eval_b
-from .solver import finalize_csr, lu_factor, solve
+from .solver import finalize_csr
 
 FAMILIES = {"q1": ("quad", 1), "q2": ("quad", 2), "p1": ("triangle", 1),
             "p2": ("triangle", 2)}
@@ -323,11 +323,6 @@ def nested_dissection(space: FemSpace) -> np.ndarray:
                            nd_blocks(space.mx, space.my, space.degree)])
 
 
-def make_space(mesh: Mesh, family: str, dirichlet_tags=frozenset(),
-               boundary_tags: BoundaryTags | None = None) -> FemSpace:
-    return FemSpace(mesh, family, dirichlet_tags, boundary_tags)
-
-
 def assemble(space: FemSpace, kind: str,
              field: FieldSpec | None = None) -> sp.csr_matrix:
     """Assemble a bilinear form over the full (unconstrained) dof lattice.
@@ -379,9 +374,6 @@ def assemble_rhs(space: FemSpace, functional: LinearFunctional) -> np.ndarray:
 
 # -- norms and errors -----------------------------------------------------
 
-NORM_WHICH = ("l2", "h1", "l2_rel", "h1_rel")
-
-
 class ExactValues(NamedTuple):
     """An error reference evaluated at a space's error quadrature points."""
 
@@ -429,38 +421,14 @@ def error_components(space: FemSpace, coefficients, case=None):
     return err_l2_sq, err_h1_sq, uh_l2_sq, uh_h1_sq
 
 
-def error_norms(space: FemSpace, coefficients, case, which: str) -> float:
-    """L2/H1 error norms; the _rel variants divide by the same norm of u_h."""
-    which = which.lower()
-    if which not in NORM_WHICH:
-        raise ValueError(f"which must be one of {NORM_WHICH}")
+def error_norms(space: FemSpace, coefficients, case):
+    """(l2, h1, l2_rel, h1_rel): the L2 and full H1 norms of u_h - exact,
+    and each divided by the same norm of u_h (nan when u_h is zero)."""
     e2, eh2, u2, uh2 = error_components(space, coefficients, case)
-    if which == "l2":
-        return np.sqrt(e2)
-    if which == "h1":
-        return np.sqrt(e2 + eh2)
-    if which == "l2_rel":
-        return np.sqrt(e2) / np.sqrt(u2)
-    return np.sqrt(e2 + eh2) / np.sqrt(u2 + uh2)
-
-
-def dual_norm(q_coefficients, field: FieldSpec, u_space: FemSpace,
-              a_par_matrix=None, a_full_matrix=None) -> float:
-    """Mesh-dependent dual norm sup_v apar-form(q, v)/|v| over the u-space.
-
-    Realized through the Riesz auxiliary solve (v*, w) = apar-form(q, w)
-    on the free dofs of the u-space; returns |v*| in the energy product.
-    The two assembled matrices can be passed in to amortize repeated calls.
-    """
-    if a_par_matrix is None:
-        a_par_matrix = assemble(u_space, "a_par", field)
-    if a_full_matrix is None:
-        a_full_matrix = assemble(u_space, "a_full", field)
-    q = np.asarray(q_coefficients, dtype=float)
-    r = (a_par_matrix @ q)[u_space.free]
-    K = a_full_matrix[u_space.free][:, u_space.free].tocsr()
-    v = solve(lu_factor(K), r)
-    return float(np.sqrt(max(v @ r, 0.0)))
+    l2 = np.sqrt(e2)
+    h1 = np.sqrt(e2 + eh2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return l2, h1, l2 / np.sqrt(u2), h1 / np.sqrt(u2 + uh2)
 
 
 def parallel_seminorm(q_coefficients, a_par_matrix) -> float:

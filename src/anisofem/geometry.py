@@ -18,7 +18,6 @@ import numpy as np
 # 0.0 on the tangential edges, so this is a safety net only.
 BN_TOLERANCE = 1e-12
 
-SIDES = ("bottom", "right", "top", "left")
 
 _SIDE_NORMALS = {
     "bottom": np.array([0.0, -1.0]),

@@ -24,9 +24,9 @@ import scipy.sparse as sp
 
 from .fields import FieldSpec, ManufacturedCase
 from .fem import (FAMILIES, ExactValues, FemSpace, assemble, assemble_rhs,
-                  exact_values, make_space, nested_dissection)
+                  exact_values, nested_dissection)
 from .geometry import Mesh, Tag, build_quad_mesh, build_tri_mesh, classify_boundary
-from .solver import cond1_estimate, lu_factor, solve
+from .solver import LuFactor, cond1_estimate, lu_factor, solve
 from .spectral import SpectralSolution
 
 SCHEME_KINDS = ("standard", "inflow", "stabilized")
@@ -94,7 +94,9 @@ class SchemeOperators:
 
     The nested-dissection order of each scheme's unknowns is computed by
     the first system of that scheme, not here, so it is timed with that
-    instance.
+    instance.  Likewise the LU factor of K on the free u-dofs, behind
+    ``riesz_norm``, is computed on first use and kept for the life of the
+    operator set.
     """
 
     def __init__(self, mesh: Mesh, field: FieldSpec, family: str):
@@ -102,7 +104,7 @@ class SchemeOperators:
         self.field = field
         self.family = family
         self.tags = classify_boundary(mesh, field)
-        self.u_space = make_space(mesh, family, {Tag.DIRICHLET}, self.tags)
+        self.u_space = FemSpace(mesh, family, {Tag.DIRICHLET}, self.tags)
         self.q_space = self.u_space.with_constraints({Tag.DIRICHLET, Tag.INFLOW},
                                                      self.tags)
         self.K = assemble(self.u_space, "a_full", field)
@@ -111,6 +113,7 @@ class SchemeOperators:
         self._load = (None, None)       # ((case, field, eps), load vector)
         self._exact = (None, None)      # (case, ExactValues)
         self._orders: dict[str, np.ndarray] = {}
+        self._riesz: LuFactor | None = None
 
     def aux_space(self, scheme: str) -> FemSpace | None:
         """The auxiliary variable's space; None for the standard scheme."""
@@ -131,6 +134,21 @@ class SchemeOperators:
                 keys = np.concatenate([keys, 2 * rank[qs.free] + 1])
             self._orders[scheme] = np.argsort(keys)
         return self._orders[scheme]
+
+    def riesz_norm(self, r) -> float:
+        """Energy norm of the Riesz representer of the load r on the free
+        u-dofs: sqrt(r . v) with K v = r, K restricted to the free dofs."""
+        if self._riesz is None:
+            free = self.u_space.free
+            self._riesz = lu_factor(self.K[free][:, free].tocsr())
+        v = solve(self._riesz, r)
+        return float(np.sqrt(max(v @ r, 0.0)))
+
+    def dual_norm(self, q) -> float:
+        """Mesh-dependent dual norm sup_v a_par(q, v)/|v| over the u-space,
+        |v| the energy norm of K, of the coefficient vector q."""
+        q = np.asarray(q, dtype=float)
+        return self.riesz_norm((self.P @ q)[self.u_space.free])
 
     def case_load(self, case, field: FieldSpec, eps: float) -> np.ndarray:
         """Load vector of case.functional(field, eps) on the u-space."""
@@ -241,7 +259,7 @@ def solve_scheme(system: BlockSystem) -> SchemeResult:
     factor = lu_factor(system.matrix, pivot_rtol=SCHEME_PIVOT_RTOL,
                        order=system.order)
     x = solve(factor, system.rhs)
-    cond1 = cond1_estimate(system.matrix, factor)
+    cond1 = cond1_estimate(factor)
     u = system.u_space.expand(x[:system.n_u], system.u_pinned)
     if system.q_space is None:
         q = np.empty(0)

@@ -158,10 +158,9 @@ def _hager_inverse_norm(factor: LuFactor, max_iter: int = 5) -> float:
     return max(est, est2)
 
 
-def cond1_estimate(A, factor: LuFactor) -> float:
-    """Estimate cond_1(A): exact ||A||_1 times the estimated ||A^-1||_1."""
-    A = sp.csr_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
+def cond1_estimate(factor: LuFactor) -> float:
+    """Estimate cond_1(A) of the factored matrix: exact ||A||_1 times the
+    estimated ||A^-1||_1."""
+    A = factor.matrix
     norm_a = float(np.max(np.abs(A).sum(axis=0))) if A.nnz else 0.0
     return norm_a * _hager_inverse_norm(factor)

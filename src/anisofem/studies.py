@@ -31,17 +31,20 @@ from numbers import Integral, Real
 import numpy as np
 
 from .fields import ALPHA_MAX, CASE_IDS, FieldSpec, LinearFunctional, ManufacturedCase
-from .fem import (FAMILIES, assemble, assemble_rhs, error_components, make_space,
-                  parallel_seminorm, dual_norm)
-from .geometry import Tag, build_quad_mesh, build_tri_mesh, classify_boundary
+from .fem import FAMILIES, assemble_rhs, error_norms, parallel_seminorm
+from .geometry import build_quad_mesh, build_tri_mesh
 from .schemes import (ProblemSpec, SchemeOperators, build_system,
                       solve_scheme)
-from .solver import SingularMatrixError, lu_factor, solve
+from .solver import SingularMatrixError
 from .spectral import FourierRhs, spectral_solve
 
 STUDY_KINDS = ("sigma_sweep", "h_convergence", "eps_sweep", "conditioning",
                "low_regularity", "oracle_validation", "infsup_probe",
                "dual_norm_check")
+# The studies that return table rows instead of StudyRecords, and the
+# header of their output.
+TABLE_HEADERS = {"infsup_probe": ("n", "ratio"),
+                 "dual_norm_check": ("k", "computed_ratio", "analytic_ratio")}
 
 # The StudyConfig fields each study reads, and those of which it reads
 # only the first value (sigma_sweep reads every n only with multi_h).
@@ -104,6 +107,12 @@ class StudyConfig:
                 raise ValueError(f"{self.kind} takes one sigma value or an h^p "
                                  "rule, not a list")
             raise ValueError(f"{self.kind} does not use {_KEY.get(f.name, f.name)}")
+        # an empty list would fall back to the defaults, or run nothing
+        for f in dataclass_fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (list, tuple)) and not value:
+                raise ValueError(f"{_KEY.get(f.name, f.name)} is an empty list; "
+                                 "omit the key for the study's default values")
         first_only = () if self.multi_h else _FIRST_ONLY.get(self.kind, ())
         for name in first_only:
             if len(getattr(self, name) or ()) > 1:
@@ -218,13 +227,6 @@ def loglog_slope(xs, ys) -> float:
 # -- single-instance driver -------------------------------------------------
 
 
-def _norms_from_components(comp):
-    e2, eh2, u2, uh2 = comp
-    l2 = np.sqrt(e2)
-    h1 = np.sqrt(e2 + eh2)
-    return l2, h1, l2 / np.sqrt(u2), h1 / np.sqrt(u2 + uh2)
-
-
 def run_instance(spec: ProblemSpec,
                  operators: SchemeOperators | None = None) -> StudyRecord:
     """Build, solve and measure one problem instance against spec.case,
@@ -243,11 +245,9 @@ def run_instance(spec: ProblemSpec,
                            nan, nan, nan, nan, nan, nan, nan, "SINGULAR", elapsed)
     elapsed = time.perf_counter() - t0
     exact = system.operators.exact_values(spec.case)
-    l2, h1, l2r, h1r = _norms_from_components(
-        error_components(system.u_space, result.u, exact))
+    l2, h1, l2r, h1r = error_norms(system.u_space, result.u, exact)
     if system.q_space is not None:
-        qn = _norms_from_components(error_components(system.q_space, result.q, None))
-        q_l2, q_h1 = qn[0], qn[1]
+        q_l2, q_h1, _, _ = error_norms(system.q_space, result.q, None)
     else:
         q_l2 = q_h1 = float("nan")
     return StudyRecord(spec.scheme, spec.n, h, spec.eps, spec.sigma, alpha,
@@ -356,7 +356,7 @@ def run_low_regularity(cfg: StudyConfig) -> list[StudyRecord]:
     schemes = cfg.schemes or ["inflow", "stabilized"]
     n_list = cfg.n_list or [16, 32, 64, 128]
     eps = (cfg.eps_list or [1e-10])[0]
-    alphas = cfg.alpha_list if cfg.alpha_list is not None else [0.0, 2.0]
+    alphas = cfg.alpha_list or [0.0, 2.0]
     sigma_rule = cfg.sigma_rule or ("power", 2)
     return _run_specs([_spec(cfg, scheme, family, n, eps, sigma_rule, alpha, "low_reg")
                        for alpha in alphas for n in n_list for scheme in schemes])
@@ -406,13 +406,12 @@ def run_infsup_probe(cfg: StudyConfig) -> list[tuple[int, float]]:
 
 
 def _infsup_ratio(n: int, field: FieldSpec) -> float:
-    coarse = build_tri_mesh(n)
-    fine = build_tri_mesh(2 * n)
-    Vc = make_space(coarse, "p1", {Tag.DIRICHLET}, classify_boundary(coarse, field))
-    Vf = make_space(fine, "p2", {Tag.DIRICHLET}, classify_boundary(fine, field))
+    coarse = SchemeOperators(build_tri_mesh(n), field, "p1")
+    fine = SchemeOperators(build_tri_mesh(2 * n), field, "p2")
+    Vc = coarse.u_space
     q = Vc.interpolate(lambda x, y: y * np.sin(np.pi * n * x / 2.0))
 
-    norm_c = dual_norm(q, field, Vc)
+    norm_c = coarse.dual_norm(q)
 
     # the coarse multiplier gradient is constant per coarse triangle; each
     # fine element, quadrature points included, nests inside one of them
@@ -429,11 +428,8 @@ def _infsup_ratio(n: int, field: FieldSpec) -> float:
         F[..., 1] = grad_q[parent, 1]
         return F
 
-    rf_full = assemble_rhs(Vf, LinearFunctional(flux=flux))
-    Kf = assemble(Vf, "a_full", field)
-    rf = rf_full[Vf.free]
-    vf = solve(lu_factor(Kf[Vf.free][:, Vf.free].tocsr()), rf)
-    norm_f = np.sqrt(max(vf @ rf, 0.0))
+    rf = assemble_rhs(fine.u_space, LinearFunctional(flux=flux))
+    norm_f = fine.riesz_norm(rf[fine.u_space.free])
     return float(norm_c / norm_f)
 
 
@@ -452,19 +448,14 @@ def run_dual_norm_check(cfg: StudyConfig) -> list[tuple[int, float, float]]:
     n = (cfg.n_list or [128])[0]
     family = cfg.family or "q2"
     ks = cfg.k_list or [1, 2, 3, 4]
-    field = FieldSpec("aligned_e2")
-    mesh = build_quad_mesh(n, n, np.pi, np.pi)
-    tags = classify_boundary(mesh, field)
-    u_space = make_space(mesh, family, {Tag.DIRICHLET}, tags)
-    q_space = u_space.with_constraints({Tag.DIRICHLET, Tag.INFLOW}, tags)
-    P = assemble(u_space, "a_par", field)
-    K = assemble(u_space, "a_full", field)
+    ops = SchemeOperators(build_quad_mesh(n, n, np.pi, np.pi),
+                          FieldSpec("aligned_e2"), family)
     out = []
     for k in ks:
-        q = q_space.interpolate(
+        q = ops.q_space.interpolate(
             lambda x, y, k=k: np.sin(k * x) * (np.cos(y) - np.cos(2 * y)))
-        q[q_space.constrained] = 0.0
-        ratio = dual_norm(q, field, u_space, P, K) / parallel_seminorm(q, P)
+        q[ops.q_space.constrained] = 0.0
+        ratio = ops.dual_norm(q) / parallel_seminorm(q, ops.P)
         out.append((k, float(ratio), separated_mode_ratio(k)))
     return out
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from anisofem import studies
 from anisofem.cli import main
 from anisofem.config import ConfigError, load_config, parse_value
 
@@ -113,6 +114,17 @@ output = {out_csv}
     assert len(lines) == 2
 
 
+def test_cli_record_study_without_records_writes_record_header(tmp_path,
+                                                               monkeypatch):
+    # the output format follows the study kind, not the first result
+    monkeypatch.setitem(studies.STUDY_RUNNERS, "low_regularity", lambda cfg: [])
+    out_csv = tmp_path / "empty.csv"
+    cfg = _write(tmp_path, f"[empty]\nstudy = low_regularity\noutput = {out_csv}\n")
+    assert main(["run", cfg]) == 0
+    assert out_csv.read_text() == ",".join(studies._RECORD_FIELDS) + "\n"
+    assert studies.read_csv(out_csv) == []
+
+
 def test_cli_exit_codes(tmp_path):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 3
     bad = _write(tmp_path, "[s]\nstudy = nope\n")
@@ -198,6 +210,15 @@ def test_cli_check_smoke(capsys):
     "sigma = [1e-3]\nmulti_h = true",
     "study = sigma_sweep\nfamily = q1\nn = [4, 8]\neps = [1]\n"
     "sigma = [1e-3]\nmulti_h = true",
+    # an empty list used to run the study's defaults (or, for alpha in
+    # low_regularity, no instance at all)
+    "study = eps_sweep\nfamily = q1\nn = [4]\neps = []",
+    "study = eps_sweep\nfamily = q1\nn = [4]\nscheme = []",
+    "study = eps_sweep\nfamily = q1\nn = []",
+    "study = sigma_sweep\nfamily = q1\nn = [4]\nsigma = []",
+    "study = dual_norm_check\nn = [8]\nk = []",
+    "study = low_regularity\nfamily = q1\nn = [4]\nalpha = []",
+    "study = oracle_validation\nfamily = q1\nn = [4]\nmodes = []",
 ], ids=["family_q3", "case_rough", "infsup_odd_n", "alpha_5_eps_sweep",
         "alpha_5_h_convergence", "alpha_5_sigma_sweep",
         "alpha_without_eps_h_convergence", "alpha_without_eps_sigma_sweep",
@@ -209,7 +230,10 @@ def test_cli_check_smoke(capsys):
         "sigma_sweep_scheme", "eps_sweep_sigma_list", "conditioning_case",
         "infsup_plot", "infsup_strict", "dual_norm_check_plot",
         "dual_norm_check_strict", "sigma_sweep_multi_h_eps_alpha",
-        "sigma_sweep_multi_h_eps"])
+        "sigma_sweep_multi_h_eps", "eps_sweep_empty_eps",
+        "eps_sweep_empty_scheme", "eps_sweep_empty_n", "sigma_sweep_empty_sigma",
+        "dual_norm_check_empty_k", "low_regularity_empty_alpha",
+        "oracle_empty_modes"])
 def test_cli_rejects_bad_study_values(tmp_path, capsys, body):
     out_csv = tmp_path / "out.csv"
     cfg = _write(tmp_path, f"[bad]\n{body}\noutput = {out_csv}\n")

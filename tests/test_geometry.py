@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anisofem.fields import FieldSpec
-from anisofem.fem import make_space
+from anisofem.fem import FemSpace
 from anisofem.geometry import (Tag, build_quad_mesh, build_tri_mesh,
                                classify_boundary)
 
@@ -113,8 +113,8 @@ def test_refinement_stable_tags():
 def test_corner_dirichlet_dominance():
     mesh = build_quad_mesh(4, 4)
     tags = classify_boundary(mesh, FieldSpec("variable_alpha", 2.0))
-    u_space = make_space(mesh, "q1", {Tag.DIRICHLET}, tags)
-    q_space = make_space(mesh, "q1", {Tag.DIRICHLET, Tag.INFLOW}, tags)
+    u_space = FemSpace(mesh, "q1", {Tag.DIRICHLET}, tags)
+    q_space = FemSpace(mesh, "q1", {Tag.DIRICHLET, Tag.INFLOW}, tags)
     # lower-left corner joins a Dirichlet (bottom) and an inflow (left)
     # edge: pinned already by the Dirichlet tag
     assert u_space.constrained_mask[0]

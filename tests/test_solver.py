@@ -101,12 +101,12 @@ def test_nonsquare_rejected():
 
 def test_cond1_identity():
     A = finalize_csr(sp.eye(17, format="csr"))
-    assert cond1_estimate(A, lu_factor(A)) == 1.0
+    assert cond1_estimate(lu_factor(A)) == 1.0
 
 
 def test_cond1_diagonal():
     A = finalize_csr(sp.csr_matrix(np.diag([1.0, 1e-6])))
-    est = cond1_estimate(A, lu_factor(A))
+    est = cond1_estimate(lu_factor(A))
     assert est == pytest.approx(1e6, rel=1e-12)
 
 
@@ -115,7 +115,7 @@ def test_cond1_sandwich_against_dense_oracle():
     for _ in range(20):
         A = rng.standard_normal((50, 50))
         As = finalize_csr(sp.csr_matrix(A))
-        est = cond1_estimate(As, lu_factor(As))
+        est = cond1_estimate(lu_factor(As))
         exact = float(np.max(np.abs(A).sum(axis=0))
                       * np.max(np.abs(np.linalg.inv(A)).sum(axis=0)))
         assert est <= exact * (1.0 + 1e-12)
@@ -175,8 +175,7 @@ def test_nested_dissection_matches_colamd_solution():
     colamd = lu_factor(A, pivot_rtol=schemes.SCHEME_PIVOT_RTOL)
     x_nd, x_colamd = solve(nd, system.rhs), solve(colamd, system.rhs)
     assert np.abs(x_nd - x_colamd).max() <= 1e-6 * np.abs(x_colamd).max()
-    assert cond1_estimate(A, nd) == pytest.approx(cond1_estimate(A, colamd),
-                                                  rel=1e-4)
+    assert cond1_estimate(nd) == pytest.approx(cond1_estimate(colamd), rel=1e-4)
 
 
 def test_nested_dissection_cuts_fill():

@@ -5,7 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from anisofem import fem, schemes, solver, studies
+from anisofem.fem import parallel_seminorm
 from anisofem.fields import FieldSpec, LinearFunctional, ManufacturedCase
+from anisofem.geometry import build_quad_mesh
 from anisofem.schemes import ProblemSpec, SchemeOperators
 from anisofem.spectral import FourierRhs, eval_series, spectral_solve
 from anisofem.studies import (STUDY_KINDS, STUDY_RUNNERS, StudyConfig,
@@ -240,6 +243,32 @@ def test_dual_norm_check_fast_path():
         assert computed == pytest.approx(analytic, rel=0.05)
 
 
+def test_dual_norm_check_factors_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solver.lu_factor(*args, **kwargs)
+
+    for module in (fem, schemes, studies):
+        if hasattr(module, "lu_factor"):
+            monkeypatch.setattr(module, "lu_factor", counted)
+    out = run_dual_norm_check(StudyConfig("dual_norm_check", n_list=[16],
+                                          k_list=[1, 2, 3, 4]))
+    assert len(calls) == 1
+    # every ratio equals the one from a fresh factor of K on the free dofs
+    ops = SchemeOperators(build_quad_mesh(16, 16, np.pi, np.pi),
+                          FieldSpec("aligned_e2"), "q2")
+    free = ops.u_space.free
+    for k, ratio, _ in out:
+        q = ops.q_space.interpolate(
+            lambda x, y: np.sin(k * x) * (np.cos(y) - np.cos(2 * y)))
+        q[ops.q_space.constrained] = 0.0
+        r = (ops.P @ q)[free]
+        v = solver.solve(solver.lu_factor(ops.K[free][:, free].tocsr()), r)
+        assert ratio == np.sqrt(max(v @ r, 0.0)) / parallel_seminorm(q, ops.P)
+
+
 def test_sigma_sweep_multi_h_variant():
     cfg = StudyConfig("sigma_sweep", family="q1", n_list=[4, 8],
                       sigma_list=[1e-4], multi_h=True)
@@ -258,7 +287,6 @@ def test_sigma_sweep_multi_h_variant():
 
 def test_xi_against_mode_series():
     # the discrete auxiliary variable approaches its closed-form series
-    import anisofem.fem as fem
     from anisofem.schemes import build_system, solve_scheme
 
     f = FourierRhs.from_modes([(1, 1, 1.0)])
@@ -280,7 +308,7 @@ def test_xi_against_mode_series():
         return out
 
     xi = SimpleNamespace(u=lambda x, y: eval_series(sol, "xi", x, y), grad_u=grad_xi)
-    diff = fem.error_norms(system.q_space, result.q, xi, "l2")
+    diff = fem.error_norms(system.q_space, result.q, xi)[0]
     assert diff < 1e-4
 
 
