@@ -11,6 +11,10 @@
 The second block row is assembled exactly as the weak equations read,
 [P^T, -(eps*C + sigma*M)]; ``flip_second_row`` negates that whole row (a
 solution-preserving transform) for experiments on the sign convention.
+
+All instances of a scheme on one operator set share one sparsity
+pattern, kept as the scheme's ``SchemePlan``: an instance only forms the
+data array, a linear combination of the data of K, P and M.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .fields import FieldSpec, ManufacturedCase
 from .fem import (FAMILIES, ExactValues, FemSpace, assemble, assemble_rhs,
                   exact_values, nested_dissection)
 from .geometry import Mesh, Tag, build_quad_mesh, build_tri_mesh, classify_boundary
-from .solver import LuFactor, cond1_estimate, lu_factor, solve
+from .solver import LuFactor, block_pattern, lu_factor, solve, solve_with_cond1
 from .spectral import SpectralSolution
 
 SCHEME_KINDS = ("standard", "inflow", "stabilized")
@@ -92,11 +96,10 @@ class SchemeOperators:
     their old entry before computing a new one, and live as long as the
     operator set.
 
-    The nested-dissection order of each scheme's unknowns is computed by
-    the first system of that scheme, not here, so it is timed with that
-    instance.  Likewise the LU factor of K on the free u-dofs, behind
-    ``riesz_norm``, is computed on first use and kept for the life of the
-    operator set.
+    Each scheme's plan is built by the first system of that scheme, not
+    here, so it is timed with that instance.  Likewise the LU factor of K
+    on the free u-dofs, behind ``riesz_norm``, is computed on first use
+    and kept for the life of the operator set.
     """
 
     def __init__(self, mesh: Mesh, field: FieldSpec, family: str):
@@ -112,7 +115,7 @@ class SchemeOperators:
         self.M = assemble(self.u_space, "mass")
         self._load = (None, None)       # ((case, field, eps), load vector)
         self._exact = (None, None)      # (case, ExactValues)
-        self._orders: dict[str, np.ndarray] = {}
+        self._plans: dict[str, SchemePlan] = {}
         self._riesz: LuFactor | None = None
 
     def aux_space(self, scheme: str) -> FemSpace | None:
@@ -121,19 +124,11 @@ class SchemeOperators:
             return None
         return self.q_space if scheme == "inflow" else self.u_space
 
-    def dof_order(self, scheme: str) -> np.ndarray:
-        """The scheme's unknowns (free u, then free q) in the
-        nested-dissection order of their lattice points, u before q at a
-        shared point."""
-        if scheme not in self._orders:
-            us, qs = self.u_space, self.aux_space(scheme)
-            rank = np.empty(us.n_dofs, dtype=np.int64)
-            rank[nested_dissection(us)] = np.arange(us.n_dofs)
-            keys = 2 * rank[us.free]
-            if qs is not None:
-                keys = np.concatenate([keys, 2 * rank[qs.free] + 1])
-            self._orders[scheme] = np.argsort(keys)
-        return self._orders[scheme]
+    def plan(self, scheme: str) -> SchemePlan:
+        """The scheme's plan, built on first use."""
+        if scheme not in self._plans:
+            self._plans[scheme] = _build_plan(self, scheme)
+        return self._plans[scheme]
 
     def riesz_norm(self, r) -> float:
         """Energy norm of the Riesz representer of the load r on the free
@@ -171,11 +166,66 @@ class SchemeOperators:
         return self._exact[1]
 
 
+# Each scheme's matrix terms as form, row unknowns, column unknowns: "u"
+# the free u-dofs, "q" the free auxiliary dofs.  A "u" column set also
+# takes in the pinned u-dofs, so a term carries the Dirichlet lift of its
+# block.  _coefficients gives the terms' factors in the same order.
+_TERMS = {"standard": ("Kuu", "Puu"),
+          "inflow": ("Kuu", "Puq", "Pqu", "Pqq"),
+          "stabilized": ("Kuu", "Puq", "Pqu", "Pqq", "Mqq")}
+
+
+def _coefficients(spec: ProblemSpec) -> tuple:
+    if spec.scheme == "standard":
+        return 1.0, (1.0 - spec.eps) / spec.eps
+    s = -1.0 if spec.flip_second_row else 1.0
+    return 1.0, 1.0 - spec.eps, s, -s * spec.eps, -s * spec.sigma
+
+
+class SchemePlan(NamedTuple):
+    """One scheme's block layout on an operator set.  ``order`` lists the
+    unknowns (free u, then free q) in elimination order.  The CSC pattern
+    holds the block matrix in that order as its first len(order) columns
+    and the lift, the couplings to the pinned u-dofs, as the rest; a term
+    (src, dst) of _TERMS adds its factor times form.data[src] to data[dst].
+    The systems share the order and pattern arrays, which are read-only."""
+
+    order: np.ndarray
+    u_rows: np.ndarray     # plan rows of the free u-dofs
+    indptr: np.ndarray
+    indices: np.ndarray
+    terms: list
+
+
+def _build_plan(ops: SchemeOperators, scheme: str) -> SchemePlan:
+    us, qs, nd = ops.u_space, ops.aux_space(scheme), ops.u_space.n_dofs
+    # unknown of u-dof d is d, of q-dof d is nd + d; ordered by the
+    # nested dissection of their lattice points, u before q at a point
+    dofs = us.free if qs is None else np.concatenate([us.free, nd + qs.free])
+    rank = np.empty(nd, dtype=np.int64)
+    rank[nested_dissection(us)] = np.arange(nd)
+    order = np.argsort(2 * rank[dofs % nd] + dofs // nd)
+    n, n_c = len(order), len(us.constrained)
+    rows = np.full(2 * nd, -1)              # plan row of each unknown
+    rows[dofs[order]] = np.arange(n)
+    cols = rows.copy()
+    cols[us.constrained] = n + np.arange(n_c)
+    part = {"u": slice(0, nd), "q": slice(nd, 2 * nd)}
+    pattern = block_pattern([(getattr(ops, X), rows[part[r]], cols[part[c]])
+                             for X, r, c in _TERMS[scheme]], (n, n + n_c))
+    plan = SchemePlan(order, rows[us.free], *pattern)
+    for array in (plan.order, plan.indptr, plan.indices):
+        array.flags.writeable = False       # shared by every system
+    return plan
+
+
 @dataclass
 class BlockSystem:
-    """Stacked linear system over the free dofs of (u, auxiliary)."""
+    """Stacked linear system over the free dofs of (u, auxiliary), its
+    rows and columns in the elimination order ``order``: row i is
+    unknown order[i] of (free u, then free auxiliary)."""
 
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
     rhs: np.ndarray
     n_u: int
     n_q: int
@@ -183,7 +233,7 @@ class BlockSystem:
     q_space: FemSpace | None
     operators: SchemeOperators
     u_pinned: np.ndarray   # values of u at u_space.constrained
-    order: np.ndarray      # elimination order of the unknowns
+    order: np.ndarray
 
 
 class SchemeResult(NamedTuple):
@@ -192,13 +242,9 @@ class SchemeResult(NamedTuple):
     cond1: float
 
 
-def _sub(A, rows, cols):
-    return A[rows][:, cols].tocsr()
-
-
 def build_system(spec: ProblemSpec,
                  operators: SchemeOperators | None = None) -> BlockSystem:
-    """Assemble the block system for one problem instance.
+    """Form the block system of one problem instance on its scheme's plan.
 
     The load vector is that of spec.case's functional, remembered by the
     operator set for the next instance; u is pinned to the case's
@@ -213,34 +259,25 @@ def build_system(spec: ProblemSpec,
 
     ops = operators
     us = ops.u_space
-    uf, uc = us.free, us.constrained
-    pts = us.coords[uc]
+    pts = us.coords[us.constrained]
     gu = np.asarray(spec.case.boundary_values(pts[:, 0], pts[:, 1]), dtype=float)
     ell = ops.case_load(spec.case, spec.field, spec.eps)
-    eps = spec.eps
-    order = ops.dof_order(spec.scheme)
-
-    if spec.scheme == "standard":
-        S = (ops.K + ((1.0 - eps) / eps) * ops.P).tocsr()
-        rhs = ell[uf] - _sub(S, uf, uc) @ gu
-        return BlockSystem(_sub(S, uf, uf), rhs, len(uf), 0, us, None, ops,
-                           gu, order)
-
-    qs = ops.aux_space(spec.scheme)
-    qf = qs.free
-    A11 = _sub(ops.K, uf, uf)
-    A12 = (1.0 - eps) * _sub(ops.P, uf, qf)
-    A21 = _sub(ops.P, qf, uf)
-    A22 = -eps * _sub(ops.P, qf, qf)
-    if spec.scheme == "stabilized" and spec.sigma != 0.0:
-        A22 = A22 - spec.sigma * _sub(ops.M, qf, qf)
-    rhs_u = ell[uf] - _sub(ops.K, uf, uc) @ gu
-    rhs_q = -(_sub(ops.P, qf, uc) @ gu)
-    if spec.flip_second_row:
-        A21, A22, rhs_q = -A21, -A22, -rhs_q
-    matrix = sp.bmat([[A11, A12], [A21, A22]], format="csr")
-    return BlockSystem(matrix, np.concatenate([rhs_u, rhs_q]),
-                       len(uf), len(qf), us, qs, ops, gu, order)
+    plan = ops.plan(spec.scheme)
+    data = np.zeros(len(plan.indices))
+    for (src, dst), term, c in zip(plan.terms, _TERMS[spec.scheme],
+                                   _coefficients(spec)):
+        data[dst] += c * getattr(ops, term[0]).data[src]
+    n, p = len(plan.order), plan.indptr
+    matrix = sp.csc_matrix((data[:p[n]], plan.indices[:p[n]], p[:n + 1]),
+                           shape=(n, n))
+    lift = sp.csc_matrix((data[p[n]:], plan.indices[p[n]:], p[n:] - p[n]),
+                         shape=(n, len(gu)))
+    rhs = np.zeros(n)
+    rhs[plan.u_rows] = ell[us.free]
+    rhs -= lift @ gu
+    n_u = len(us.free)
+    return BlockSystem(matrix, rhs, n_u, n - n_u, us, ops.aux_space(spec.scheme),
+                       ops, gu, plan.order)
 
 
 # Scheme solves keep going until the pivots reach the float64 noise floor:
@@ -250,7 +287,8 @@ SCHEME_PIVOT_RTOL = 1e-16
 
 
 def solve_scheme(system: BlockSystem) -> SchemeResult:
-    """Direct solve with refinement; cond_1 estimated on the same factorization.
+    """Direct solve with refinement and cond_1 estimated on the same
+    factorization, both in the system's elimination order.
 
     Raises SingularMatrixError when the factorization degenerates (for
     example the stabilized scheme at eps = sigma = 0, whose auxiliary
@@ -258,8 +296,9 @@ def solve_scheme(system: BlockSystem) -> SchemeResult:
     """
     factor = lu_factor(system.matrix, pivot_rtol=SCHEME_PIVOT_RTOL,
                        order=system.order)
-    x = solve(factor, system.rhs)
-    cond1 = cond1_estimate(factor)
+    y, cond1 = solve_with_cond1(factor, system.rhs)
+    x = np.empty(len(y))
+    x[system.order] = y
     u = system.u_space.expand(x[:system.n_u], system.u_pinned)
     if system.q_space is None:
         q = np.empty(0)

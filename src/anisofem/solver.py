@@ -1,16 +1,19 @@
 """Sparse direct solver and 1-norm condition estimation.
 
-A thin layer over SuperLU: factorization with threshold pivoting (retried
-with partial pivoting when the threshold factor fails the pivot test), solves
-with one step of iterative refinement (the saddle-point systems reach
-condition numbers around 1/h^5, which erodes ~9 digits; refinement
-restores them for the error studies), and a Hager-style estimator for
+A thin layer over SuperLU: factorization (retried with partial pivoting
+when the first factor fails the pivot test), solves with one step of
+iterative refinement (the saddle-point systems reach condition numbers
+around 1/h^5, which erodes ~9 digits; refinement restores them for the
+error studies), and a Hager-style estimator for
 cond_1 = ||A||_1 ||A^-1||_1 that never forms the inverse.
 
-The threshold factor's column order is either given by the caller, as the
-scheme solves give their nested-dissection order of the dof lattice, or
-COLAMD's, for general matrices; the partial-pivoting retry always uses
-COLAMD's.  Either way every solve works in the matrix's own coordinates.
+A general matrix is factored with threshold pivoting in COLAMD's column
+order.  A matrix that the caller has already put into its elimination
+order, as the scheme solves do with the nested-dissection order of the
+dof lattice, is factored as it stands, with static diagonal pivots.
+The partial-pivoting retry always factors the matrix in its unknowns'
+own order by COLAMD.  Either way every solve works in the coordinates of
+the matrix that was passed in.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import scipy.sparse.linalg as spla
 
 PIVOT_RTOL = 1e-14
 # SuperLU keeps the diagonal (hence the fill-reducing column order)
-# whenever |a_jj| >= DIAG_PIVOT_THRESH * max_i |a_ij|; 1.0 is partial pivoting.
+# whenever |a_jj| >= DIAG_PIVOT_THRESH * max_i |a_ij|; 1.0 is partial
+# pivoting, and 0.0 keeps every nonzero diagonal (static pivots).
 DIAG_PIVOT_THRESH = 0.01
 
 
@@ -39,7 +43,7 @@ class LuFactor:
     ``matrix`` itself otherwise.
     """
 
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
     lu: spla.SuperLU
     order: np.ndarray | None = None
 
@@ -48,10 +52,11 @@ class LuFactor:
         return self.matrix.shape
 
     def solve(self, b, trans: str = "N") -> np.ndarray:
-        """x with A x = b, or A^T x = b for trans = "T"."""
+        """x with A x = b, or A^T x = b for trans = "T"; b may hold
+        several right-hand sides as columns."""
         if self.order is None:
             return self.lu.solve(b, trans=trans)
-        x = np.empty(len(b))
+        x = np.empty(np.shape(b))
         x[self.order] = self.lu.solve(b[self.order], trans=trans)
         return x
 
@@ -66,37 +71,65 @@ def finalize_csr(A) -> sp.csr_matrix:
     return A
 
 
-def lu_factor(A, pivot_rtol: float = PIVOT_RTOL, order=None) -> LuFactor:
-    """Factor a square sparse matrix with threshold row pivoting.
+def block_pattern(blocks, shape) -> tuple:
+    """The CSC pattern of a sum of sparse blocks.
 
-    With ``order`` (a permutation of the unknowns) the first attempt
-    factors ``A[order][:, order]`` in that column order; without it
-    SuperLU orders the columns by COLAMD.  That attempt uses
-    DIAG_PIVOT_THRESH, which keeps most of the fill-reducing order on the
-    saddle-point systems.  When its factor is exactly singular, or its
-    smallest pivot falls below pivot_rtol times the largest matrix entry,
-    A is factored once more with partial pivoting, columns ordered by
-    COLAMD either way.  SingularMatrixError is raised only if both
-    attempts fail.  Callers that deliberately probe near-singular regimes
-    (the stabilization sweeps) pass a smaller pivot_rtol.
+    Each block is (X, rows, cols): row i of the canonical CSR matrix X
+    lands in row rows[i] of the sum, column j in column cols[j], and an
+    entry with a negative row or column is left out.  Returns indptr,
+    indices and, per block, (src, dst): which entries of X.data land, and
+    where in the pattern's data.
     """
-    A = sp.csr_matrix(A)
+    n = shape[0]
+    keys, sources = [], []
+    for X, rows, cols in blocks:
+        i = rows[np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))]
+        j = cols[X.indices]
+        src = np.flatnonzero((i >= 0) & (j >= 0))
+        keys.append(j[src] * n + i[src])
+        sources.append(src.astype(np.int32))
+    pattern, where = np.unique(np.concatenate(keys), return_inverse=True)
+    indptr = np.zeros(shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(pattern // n, minlength=shape[1]), out=indptr[1:])
+    dst = np.split(where.astype(np.int32),
+                   np.cumsum([len(src) for src in sources])[:-1])
+    return indptr, (pattern % n).astype(np.int32), list(zip(sources, dst))
+
+
+def lu_factor(A, pivot_rtol: float = PIVOT_RTOL, order=None) -> LuFactor:
+    """Factor a square sparse matrix.
+
+    Without ``order`` the first attempt orders the columns by COLAMD and
+    pivots with DIAG_PIVOT_THRESH, which keeps most of the fill-reducing
+    order on the saddle-point systems.  With ``order`` the matrix is
+    already in its elimination order: A = B[order][:, order] for the
+    matrix B of the unknowns in their own order.  The first attempt then
+    factors A as it stands, with the natural column order and static
+    diagonal pivots.  When the first factor is exactly singular, or its
+    smallest pivot falls below pivot_rtol times the largest matrix entry,
+    B (A itself without ``order``) is factored once more with partial
+    pivoting in COLAMD's column order.  SingularMatrixError is raised only
+    if both attempts fail.  Callers that deliberately probe near-singular
+    regimes (the stabilization sweeps) pass a smaller pivot_rtol.
+    """
+    A = sp.csc_matrix(A)
     n, m = A.shape
     if n != m:
         raise ValueError("matrix must be square")
     amax = np.abs(A.data).max() if A.nnz else 0.0
-    # The retry ignores a given order: its row interchanges reach across
+    # The retry leaves a given order: its row interchanges reach across
     # the order's separators (a lattice line separates the graph of A, not
     # that of A^T A, whose Cholesky fill bounds that of any row pivoting
     # and which COLAMD orders).  On the Q2 n = 30 sigma tail the retry's
     # fill was 3.4M in the nested-dissection order and 2.5M under COLAMD.
+    if order is None:
+        attempts = ((None, "COLAMD", DIAG_PIVOT_THRESH), (None, "COLAMD", 1.0))
+    else:
+        attempts = ((None, "NATURAL", 0.0), (np.argsort(order), "COLAMD", 1.0))
     # Only the message survives a failed attempt: a kept exception would tie
     # its traceback, and with it the failed factor, into a reference cycle.
-    for perm, thresh in ((order, DIAG_PIVOT_THRESH), (None, 1.0)):
-        if perm is None:
-            Ac, permc_spec = A.tocsc(), "COLAMD"
-        else:
-            Ac, permc_spec = A[perm][:, perm].tocsc(), "NATURAL"
+    for perm, permc_spec, thresh in attempts:
+        Ac = A if perm is None else A[perm][:, perm].tocsc()
         try:
             lu = spla.splu(Ac, permc_spec=permc_spec, diag_pivot_thresh=thresh)
         except RuntimeError as exc:       # "Factor is exactly singular"
@@ -118,15 +151,30 @@ def lu_factor(A, pivot_rtol: float = PIVOT_RTOL, order=None) -> LuFactor:
     raise SingularMatrixError(message)
 
 
-def solve(factor: LuFactor, b) -> np.ndarray:
-    """Solve A x = b with one iterative-refinement pass."""
+def solve(factor: LuFactor, b, x=None) -> np.ndarray:
+    """Solve A x = b with one iterative-refinement pass; ``x``, when given,
+    is the unrefined solution, so only the refinement pass is left."""
     b = np.asarray(b, dtype=float)
-    x = factor.solve(b)
+    if x is None:
+        x = factor.solve(b)
     r = b - factor.matrix @ x
     return x + factor.solve(r)
 
 
-def _hager_inverse_norm(factor: LuFactor, max_iter: int = 5) -> float:
+def _hager_starts(n: int) -> np.ndarray:
+    """The estimator's two start vectors as the columns of an (n, 2)
+    array: the uniform vector, and an alternating-sign vector with
+    weights growing from 1 to 2."""
+    starts = np.empty((n, 2))
+    starts[:, 0] = 1.0 / n
+    starts[::2, 1] = 1.0
+    starts[1::2, 1] = -1.0
+    if n > 1:
+        starts[:, 1] *= 1.0 + np.arange(n) / (n - 1)
+    return starts
+
+
+def _hager_inverse_norm(factor: LuFactor, start_solves, max_iter: int = 5) -> float:
     """Lower-bound estimate of ||A^-1||_1 by gradient ascent on the 1-ball.
 
     Classic two-start scheme: the uniform vector drives the iteration, an
@@ -135,10 +183,14 @@ def _hager_inverse_norm(factor: LuFactor, max_iter: int = 5) -> float:
     the exact norm (up to roundoff in the solves).
     """
     n = factor.shape[0]
-    x = np.full(n, 1.0 / n)
+    starts = _hager_starts(n)
+    if start_solves is None:
+        start_solves = np.column_stack([factor.solve(s) for s in starts.T])
+    x, y = starts[:, 0], start_solves[:, 0]
     est = 0.0
-    for _ in range(max_iter):
-        y = factor.solve(x)
+    for it in range(max_iter):
+        if it:
+            y = factor.solve(x)
         est = float(np.abs(y).sum())
         xi = np.where(y >= 0, 1.0, -1.0)
         z = factor.solve(xi, trans="T")
@@ -149,18 +201,23 @@ def _hager_inverse_norm(factor: LuFactor, max_iter: int = 5) -> float:
             break
         x = np.zeros(n)
         x[j] = 1.0
-    extra = np.empty(n)
-    extra[::2] = 1.0
-    extra[1::2] = -1.0
-    if n > 1:
-        extra *= 1.0 + np.arange(n) / (n - 1)
-    est2 = float(np.abs(factor.solve(extra)).sum() / np.abs(extra).sum())
+    est2 = float(np.abs(start_solves[:, 1]).sum() / np.abs(starts[:, 1]).sum())
     return max(est, est2)
 
 
-def cond1_estimate(factor: LuFactor) -> float:
-    """Estimate cond_1(A) of the factored matrix: exact ||A||_1 times the
-    estimated ||A^-1||_1."""
+def cond1_estimate(factor: LuFactor, start_solves=None) -> float:
+    """Estimate cond_1(A) of the factored matrix: exact ||A||_1, the
+    largest column sum, times the estimated ||A^-1||_1.  ``start_solves``,
+    when given, is A^-1 applied to the estimator's start vectors."""
     A = factor.matrix
     norm_a = float(np.max(np.abs(A).sum(axis=0))) if A.nnz else 0.0
-    return norm_a * _hager_inverse_norm(factor)
+    return norm_a * _hager_inverse_norm(factor, start_solves)
+
+
+def solve_with_cond1(factor: LuFactor, b) -> tuple[np.ndarray, float]:
+    """``solve(factor, b)`` and ``cond1_estimate(factor)``, with b and the
+    estimator's two start vectors, which do not depend on its iteration,
+    solved together in one three-column solve."""
+    b = np.asarray(b, dtype=float)
+    first = factor.solve(np.column_stack([b, _hager_starts(len(b))]))
+    return solve(factor, b, first[:, 0]), cond1_estimate(factor, first[:, 1:])

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from anisofem import schemes
 
 from anisofem.fields import FieldSpec, LinearFunctional, ManufacturedCase
 from anisofem.fem import assemble_rhs, error_norms
@@ -43,7 +46,8 @@ def test_block_structure_matches_forms():
     ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
     system = build_system(spec, operators=ops)
     uf = ops.u_space.free
-    A = system.matrix.toarray()
+    inv = np.argsort(system.order)            # the unknowns' own order
+    A = system.matrix.toarray()[np.ix_(inv, inv)]
     K = ops.K.toarray()[np.ix_(uf, uf)]
     P = ops.P.toarray()
     M = ops.M.toarray()
@@ -55,10 +59,94 @@ def test_block_structure_matches_forms():
     assert np.abs(A[n_u:, n_u:] - expected_22).max() <= 1e-14
 
 
+def _block_assembly(spec, ops):
+    """Matrix and rhs in the unknowns' own order, assembled block by block
+    from submatrices of K, P and M."""
+    def sub(A, rows, cols):
+        return A[rows][:, cols].tocsr()
+
+    us = ops.u_space
+    uf, uc = us.free, us.constrained
+    pts = us.coords[uc]
+    gu = spec.case.boundary_values(pts[:, 0], pts[:, 1])
+    ell = ops.case_load(spec.case, spec.field, spec.eps)
+    eps = spec.eps
+    if spec.scheme == "standard":
+        S = (ops.K + ((1.0 - eps) / eps) * ops.P).tocsr()
+        return sub(S, uf, uf), ell[uf] - sub(S, uf, uc) @ gu
+    qf = ops.aux_space(spec.scheme).free
+    A11 = sub(ops.K, uf, uf)
+    A12 = (1.0 - eps) * sub(ops.P, uf, qf)
+    A21 = sub(ops.P, qf, uf)
+    A22 = -eps * sub(ops.P, qf, qf)
+    if spec.scheme == "stabilized":
+        A22 = A22 - spec.sigma * sub(ops.M, qf, qf)
+    rhs_u = ell[uf] - sub(ops.K, uf, uc) @ gu
+    rhs_q = -(sub(ops.P, qf, uc) @ gu)
+    if spec.flip_second_row:
+        A21, A22, rhs_q = -A21, -A22, -rhs_q
+    return (sp.bmat([[A11, A12], [A21, A22]], format="csr"),
+            np.concatenate([rhs_u, rhs_q]))
+
+
+@pytest.mark.parametrize("field", [FieldSpec("variable_alpha", 2.0),
+                                   FieldSpec("aligned_e2")],
+                         ids=["curved", "aligned"])
+@pytest.mark.parametrize("family", ["q1", "q2", "p1", "p2"])
+@pytest.mark.parametrize("scheme", ["standard", "inflow", "stabilized"])
+def test_plan_matrix_matches_block_assembly(scheme, family, field):
+    ops = SchemeOperators(ProblemSpec(scheme, 0.3, field, family=family,
+                                      n=5).build_mesh(), field, family)
+    if field.kind == "aligned_e2" and family.startswith("p"):
+        # a_par drops the entries it couples across the diagonals exactly
+        assert ops.P.nnz < ops.M.nnz
+    for flip in (False, True):
+        for profile in ("smooth", "low_reg"):
+            case = ManufacturedCase(profile, field.alpha, 0.3)
+            spec = ProblemSpec(scheme, 0.3, field, case, family=family, n=5,
+                               sigma=1e-3 if scheme == "stabilized" else 0.0,
+                               flip_second_row=flip)
+            system = build_system(spec, ops)
+            matrix, rhs = _block_assembly(spec, ops)
+            order = system.order
+            expected = matrix[order][:, order]
+            assert system.matrix.format == "csc"
+            assert system.matrix.nnz == expected.nnz
+            assert abs(system.matrix - expected).max() == 0.0
+            assert np.array_equal(system.rhs, rhs[order])
+
+
+def test_plan_is_built_once_per_scheme(monkeypatch):
+    calls = []
+
+    def counted(ops, scheme):
+        calls.append(scheme)
+        return build_plan(ops, scheme)
+
+    build_plan = schemes._build_plan
+    monkeypatch.setattr(schemes, "_build_plan", counted)
+    spec = _smooth_spec("stabilized", 1e-6, 2.0, 4, sigma=1e-4)
+    ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
+    assert calls == []               # not at construction: it is timed work
+    first = build_system(spec, ops)
+    second = build_system(spec, ops)
+    assert calls == ["stabilized"]
+    assert second.order is first.order
+    assert np.shares_memory(second.matrix.indices, first.matrix.indices)
+    # so an in-place edit of one system's pattern raises instead of
+    # changing every later system of the scheme
+    with pytest.raises(ValueError):
+        first.matrix.eliminate_zeros()
+    spec.scheme = "inflow"
+    build_system(spec, ops)
+    assert calls == ["stabilized", "inflow"]
+
+
 def test_rhs_lower_block_zero_for_homogeneous_case():
     spec = _smooth_spec("inflow", 1e-10, 2.0, 6)
     system = build_system(spec)
-    assert np.all(system.rhs[system.n_u:] == 0.0)
+    rhs = system.rhs[np.argsort(system.order)]   # the unknowns' own order
+    assert np.all(rhs[system.n_u:] == 0.0)
 
 
 class _ZeroCase:

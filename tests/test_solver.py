@@ -10,7 +10,7 @@ from anisofem.fem import nested_dissection
 from anisofem.fields import FieldSpec, ManufacturedCase
 from anisofem.schemes import ProblemSpec, SchemeOperators, build_system
 from anisofem.solver import (SingularMatrixError, cond1_estimate,
-                             finalize_csr, lu_factor, solve)
+                             finalize_csr, lu_factor, solve, solve_with_cond1)
 
 
 def test_identity_solve():
@@ -122,6 +122,18 @@ def test_cond1_sandwich_against_dense_oracle():
         assert est >= 0.1 * exact
 
 
+def test_solve_with_cond1_matches_separate_calls():
+    # the batched start solves feed the same estimate and refined solution
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        A = finalize_csr(sp.csr_matrix(rng.standard_normal((50, 50))))
+        F = lu_factor(A)
+        b = rng.standard_normal(50)
+        x, cond1 = solve_with_cond1(F, b)
+        assert np.abs(x - solve(F, b)).max() <= 1e-12 * np.abs(x).max()
+        assert cond1 == pytest.approx(cond1_estimate(F), rel=1e-8)
+
+
 def test_finalize_csr_contract():
     A = sp.coo_matrix(([1.0, 2.0, 1e-301, 3.0], ([0, 0, 1, 0], [1, 1, 0, 0])),
                       shape=(2, 2))
@@ -132,8 +144,9 @@ def test_finalize_csr_contract():
 
 
 def test_explicit_order_reaches_the_retry(monkeypatch):
-    # the threshold factor keeps the 0.02 pivot, which fails the pivot
-    # test; partial pivoting takes the 1 instead and passes
+    # the static-pivot factor keeps the 0.02 pivot, which fails the pivot
+    # test; partial pivoting takes the 1 instead and passes.  A is given in
+    # the order [1, 0] of its unknowns, so the retry factors it unpermuted.
     A = finalize_csr(sp.csr_matrix(np.array([[0.02, 1.0], [1.0, 1.0]])))
     calls, original = [], spla.splu
 
@@ -142,10 +155,10 @@ def test_explicit_order_reaches_the_retry(monkeypatch):
         return original(M, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counted)
-    F = lu_factor(A, pivot_rtol=0.05, order=np.array([0, 1]))
+    F = lu_factor(A, pivot_rtol=0.05, order=np.array([1, 0]))
     assert [(c["permc_spec"], c["diag_pivot_thresh"]) for c in calls] == [
-        ("NATURAL", 0.01), ("COLAMD", 1.0)]
-    assert F.order is None           # the retry factors A itself
+        ("NATURAL", 0.0), ("COLAMD", 1.0)]
+    assert np.array_equal(F.order, [1, 0])     # the retry's unpermuting
     assert np.allclose(A @ solve(F, np.array([1.0, 2.0])), [1.0, 2.0])
 
 
@@ -157,11 +170,15 @@ def _stabilized(n=20):
 
 
 def test_order_is_solved_in_original_coordinates():
-    # a nontrivial order: the permuted factor must give A's own solution
+    # a nontrivial order and a tiny leading pivot that sends the factor to
+    # the retry: the unpermuted retry factor must give A's own solution
     rng = np.random.default_rng(5)
-    A = _random_dd(rng, 60)
+    A = _random_dd(rng, 60).tolil()
+    A[0, 0] = 1e-12
+    A = finalize_csr(A)
     order = rng.permutation(60)
-    F = lu_factor(A, order=order)
+    F = lu_factor(A, pivot_rtol=1e-10, order=order)
+    assert F.order is not None
     b = rng.standard_normal(60)
     x = solve(F, b)
     assert np.abs(A @ x - b).max() <= 1e-12 * np.abs(b).max()
@@ -170,10 +187,13 @@ def test_order_is_solved_in_original_coordinates():
 
 def test_nested_dissection_matches_colamd_solution():
     system = build_system(_stabilized())
-    A = system.matrix
-    nd = lu_factor(A, pivot_rtol=schemes.SCHEME_PIVOT_RTOL, order=system.order)
+    inv = np.argsort(system.order)            # the unknowns' own order
+    A = system.matrix[inv][:, inv]
+    nd = lu_factor(system.matrix, pivot_rtol=schemes.SCHEME_PIVOT_RTOL,
+                   order=system.order)
     colamd = lu_factor(A, pivot_rtol=schemes.SCHEME_PIVOT_RTOL)
-    x_nd, x_colamd = solve(nd, system.rhs), solve(colamd, system.rhs)
+    x_nd = solve(nd, system.rhs)[inv]
+    x_colamd = solve(colamd, system.rhs[inv])
     assert np.abs(x_nd - x_colamd).max() <= 1e-6 * np.abs(x_colamd).max()
     assert cond1_estimate(nd) == pytest.approx(cond1_estimate(colamd), rel=1e-4)
 
@@ -181,9 +201,40 @@ def test_nested_dissection_matches_colamd_solution():
 def test_nested_dissection_cuts_fill():
     # guards against a silent return to COLAMD for the scheme solves
     system = build_system(_stabilized())
+    inv = np.argsort(system.order)
     nd = lu_factor(system.matrix, order=system.order).lu
-    colamd = lu_factor(system.matrix).lu
+    colamd = lu_factor(system.matrix[inv][:, inv]).lu
     assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+def test_static_pivots_cut_fill():
+    # the scheme factor keeps every nonzero diagonal in the nested-dissection
+    # order: on this system its fill is 198,754 against 262,734 with
+    # threshold pivoting at 0.01 in the same order (ratio 0.7565)
+    eps = 1e-10
+    spec = ProblemSpec("stabilized", eps, FieldSpec("variable_alpha", 0.0),
+                       ManufacturedCase("low_reg", 0.0, eps),
+                       sigma=(1.0 / 32) ** 2, family="q1", n=32)
+    system = build_system(spec)
+    factor = lu_factor(system.matrix, pivot_rtol=schemes.SCHEME_PIVOT_RTOL,
+                       order=system.order)
+    assert factor.order is None      # the first attempt, not the retry
+    threshold = spla.splu(system.matrix, permc_spec="NATURAL",
+                          diag_pivot_thresh=0.01)
+    fill = factor.lu.L.nnz + factor.lu.U.nnz
+    assert fill <= 0.7565 * (threshold.L.nnz + threshold.U.nnz)
+
+
+def test_batched_cond1_matches_single_solves(monkeypatch):
+    factors = []
+
+    def recorded(*args, **kwargs):
+        factors.append(lu_factor(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(schemes, "lu_factor", recorded)
+    result = schemes.solve_scheme(build_system(_stabilized()))
+    assert result.cond1 == pytest.approx(cond1_estimate(factors[0]), rel=1e-8)
 
 
 def test_scheme_solves_factor_in_the_scheme_order(monkeypatch):
@@ -205,7 +256,7 @@ def test_scheme_order_puts_u_before_q(scheme):
     spec.scheme = scheme
     ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
     us, qs = ops.u_space, ops.aux_space(scheme)
-    order = ops.dof_order(scheme)
+    order = ops.plan(scheme).order
     q_free = np.empty(0, dtype=int) if qs is None else qs.free
     points = np.concatenate([us.free, q_free])
     is_q = np.arange(len(points)) >= len(us.free)
