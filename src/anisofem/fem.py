@@ -298,21 +298,27 @@ def nd_blocks(mx: int, my: int, k: int):
     multiple of k, across its longer side: that line is a union of element
     edges (triangle diagonals stay inside their cell), so no element
     couples the two halves.  Both halves come first, then the separator.
-    Leaves are ordered lexicographically, x fastest.
+    A side with no such line strictly inside it is not cut; a region
+    that cannot be cut at all is a leaf, whatever its size.  Leaves are
+    ordered lexicographically, x fastest.
     """
+    def cut(lo, hi):
+        s = (lo + hi - 1) // 2 // k * k
+        return s if lo < s < hi - 1 else None
+
     def dissect(i0, i1, j0, j1):
-        if i1 - i0 <= ND_LEAF and j1 - j0 <= ND_LEAF:
+        si, sj = cut(i0, i1), cut(j0, j1)
+        small = i1 - i0 <= ND_LEAF and j1 - j0 <= ND_LEAF
+        if small or (si is None and sj is None):
             yield (np.arange(j0, j1)[:, None] * mx + np.arange(i0, i1)).ravel(), False
-        elif i1 - i0 >= j1 - j0:
-            s = (i0 + i1 - 1) // 2 // k * k
-            yield from dissect(i0, s, j0, j1)
-            yield from dissect(s + 1, i1, j0, j1)
-            yield np.arange(j0, j1) * mx + s, True
+        elif sj is None or (si is not None and i1 - i0 >= j1 - j0):
+            yield from dissect(i0, si, j0, j1)
+            yield from dissect(si + 1, i1, j0, j1)
+            yield np.arange(j0, j1) * mx + si, True
         else:
-            s = (j0 + j1 - 1) // 2 // k * k
-            yield from dissect(i0, i1, j0, s)
-            yield from dissect(i0, i1, s + 1, j1)
-            yield s * mx + np.arange(i0, i1), True
+            yield from dissect(i0, i1, j0, sj)
+            yield from dissect(i0, i1, sj + 1, j1)
+            yield sj * mx + np.arange(i0, i1), True
 
     yield from dissect(0, mx, 0, my)
 

@@ -1,4 +1,5 @@
 import importlib
+import threading
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,23 @@ plot = {out_gp}
     assert out_csv.exists() and out_gp.exists()
     lines = out_csv.read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_cli_runs_leave_no_thread_behind(tmp_path):
+    # each instance joins the worker thread that assembles its load
+    cfg = _write(tmp_path, f"""
+[sweep]
+study = eps_sweep
+scheme = [inflow, stabilized]
+family = q1
+n = 8
+eps = [1e-10, 1]
+output = {tmp_path / "sweep.csv"}
+""")
+    before = set(threading.enumerate())
+    for _ in range(2):
+        assert main(["run", cfg]) == 0
+        assert set(threading.enumerate()) <= before
 
 
 def test_cli_run_tuple_study(tmp_path):

@@ -1,8 +1,10 @@
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from anisofem import fem
 from anisofem.fields import (FieldSpec, LinearFunctional, ManufacturedCase,
                              rhs_functional)
 from anisofem.fem import (FAMILIES, ND_LEAF, FemSpace, assemble, assemble_rhs,
@@ -322,3 +324,27 @@ def test_nested_dissection_of_a_rectangular_lattice(family, nx, ny):
     space = FemSpace(build_quad_mesh(nx, ny, 1.0, 0.4), family)
     assert (space.mx, space.my) != (space.my, space.mx)
     _check_nested_dissection(space)
+
+
+@pytest.mark.parametrize("leaf", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+@pytest.mark.parametrize("family", ["q1", "q2", "p1", "p2"])
+def test_nested_dissection_ends_at_any_leaf_size(family, n, leaf, monkeypatch):
+    # a region with no element line strictly inside is a leaf, so the
+    # recursion ends and never yields an empty block
+    monkeypatch.setattr(fem, "ND_LEAF", leaf)
+    space = _space(n, family)
+    blocks = list(nd_blocks(space.mx, space.my, space.degree))
+    assert all(len(points) > 0 for points, _ in blocks)
+    order = np.concatenate([points for points, _ in blocks])
+    assert np.array_equal(np.sort(order), np.arange(space.n_dofs))
+
+
+@pytest.mark.parametrize("family, n, digest", [("q2", 30, "b8aa216c118d87bc"),
+                                               ("q2", 50, "dc88fde24065a74c"),
+                                               ("q1", 128, "18138a0c19bb4d3d")])
+def test_nested_dissection_order_is_stable(family, n, digest):
+    # the order of the default leaf size on the benchmark lattices, as
+    # first measured; the scheme factorizations' fill depends on it
+    order = nested_dissection(FemSpace(build_quad_mesh(n, n, 1.0, 1.0), family))
+    assert hashlib.sha256(order.astype("<i8").tobytes()).hexdigest()[:16] == digest

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +13,8 @@ from anisofem.fem import assemble_rhs, error_norms
 from anisofem.schemes import (ProblemSpec, SchemeOperators, build_system,
                               solve_scheme)
 from anisofem.solver import lu_factor, solve
-from anisofem.studies import run_instance
+from anisofem.studies import (StudyConfig, StudyRecord, _spec, run_eps_sweep,
+                              run_instance)
 
 
 def _smooth_spec(scheme, eps, alpha, n, sigma=0.0, family="q2"):
@@ -276,3 +280,83 @@ def test_threshold_pivoting_cuts_fill():
     ours = lu_factor(matrix).lu
     partial = spla.splu(matrix.tocsc())
     assert ours.L.nnz + ours.U.nnz <= 0.8 * (partial.L.nnz + partial.U.nnz)
+
+
+def _counted_loads(monkeypatch, delay=0.0):
+    """Make schemes.assemble_rhs record the thread of every call, and
+    take at least delay seconds."""
+    threads = []
+
+    def counted(*args):
+        threads.append(threading.current_thread())
+        time.sleep(delay)
+        return assemble(*args)
+
+    assemble = schemes.assemble_rhs
+    monkeypatch.setattr(schemes, "assemble_rhs", counted)
+    return threads
+
+
+def test_load_memo_survives_the_scheme_loop(monkeypatch):
+    # the eps sweep runs every eps of one scheme, then of the next, on one
+    # operator set: each (case, field, eps) load is assembled once, on the
+    # worker thread, while the calling thread factors
+    eps_list = [1e-10, 1e-4, 1.0]
+    cfg = StudyConfig("eps_sweep", family="q1", n_list=[8], eps_list=eps_list)
+    loads = _counted_loads(monkeypatch)
+    factors = []
+
+    def factor(*args, **kwargs):
+        factors.append(threading.current_thread())
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "lu_factor", factor)
+    records = run_eps_sweep(cfg)
+    assert len(records) == 2 * len(eps_list)
+    assert len(loads) == len(eps_list)
+    assert threading.main_thread() not in loads
+    assert set(factors) == {threading.main_thread()}
+    for rec in records:
+        fresh = run_instance(_spec(cfg, rec.scheme, "q1", 8, rec.eps,
+                                   ("power", 3), 2.0))
+        for name in StudyRecord.__dataclass_fields__:
+            if name != "wall_time_seconds":
+                assert getattr(rec, name) == getattr(fresh, name), name
+
+
+class _LoadFailure(Exception):
+    pass
+
+
+class _FailingLoadCase(_ZeroCase):
+    """Zero Dirichlet values and a load functional that raises."""
+
+    def functional(self, field, eps):
+        def source(x, y):
+            raise _LoadFailure("no load here")
+        return LinearFunctional(source=source)
+
+
+def test_failing_load_is_joined_and_raised():
+    spec = ProblemSpec("inflow", 0.5, FieldSpec("variable_alpha", 2.0),
+                       _FailingLoadCase(), n=5)
+    before = set(threading.enumerate())
+    with pytest.raises(_LoadFailure):
+        run_instance(spec)
+    assert set(threading.enumerate()) <= before
+
+
+def test_singular_instance_waits_for_its_load(monkeypatch):
+    # eps = sigma = 0 leaves the auxiliary variable of the stabilized
+    # scheme non-unique on the aligned field: the factor fails while the
+    # (slowed) load is still assembled
+    loads = _counted_loads(monkeypatch, delay=0.5)
+    with pytest.warns(UserWarning):
+        spec = _smooth_spec("stabilized", 0.0, 0.0, 8, sigma=0.0)
+    ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
+    before = set(threading.enumerate())
+    assert run_instance(spec, ops).solve_status == "SINGULAR"
+    assert set(threading.enumerate()) <= before
+    assert (spec.case, spec.field, spec.eps) in ops._loads
+    ell = ops.case_load(spec.case, spec.field, spec.eps)
+    assert len(loads) == 1 and not ell.flags.writeable

@@ -376,8 +376,8 @@ def test_operator_memos_match_fresh_operators():
 def test_oracle_cases_share_operators():
     # two multi-mode mode solutions and a manufactured case alternate on one
     # operator set: every record equals the one from fresh operators.  The
-    # memos compare cases with !=, so a mode solution compared by value
-    # (its coefficient arrays) would raise here.
+    # memos key on the cases, so a mode solution compared by value (its
+    # coefficient arrays) would raise here.
     field = FieldSpec("aligned_e2")
     eps, sigma = 1e-4, 1e-3
     sol_a = spectral_solve(FourierRhs.from_modes([(1, 1, 1.0), (2, 3, -0.5)]),
