@@ -9,10 +9,10 @@ Emits the records as CSV plus a gnuplot script.
 import os
 
 from anisofem import StudyConfig, emit_csv, emit_plot_script, observed_orders
-from anisofem.studies import run_h_convergence
+from anisofem.studies import run_study
 
 cfg = StudyConfig("h_convergence", n_list=[5, 10, 20, 40])
-records = run_h_convergence(cfg)
+records = run_study(cfg)
 
 for eps, alpha in ((1.0, 0.0), (1e-10, 0.0), (1e-10, 2.0)):
     print(f"\nregime eps = {eps:g}, alpha = {alpha:g}")

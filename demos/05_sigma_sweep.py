@@ -9,11 +9,11 @@ solution.  sigma = h^3 sits comfortably in the trough for Q2 elements.
 """
 
 from anisofem import StudyConfig
-from anisofem.studies import run_sigma_sweep
+from anisofem.studies import run_study
 
 cfg = StudyConfig("sigma_sweep", n_list=[25],
                   sigma_list=[10.0 ** (-i) for i in range(0, 15, 2)])
-records = run_sigma_sweep(cfg)
+records = run_study(cfg)
 
 regimes = ((1.0, 0.0, "isotropic"), (1e-10, 0.0, "strong, aligned"),
            (1e-10, 2.0, "strong, variable direction"))

@@ -8,10 +8,9 @@ The L2 norms stay bounded either way.
 """
 
 from anisofem import StudyConfig
-from anisofem.studies import observed_orders, run_low_regularity
+from anisofem.studies import observed_orders, run_study
 
-records = run_low_regularity(StudyConfig("low_regularity",
-                                         n_list=[16, 32, 64]))
+records = run_study(StudyConfig("low_regularity", n_list=[16, 32, 64]))
 
 for alpha in (0.0, 2.0):
     print(f"\nalpha = {alpha:g}")

@@ -11,7 +11,7 @@ import numpy as np
 
 from anisofem import (FourierRhs, StudyConfig, eval_series, observed_orders,
                       sobolev_seminorm, spectral_solve)
-from anisofem.studies import run_oracle_validation
+from anisofem.studies import run_study
 
 f = FourierRhs.from_modes([(1, 1, 1.0)])
 for eps, sigma in ((1.0, 0.5), (1e-10, 1e-6), (0.0, 1e-4)):
@@ -25,7 +25,7 @@ print("inflow auxiliary series at (pi/2, pi):",
 print("\nFEM against the series, mode (1,1), eps = 1e-10, sigma = 1e-6:")
 for family, expected in (("q1", 2), ("q2", 3)):
     cfg = StudyConfig("oracle_validation", family=family, n_list=[8, 16, 32])
-    recs = run_oracle_validation(cfg)
+    recs = run_study(cfg)
     orders = observed_orders([r.h for r in recs], [r.err_L2_abs for r in recs])
     print(f"  {family}: L2 differences "
           + ", ".join(f"{r.err_L2_abs:.2e}" for r in recs)

@@ -19,9 +19,6 @@ from .spectral import (DegenerateSpectralProblem, FourierRhs, SpectralSolution,
                        eval_series, sobolev_seminorm, spectral_solve)
 from .studies import (StudyConfig, StudyRecord, emit_csv, emit_plot_script,
                       loglog_slope, observed_orders, read_csv,
-                      separated_mode_ratio, run_conditioning, run_eps_sweep,
-                      run_h_convergence, run_infsup_probe, run_instance,
-                      run_low_regularity, run_oracle_validation,
-                      run_dual_norm_check, run_sigma_sweep)
+                      separated_mode_ratio, run_instance, run_study)
 
 __version__ = "0.1.0"

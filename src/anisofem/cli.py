@@ -16,18 +16,7 @@ import os
 import sys
 
 from .config import ConfigError, load_config
-from .studies import STUDY_RUNNERS, TABLE_HEADERS, emit_csv, emit_plot_script
-
-_STUDY_BLURBS = {
-    "sigma_sweep": "stabilization-parameter sweep at fixed mesh (3 regimes)",
-    "h_convergence": "refinement ladder for both reformulations",
-    "eps_sweep": "anisotropy-strength robustness sweep",
-    "conditioning": "cond_1 growth under refinement",
-    "low_regularity": "square-integrable-only source term study",
-    "oracle_validation": "finite elements vs closed-form mode solver",
-    "infsup_probe": "coarse/fine Riesz-norm ratio diagnostic",
-    "dual_norm_check": "dual-norm ratio vs closed form for separated modes",
-}
+from .studies import STUDIES, emit_csv, emit_plot_script, run_study
 
 
 def _write_tuples(rows, header, path):
@@ -49,43 +38,41 @@ def _run(args) -> int:
         print(f"cannot read {args.config}: {exc}", file=sys.stderr)
         return 3
 
-    status = 0
     for item in studies:
         print(f"running [{item.name}] ({item.config.kind}) ...")
-        result = STUDY_RUNNERS[item.config.kind](item.config)
-        header = TABLE_HEADERS.get(item.config.kind)
+        result = run_study(item.config)
+        header = STUDIES[item.config.kind].header
+        if header is None:
+            failures = sum(1 for r in result if r.solve_status != "OK")
+            print(f"  {len(result)} records, {failures} solver failure(s)")
+        else:
+            failures = 0
+            for row in result:
+                print("  " + "  ".join(format(v, ".6g") if isinstance(v, float)
+                                       else str(v) for v in row))
         try:
-            if header is None:
-                failures = sum(1 for r in result if r.solve_status != "OK")
-                print(f"  {len(result)} records, {failures} solver failure(s)")
-                if item.output:
-                    os.makedirs(os.path.dirname(item.output) or ".", exist_ok=True)
+            if item.output:
+                os.makedirs(os.path.dirname(item.output) or ".", exist_ok=True)
+                if header is None:
                     emit_csv(result, item.output)
-                    print(f"  wrote {item.output}")
-                if item.plot:
-                    emit_plot_script(result, item.plot, item.output)
-                    print(f"  wrote {item.plot}")
-                if item.strict and failures:
-                    print(f"  strict study [{item.name}] had solver failures",
-                          file=sys.stderr)
-                    return 2
-            else:
-                for row in result:
-                    print("  " + "  ".join(format(v, ".6g") if isinstance(v, float)
-                                           else str(v) for v in row))
-                if item.output:
-                    os.makedirs(os.path.dirname(item.output) or ".", exist_ok=True)
+                else:
                     _write_tuples(result, header, item.output)
-                    print(f"  wrote {item.output}")
+                print(f"  wrote {item.output}")
+            if item.plot:
+                emit_plot_script(result, item.plot, item.output)
+                print(f"  wrote {item.plot}")
         except OSError as exc:
             print(f"I/O error: {exc}", file=sys.stderr)
             return 3
-    return status
+        if item.strict and failures:
+            print(f"  strict study [{item.name}] had solver failures", file=sys.stderr)
+            return 2
+    return 0
 
 
 def _list_studies(_args) -> int:
-    for kind, blurb in _STUDY_BLURBS.items():
-        print(f"{kind:20s} {blurb}")
+    for kind, study in STUDIES.items():
+        print(f"{kind:20s} {study.blurb}")
     return 0
 
 

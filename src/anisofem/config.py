@@ -24,8 +24,7 @@ import ast
 import configparser
 from dataclasses import dataclass
 
-from .schemes import SCHEME_KINDS
-from .studies import STUDY_KINDS, TABLE_HEADERS, StudyConfig
+from .studies import KEYS, STUDIES, StudyConfig, as_flag
 
 
 class ConfigError(ValueError):
@@ -61,21 +60,19 @@ def parse_value(text: str):
     return _parse_scalar(text)
 
 
-def _as_list(value):
-    if value is None:
-        return None
-    return list(value) if isinstance(value, (list, tuple)) else [value]
+def _path(text):
+    """A path is the key's text as written; a bracketed list is not one."""
+    if text is not None and text.startswith("["):
+        raise ValueError("a list is not a path")
+    return text
 
 
-def _sigma_rule(value):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text.startswith("h^"):
-            return ("power", float(text[2:]))
-        raise ConfigError(f"cannot parse sigma rule {value!r}")
-    return ("fixed", float(value))
+def _convert(section: str, key: str, value, convert):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse {key} {value!r} in section "
+                          f"[{section}]") from exc
 
 
 @dataclass
@@ -93,58 +90,29 @@ def load_config(path) -> list[ConfiguredStudy]:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
 
     studies = []
     for name in parser.sections():
-        raw = {key: parse_value(val) for key, val in parser[name].items()}
-        kind = raw.pop("study", None)
-        if kind not in STUDY_KINDS:
-            raise ConfigError(f"section [{name}] needs study = one of {STUDY_KINDS}")
-        schemes = _as_list(raw.pop("scheme", None))
-        if schemes is not None:
-            bad = [s for s in schemes if s not in SCHEME_KINDS]
-            if bad:
-                raise ConfigError(f"unknown scheme(s) {bad} in section [{name}]")
-        sigma_raw = raw.pop("sigma", None)
-        sigma_rule = None
-        sigma_list = None
+        text = dict(parser[name])
+        kind = text.pop("study", None)
+        if kind not in STUDIES:
+            raise ConfigError(f"section [{name}] needs study = one of {tuple(STUDIES)}")
+        output = _convert(name, "output", text.pop("output", None), _path)
+        plot = _convert(name, "plot", text.pop("plot", None), _path)
+        strict = _convert(name, "strict", parse_value(text.pop("strict", "false")),
+                          as_flag)
+        unknown = set(text) - {key for key, _ in KEYS.values()}
+        if unknown:
+            raise ConfigError(f"unknown key(s) {sorted(unknown)} in section [{name}]")
+        values = {field: _convert(name, key, parse_value(text[key]), convert)
+                  for field, (key, convert) in KEYS.items() if key in text}
         try:
-            if isinstance(sigma_raw, (list, tuple)):
-                sigma_list = [float(s) for s in sigma_raw]
-            else:
-                sigma_rule = _sigma_rule(sigma_raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"cannot parse sigma {sigma_raw!r} in section "
-                              f"[{name}]") from exc
-        output = raw.pop("output", None)
-        plot = raw.pop("plot", None)
-        strict = bool(raw.pop("strict", False))
-        cfg_kwargs = dict(
-            kind=kind,
-            schemes=schemes,
-            family=raw.pop("family", None),
-            n_list=_as_list(raw.pop("n", None)),
-            eps_list=_as_list(raw.pop("eps", None)),
-            sigma_rule=sigma_rule,
-            sigma_list=sigma_list,
-            alpha_list=_as_list(raw.pop("alpha", None)),
-            case_id=raw.pop("case", None),
-            modes=raw.pop("modes", None),
-            k_list=_as_list(raw.pop("k", None)),
-            multi_h=bool(raw.pop("multi_h", False)),
-            flip_second_row=bool(raw.pop("flip_second_row", False)),
-        )
-        if raw:
-            raise ConfigError(f"unknown key(s) {sorted(raw)} in section [{name}]")
-        try:
-            cfg = StudyConfig(**cfg_kwargs)
+            cfg = StudyConfig(kind, **values)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if kind in TABLE_HEADERS and (plot is not None or strict):
+        if STUDIES[kind].header is not None and (plot is not None or strict):
             raise ConfigError(f"{kind} writes a table, not study records: plot "
                               f"and strict do not apply in section [{name}]")
         studies.append(ConfiguredStudy(name, cfg, output, plot, strict))

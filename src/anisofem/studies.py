@@ -1,83 +1,97 @@
 """Experiment harness: parameter sweeps, diagnostics, CSV and plot output.
 
-Eight study kinds are provided:
-
-* ``sigma_sweep``       error of the stabilized scheme versus the
-                        stabilization parameter, three regimes at fixed h
-                        (optionally a multi-h variant);
-* ``h_convergence``     both reformulations over a mesh-refinement ladder,
-                        three regimes;
-* ``eps_sweep``         robustness over twenty decades of anisotropy;
-* ``conditioning``      cond_1 growth under refinement plus slopes;
-* ``low_regularity``    square-integrable-only source term, auxiliary
-                        variable norms under refinement;
-* ``oracle_validation`` finite elements against the closed-form mode
-                        solver on the aligned rectangle;
-* ``infsup_probe``      coarse/fine Riesz-norm ratio detecting the mesh
-                        dependence of the discrete coupling stability;
-* ``dual_norm_check``     dual-norm ratio against its closed form for
-                        separated modes.
-
-Every study is deterministic; solver failures are recorded per point and
-never abort a sweep.
+``STUDIES`` holds one entry per study kind: the StudyConfig fields it
+reads, with their defaults, its grid or runner and its output format.
+``run_study`` runs a StudyConfig.  Every study is deterministic; solver
+failures are recorded per point and never abort a sweep.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from collections import ChainMap
+from dataclasses import (dataclass, field as dataclass_field,
+                         fields as dataclass_fields, replace)
+from itertools import product
 from numbers import Integral, Real
+from typing import Callable
 
 import numpy as np
 
 from .fields import ALPHA_MAX, CASE_IDS, FieldSpec, LinearFunctional, ManufacturedCase
 from .fem import FAMILIES, assemble_rhs, error_norms, parallel_seminorm
 from .geometry import build_quad_mesh, build_tri_mesh
-from .schemes import (ProblemSpec, SchemeOperators, build_system,
+from .schemes import (SCHEME_KINDS, ProblemSpec, SchemeOperators, build_system,
                       solve_scheme)
 from .solver import SingularMatrixError
 from .spectral import FourierRhs, spectral_solve
 
-STUDY_KINDS = ("sigma_sweep", "h_convergence", "eps_sweep", "conditioning",
-               "low_regularity", "oracle_validation", "infsup_probe",
-               "dual_norm_check")
-# The studies that return table rows instead of StudyRecords, and the
-# header of their output.
-TABLE_HEADERS = {"infsup_probe": ("n", "ratio"),
-                 "dual_norm_check": ("k", "computed_ratio", "analytic_ratio")}
 
-# The StudyConfig fields each study reads, and those of which it reads
-# only the first value (sigma_sweep reads every n only with multi_h).
-# Setting any other field, or more values, would run something else.
-_READS = {
-    "sigma_sweep": ("family", "n_list", "eps_list", "alpha_list", "sigma_list",
-                    "multi_h", "flip_second_row"),
-    "h_convergence": ("schemes", "family", "n_list", "eps_list", "alpha_list",
-                      "sigma_rule", "case_id", "flip_second_row"),
-    "eps_sweep": ("schemes", "family", "n_list", "eps_list", "alpha_list",
-                  "sigma_rule", "case_id", "flip_second_row"),
-    "conditioning": ("schemes", "family", "n_list", "eps_list", "alpha_list",
-                     "sigma_rule", "flip_second_row"),
-    "low_regularity": ("schemes", "family", "n_list", "eps_list", "alpha_list",
-                       "sigma_rule", "flip_second_row"),
-    "oracle_validation": ("family", "n_list", "eps_list", "sigma_rule", "modes",
-                          "flip_second_row"),
-    "infsup_probe": ("n_list",),
-    "dual_norm_check": ("family", "n_list", "k_list"),
+def _is_number(value, kind=Real) -> bool:
+    """An instance of kind; true and false, which Python counts as 1 and 0,
+    are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _float(value) -> float:
+    if not _is_number(value):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _as_list(value) -> list:
+    return value if isinstance(value, list) else [value]
+
+
+def _as_parsed(value):
+    return value
+
+
+def as_flag(value) -> bool:
+    """A flag as the configuration parser reads true/yes/on, false/no/off."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
+def _sigma_rule(value):
+    """("fixed", number) or ("power", p) from h^p; None for a list."""
+    if isinstance(value, list):
+        return None
+    if isinstance(value, str):
+        text = value.strip().lower()
+        if not text.startswith("h^"):
+            raise ValueError(f"{value!r} is not a number or h^p")
+        return ("power", float(text[2:]))
+    return ("fixed", _float(value))
+
+
+def _sigma_list(value):
+    return [_float(s) for s in value] if isinstance(value, list) else None
+
+
+# StudyConfig field: (config-file key, converter of the parsed value)
+KEYS = {
+    "schemes": ("scheme", _as_list),
+    "family": ("family", _as_parsed),
+    "n_list": ("n", _as_list),
+    "eps_list": ("eps", _as_list),
+    "sigma_rule": ("sigma", _sigma_rule),
+    "sigma_list": ("sigma", _sigma_list),
+    "alpha_list": ("alpha", _as_list),
+    "case_id": ("case", _as_parsed),
+    "modes": ("modes", _as_parsed),
+    "k_list": ("k", _as_list),
+    "multi_h": ("multi_h", as_flag),
+    "flip_second_row": ("flip_second_row", as_flag),
 }
-_FIRST_ONLY = {"sigma_sweep": ("n_list",), "eps_sweep": ("n_list", "alpha_list"),
-               "conditioning": ("alpha_list",), "low_regularity": ("eps_list",),
-               "oracle_validation": ("eps_list",), "dual_norm_check": ("n_list",)}
-# config-file key of each field whose name differs
-_KEY = {"schemes": "scheme", "n_list": "n", "eps_list": "eps", "sigma_rule": "sigma",
-        "sigma_list": "sigma", "alpha_list": "alpha", "case_id": "case", "k_list": "k"}
 
 
 @dataclass
 class StudyConfig:
     """Grids and selectors for one study; None fields fall back to the
-    defaults used throughout the built-in experiments.  Values a study
-    cannot run with raise ValueError here, before any instance is built."""
+    defaults of the study's STUDIES entry.  Values a study cannot run
+    with raise ValueError here, before any instance is built."""
 
     kind: str
     schemes: list | None = None
@@ -93,36 +107,40 @@ class StudyConfig:
     multi_h: bool = False
     flip_second_row: bool = False
 
+    def value(self, name: str):
+        """A field as configured, else the study's fixed or default value."""
+        study, value = STUDIES[self.kind], getattr(self, name)
+        return {**study.reads, **study.fixed}[name] if value is None else value
+
     def __post_init__(self):
-        if self.kind not in STUDY_KINDS:
+        if self.kind not in STUDIES:
             raise ValueError(f"unknown study kind {self.kind!r}")
-        reads = _READS[self.kind]
+        study = STUDIES[self.kind]
         for f in dataclass_fields(self)[1:]:      # every field but kind
-            value = getattr(self, f.name)
-            if f.name in reads or value is None or value is False:
-                continue
-            if f.name == "sigma_rule" and "sigma_list" in reads:
-                raise ValueError(f"{self.kind} takes sigma as a list of values")
-            if f.name == "sigma_list" and "sigma_rule" in reads:
-                raise ValueError(f"{self.kind} takes one sigma value or an h^p "
-                                 "rule, not a list")
-            raise ValueError(f"{self.kind} does not use {_KEY.get(f.name, f.name)}")
-        # an empty list would fall back to the defaults, or run nothing
-        for f in dataclass_fields(self):
-            value = getattr(self, f.name)
+            value, key = getattr(self, f.name), KEYS[f.name][0]
+            if f.name not in study.reads and value is not None and value is not False:
+                if f.name == "sigma_rule" and "sigma_list" in study.reads:
+                    raise ValueError(f"{self.kind} takes sigma as a list of values")
+                if f.name == "sigma_list" and "sigma_rule" in study.reads:
+                    raise ValueError(f"{self.kind} takes one sigma value or an h^p "
+                                     "rule, not a list")
+                raise ValueError(f"{self.kind} does not use {key}")
+            # an empty list would fall back to the defaults, or run nothing
             if isinstance(value, (list, tuple)) and not value:
-                raise ValueError(f"{_KEY.get(f.name, f.name)} is an empty list; "
+                raise ValueError(f"{key} is an empty list; "
                                  "omit the key for the study's default values")
-        first_only = () if self.multi_h else _FIRST_ONLY.get(self.kind, ())
-        for name in first_only:
+        for name in () if self.multi_h else study.once:
             if len(getattr(self, name) or ()) > 1:
-                raise ValueError(f"{self.kind} takes a single {_KEY[name]}, "
+                raise ValueError(f"{self.kind} takes a single {KEYS[name][0]}, "
                                  f"got {getattr(self, name)}")
         if (self.kind == "oracle_validation" and self.sigma_rule is not None
                 and self.sigma_rule[0] != "fixed"):
             raise ValueError("oracle_validation needs a fixed sigma: the mode "
                              "solver has no mesh size for an h^p rule")
-        # membership in a tuple, so that an unhashable family is reported too
+        # membership in a tuple, so that an unhashable value is reported too
+        bad = [s for s in self.schemes or () if s not in SCHEME_KINDS]
+        if bad:
+            raise ValueError(f"unknown scheme(s) {bad}; expected any of {SCHEME_KINDS}")
         if self.family is not None and self.family not in tuple(FAMILIES):
             raise ValueError(f"unknown family {self.family!r}; "
                              f"expected one of {tuple(FAMILIES)}")
@@ -132,7 +150,7 @@ class StudyConfig:
         if self.case_id is not None and self.case_id not in CASE_IDS:
             raise ValueError(f"unknown case {self.case_id!r}; expected one of {CASE_IDS}")
         bad = [a for a in self.alpha_list or ()
-               if not isinstance(a, Real) or not 0.0 <= a <= ALPHA_MAX]
+               if not _is_number(a) or not 0.0 <= a <= ALPHA_MAX]
         if bad:
             raise ValueError(f"alpha {bad} outside [0, {ALPHA_MAX:.6f}], where "
                              "the inflow/outflow split of the boundary is fixed")
@@ -145,21 +163,21 @@ class StudyConfig:
             raise ValueError(f"{self.kind} takes alpha only together with eps: "
                              "without eps it runs its three reference "
                              "(eps, alpha) regimes")
-        if any(not isinstance(n, Integral) or n < 1 for n in self.n_list or ()):
+        if any(not _is_number(n, Integral) or n < 1 for n in self.n_list or ()):
             raise ValueError(f"n {self.n_list}: resolutions are positive integers")
-        if any(not isinstance(k, Integral) or k < 1 for k in self.k_list or ()):
+        if any(not _is_number(k, Integral) or k < 1 for k in self.k_list or ()):
             raise ValueError(f"k {self.k_list}: mode indices are positive integers")
         if self.kind == "infsup_probe" and any(n % 2 for n in self.n_list or ()):
             raise ValueError("infsup_probe needs even resolutions n: the probe "
                              "function vanishes on the constrained sides only then")
-        if any(not isinstance(e, Real) or not e >= 0.0 for e in self.eps_list or ()):
+        if any(not _is_number(e) or not e >= 0.0 for e in self.eps_list or ()):
             raise ValueError(f"eps {self.eps_list}: anisotropy strengths are >= 0")
         if "standard" in (self.schemes or ()) and 0.0 in (self.eps_list or ()):
             raise ValueError("the standard scheme needs eps > 0")
         sigmas = list(self.sigma_list or ())
         if self.sigma_rule is not None and self.sigma_rule[0] == "fixed":
             sigmas.append(self.sigma_rule[1])
-        if any(not sigma >= 0.0 for sigma in sigmas):
+        if any(not _is_number(sigma) or not sigma >= 0.0 for sigma in sigmas):
             raise ValueError(f"sigma {sigmas}: stabilization parameters are >= 0")
         if self.modes is not None:
             try:
@@ -278,94 +296,53 @@ _THREE_REGIMES = ((1.0, 0.0), (1e-10, 0.0), (1e-10, 2.0))   # (eps, alpha)
 
 def _regimes(cfg: StudyConfig):
     """(eps, alpha) pairs: the three reference regimes unless eps is given."""
-    if cfg.eps_list is None:
+    eps_list = cfg.value("eps_list")
+    if eps_list is None:
         return _THREE_REGIMES
-    return [(e, a) for e in cfg.eps_list for a in (cfg.alpha_list or [2.0])]
+    return list(product(eps_list, cfg.value("alpha_list")))
 
 
 def _spec(cfg: StudyConfig, scheme: str, family: str, n: int, eps: float,
-          sigma_rule, alpha: float, case_id: str = "smooth") -> ProblemSpec:
-    """One grid point on the variable field; sigma, resolved at the record
-    h, reaches only the stabilized scheme."""
-    sigma = resolve_sigma(sigma_rule, record_h(family, n))
+          sigma, alpha: float, case: str = "smooth") -> ProblemSpec:
+    """One grid point on the variable field; sigma, a rule resolved at the
+    record h, reaches only the stabilized scheme."""
+    sigma = resolve_sigma(sigma, record_h(family, n))
     return ProblemSpec(scheme, eps, FieldSpec("variable_alpha", alpha),
-                       ManufacturedCase(case_id, alpha, eps),
+                       ManufacturedCase(case, alpha, eps),
                        sigma=sigma if scheme == "stabilized" else 0.0,
                        family=family, n=n, flip_second_row=cfg.flip_second_row)
 
 
-def run_sigma_sweep(cfg: StudyConfig) -> list[StudyRecord]:
-    """Stabilized-scheme error versus sigma at fixed h, three regimes.
+def _axis(cfg: StudyConfig, name: str) -> list[dict]:
+    """The _spec arguments along one grid axis of a sweep."""
+    if name == "regime":
+        return [dict(eps=eps, alpha=alpha) for eps, alpha in _regimes(cfg)]
+    values = cfg.value(name)
+    if name == "sigma_list":
+        values = [("fixed", sigma) for sigma in values]
+    return [{KEYS[name][0]: v} for v in _as_list(values)]
 
-    With cfg.multi_h, adds the strongly anisotropic variable-direction
-    regime on a mesh ladder.
-    """
-    family = cfg.family or "q2"
-    n = (cfg.n_list or [50])[0]          # h = 0.01 for the default Q2 family
-    sigmas = cfg.sigma_list or [10.0 ** (-i) for i in range(16)]
-    specs = [_spec(cfg, "stabilized", family, n, eps, ("fixed", sigma), alpha)
-             for eps, alpha in _regimes(cfg) for sigma in sigmas]
+
+def sweep_specs(cfg: StudyConfig) -> list[ProblemSpec]:
+    """The instances of a sweep, in order: the product of its entry's axes,
+    outermost first.  An axis is the values of a field, one value if the
+    study reads one, or "regime", the (eps, alpha) pairs of _regimes.
+    With multi_h, the sigma sweep runs at the first n, then the
+    variable-field regime over every n of its ladder."""
+    axes = {name: _axis(cfg, name) for name in STUDIES[cfg.kind].axes}
+    grids = [axes]
     if cfg.multi_h:
-        specs += [_spec(cfg, "stabilized", family, n_h, 1e-10, ("fixed", sigma), 2.0)
-                  for n_h in (cfg.n_list or [5, 10, 20, 40, 80])
-                  for sigma in sigmas]
-    return _run_specs(specs)
-
-
-def run_h_convergence(cfg: StudyConfig) -> list[StudyRecord]:
-    """Both reformulations over a refinement ladder, sigma = h^3 by default."""
-    family = cfg.family or "q2"
-    schemes = cfg.schemes or ["inflow", "stabilized"]
-    n_list = cfg.n_list or [5, 10, 20, 40, 80]   # h = 0.1 ... 0.00625
-    sigma_rule = cfg.sigma_rule or ("power", 3)
-    case_id = cfg.case_id or "smooth"
-    return _run_specs([_spec(cfg, scheme, family, n, eps, sigma_rule, alpha, case_id)
-                       for eps, alpha in _regimes(cfg)
-                       for n in n_list for scheme in schemes])
-
-
-def run_eps_sweep(cfg: StudyConfig) -> list[StudyRecord]:
-    """Error versus anisotropy strength at fixed mesh, sigma = h^3."""
-    family = cfg.family or "q2"
-    schemes = cfg.schemes or ["inflow", "stabilized"]
-    n = (cfg.n_list or [50])[0]          # h = 0.01 for the default Q2 family
-    alpha = (cfg.alpha_list or [2.0])[0]
-    eps_list = cfg.eps_list or [1e-20, 1e-16, 1e-12, 1e-10, 1e-8, 1e-6,
-                                1e-4, 1e-2, 1e-1, 1.0, 10.0]
-    sigma_rule = cfg.sigma_rule or ("power", 3)
-    case_id = cfg.case_id or "smooth"
-    return _run_specs([_spec(cfg, scheme, family, n, eps, sigma_rule, alpha, case_id)
-                       for scheme in schemes for eps in eps_list])
-
-
-def run_conditioning(cfg: StudyConfig) -> list[StudyRecord]:
-    """cond_1 versus h for both schemes; slopes via loglog_slope on the output."""
-    family = cfg.family or "q2"
-    schemes = cfg.schemes or ["inflow", "stabilized"]
-    n_list = cfg.n_list or [10, 20, 40, 80]
-    eps_list = cfg.eps_list or [1e-10]
-    alpha = (cfg.alpha_list or [2.0])[0]
-    sigma_rule = cfg.sigma_rule or ("power", 3)
-    return _run_specs([_spec(cfg, scheme, family, n, eps, sigma_rule, alpha)
-                       for n in n_list for scheme in schemes for eps in eps_list])
-
-
-def run_low_regularity(cfg: StudyConfig) -> list[StudyRecord]:
-    """Source term in L2 only: errors and auxiliary-variable norms."""
-    family = cfg.family or "q1"
-    schemes = cfg.schemes or ["inflow", "stabilized"]
-    n_list = cfg.n_list or [16, 32, 64, 128]
-    eps = (cfg.eps_list or [1e-10])[0]
-    alphas = cfg.alpha_list or [0.0, 2.0]
-    sigma_rule = cfg.sigma_rule or ("power", 2)
-    return _run_specs([_spec(cfg, scheme, family, n, eps, sigma_rule, alpha, "low_reg")
-                       for alpha in alphas for n in n_list for scheme in schemes])
+        grids = [dict(axes, n_list=axes["n_list"][:1]),
+                 dict(axes, regime=[dict(eps=1e-10, alpha=2.0)],
+                      n_list=[dict(n=n) for n in cfg.n_list or [5, 10, 20, 40, 80]])]
+    return [_spec(cfg, **ChainMap(*point))
+            for grid in grids for point in product(*grid.values())]
 
 
 # -- oracle and diagnostics --------------------------------------------------
 
 
-def run_oracle_validation(cfg: StudyConfig) -> list[StudyRecord]:
+def _oracle_validation(cfg: StudyConfig) -> list[StudyRecord]:
     """Stabilized finite elements against the mode solver on (0, pi)^2.
 
     Error fields hold the FEM-versus-series differences of the primal
@@ -375,21 +352,19 @@ def run_oracle_validation(cfg: StudyConfig) -> list[StudyRecord]:
     as the standard scheme at eps = 1, and still recorded as stabilized.
     """
     families = [cfg.family] if cfg.family else ["q1", "q2"]
-    n_list = cfg.n_list or [8, 16, 32, 64]
-    eps = (cfg.eps_list or [1e-10])[0]
-    sigma = resolve_sigma(cfg.sigma_rule or ("fixed", 1e-6), 0.0)
-    f = FourierRhs.from_modes(cfg.modes or [(1, 1, 1.0)])
-    sol = spectral_solve(f, eps, sigma)
+    eps, = cfg.value("eps_list")
+    sigma = resolve_sigma(cfg.value("sigma_rule"), 0.0)
+    sol = spectral_solve(FourierRhs.from_modes(cfg.value("modes")), eps, sigma)
     scheme = "standard" if eps == 1.0 and sigma == 0.0 else "stabilized"
     specs = [ProblemSpec(scheme, eps, FieldSpec("aligned_e2"), sol,
                          sigma=sigma, family=family, n=n, Lx=np.pi, Ly=np.pi,
                          flip_second_row=cfg.flip_second_row)
-             for family in families for n in n_list]
+             for family in families for n in cfg.value("n_list")]
     records = _run_specs(specs)
     return [replace(rec, scheme="stabilized") for rec in records]
 
 
-def run_infsup_probe(cfg: StudyConfig) -> list[tuple[int, float]]:
+def _infsup_probe(cfg: StudyConfig) -> list[tuple[int, float]]:
     """Ratio of coarse to refined Riesz norms for an oscillatory multiplier.
 
     Coarse space: P1 on the n-triangulation; refined: P2 on the 2n one
@@ -400,9 +375,8 @@ def run_infsup_probe(cfg: StudyConfig) -> list[tuple[int, float]]:
     functions and shows no decay), and it vanishes on the constrained
     sides exactly when n is even.
     """
-    n_list = cfg.n_list or [4, 8, 16, 32]
     field = FieldSpec("aligned_e2")
-    return [(n, _infsup_ratio(n, field)) for n in n_list]
+    return [(n, _infsup_ratio(n, field)) for n in cfg.value("n_list")]
 
 
 def _infsup_ratio(n: int, field: FieldSpec) -> float:
@@ -438,26 +412,97 @@ def separated_mode_ratio(k: int) -> float:
     return np.sqrt((1.0 / (k * k + 1.0) + 16.0 / (k * k + 4.0)) / 5.0)
 
 
-def run_dual_norm_check(cfg: StudyConfig) -> list[tuple[int, float, float]]:
+def _dual_norm_check(cfg: StudyConfig) -> list[tuple[int, float, float]]:
     """Dual-norm ratio of q_k = sin(kx)(cos y - cos 2y) against its closed form.
 
     Aligned field on (0, pi)^2; the interpolated mode lies in the
     constrained multiplier space, so the discrete ratio converges to the
     analytic one under refinement.
     """
-    n = (cfg.n_list or [128])[0]
-    family = cfg.family or "q2"
-    ks = cfg.k_list or [1, 2, 3, 4]
+    n, = cfg.value("n_list")
     ops = SchemeOperators(build_quad_mesh(n, n, np.pi, np.pi),
-                          FieldSpec("aligned_e2"), family)
+                          FieldSpec("aligned_e2"), cfg.value("family"))
     out = []
-    for k in ks:
+    for k in cfg.value("k_list"):
         q = ops.q_space.interpolate(
             lambda x, y, k=k: np.sin(k * x) * (np.cos(y) - np.cos(2 * y)))
         q[ops.q_space.constrained] = 0.0
         ratio = ops.dual_norm(q) / parallel_seminorm(q, ops.P)
         out.append((k, float(ratio), separated_mode_ratio(k)))
     return out
+
+# -- the study kinds ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Study:
+    """One study kind: what it reads, how it runs, what it writes."""
+
+    blurb: str                      # its line in ``anisofem list-studies``
+    reads: dict                     # each StudyConfig field it reads: default
+    once: tuple = ()                # fields of which it reads a single value
+    axes: tuple = ()                # a sweep's grid (sweep_specs)
+    fixed: dict = dataclass_field(default_factory=dict)   # grid values, no key
+    header: tuple | None = None     # a table study's CSV header; None: records
+    runner: Callable | None = None  # None: a sweep
+
+
+# what a sweep reads unless its entry says otherwise; eps None runs the
+# three reference regimes of _regimes
+_SWEEP = dict(schemes=["inflow", "stabilized"], family="q2", alpha_list=[2.0],
+              sigma_rule=("power", 3), flip_second_row=False)
+
+STUDIES = {
+    "sigma_sweep": Study(
+        "stabilization-parameter sweep at fixed mesh (3 regimes)",
+        dict(family="q2", n_list=[50], eps_list=None, alpha_list=[2.0],
+             sigma_list=[10.0 ** (-i) for i in range(16)], multi_h=False,
+             flip_second_row=False),
+        once=("n_list",), fixed=dict(schemes=["stabilized"]),
+        axes=("family", "schemes", "n_list", "regime", "sigma_list")),
+    "h_convergence": Study(
+        "refinement ladder for both reformulations",
+        dict(_SWEEP, n_list=[5, 10, 20, 40, 80], eps_list=None, case_id="smooth"),
+        axes=("family", "sigma_rule", "case_id", "regime", "n_list", "schemes")),
+    "eps_sweep": Study(
+        "anisotropy-strength robustness sweep",
+        dict(_SWEEP, n_list=[50], case_id="smooth",
+             eps_list=[1e-20, 1e-16, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1e-1,
+                       1.0, 10.0]),
+        once=("n_list", "alpha_list"),
+        axes=("family", "n_list", "sigma_rule", "case_id", "schemes", "regime")),
+    "conditioning": Study(
+        "cond_1 growth under refinement",
+        dict(_SWEEP, n_list=[10, 20, 40, 80], eps_list=[1e-10]),
+        once=("alpha_list",),
+        axes=("family", "sigma_rule", "n_list", "schemes", "regime")),
+    "low_regularity": Study(
+        "square-integrable-only source term study",
+        dict(_SWEEP, family="q1", n_list=[16, 32, 64, 128], eps_list=[1e-10],
+             alpha_list=[0.0, 2.0], sigma_rule=("power", 2)),
+        once=("eps_list",), fixed=dict(case_id="low_reg"),
+        axes=("family", "sigma_rule", "case_id", "regime", "n_list", "schemes")),
+    "oracle_validation": Study(
+        "finite elements vs closed-form mode solver",
+        dict(family=None, n_list=[8, 16, 32, 64], eps_list=[1e-10],   # None: q1, q2
+             sigma_rule=("fixed", 1e-6), modes=[(1, 1, 1.0)], flip_second_row=False),
+        once=("eps_list",), runner=_oracle_validation),
+    "infsup_probe": Study(
+        "coarse/fine Riesz-norm ratio diagnostic",
+        dict(n_list=[4, 8, 16, 32]),
+        header=("n", "ratio"), runner=_infsup_probe),
+    "dual_norm_check": Study(
+        "dual-norm ratio vs closed form for separated modes",
+        dict(family="q2", n_list=[128], k_list=[1, 2, 3, 4]),
+        once=("n_list",), header=("k", "computed_ratio", "analytic_ratio"),
+        runner=_dual_norm_check),
+}
+
+
+def run_study(cfg: StudyConfig):
+    """Run one study: a sweep's StudyRecords, or its runner's rows."""
+    runner = STUDIES[cfg.kind].runner
+    return runner(cfg) if runner is not None else _run_specs(sweep_specs(cfg))
 
 
 # -- output -------------------------------------------------------------------
@@ -562,13 +607,3 @@ def emit_plot_script(records, path, csv_path=None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-STUDY_RUNNERS = {
-    "sigma_sweep": run_sigma_sweep,
-    "h_convergence": run_h_convergence,
-    "eps_sweep": run_eps_sweep,
-    "conditioning": run_conditioning,
-    "low_regularity": run_low_regularity,
-    "oracle_validation": run_oracle_validation,
-    "infsup_probe": run_infsup_probe,
-    "dual_norm_check": run_dual_norm_check,
-}

@@ -17,11 +17,7 @@ from anisofem.geometry import build_quad_mesh
 from anisofem.schemes import ProblemSpec, SchemeOperators
 from anisofem.spectral import FourierRhs, sobolev_seminorm, spectral_solve
 from anisofem.studies import (StudyConfig, loglog_slope, observed_orders,
-                              run_conditioning, run_eps_sweep,
-                              run_h_convergence, run_infsup_probe,
-                              run_instance, run_low_regularity,
-                              run_oracle_validation, run_dual_norm_check,
-                              run_sigma_sweep)
+                              run_instance, run_study)
 
 warnings.filterwarnings("ignore", message="stabilized scheme with sigma = 0")
 
@@ -58,7 +54,7 @@ def _report(num, ok, detail):
 @pytest.fixture(scope="module")
 def table_records():
     cfg = StudyConfig("h_convergence", n_list=N_LADDER)
-    records = run_h_convergence(cfg)
+    records = run_study(cfg)
     out = {}
     for (eps, alpha) in REGIMES:
         for scheme in SCHEMES:
@@ -117,7 +113,7 @@ def test_criterion_4_eps_robustness():
     cfg = StudyConfig("eps_sweep", n_list=[100],
                       eps_list=[1e-20, 1e-12, 1e-8, 1e-4, 1e-2],
                       sigma_rule=("fixed", 1e-6))
-    records = run_eps_sweep(cfg)
+    records = run_study(cfg)
     spans, total_time = {}, 0.0
     for scheme in SCHEMES:
         errs = [r.err_L2_abs for r in records if r.scheme == scheme]
@@ -131,7 +127,7 @@ def test_criterion_4_eps_robustness():
 
 
 def test_criterion_5_conditioning():
-    records = run_conditioning(StudyConfig("conditioning", n_list=[10, 20, 40, 80]))
+    records = run_study(StudyConfig("conditioning", n_list=[10, 20, 40, 80]))
     slopes = {}
     for scheme in SCHEMES:
         sel = [r for r in records if r.scheme == scheme]
@@ -160,7 +156,7 @@ def test_criterion_6_sigma_sweep_shape():
     def sweep(eps, alpha, sigmas):
         cfg = StudyConfig("sigma_sweep", n_list=[n], eps_list=[eps],
                           alpha_list=[alpha], sigma_list=list(sigmas))
-        recs = run_sigma_sweep(cfg)
+        recs = run_study(cfg)
         assert all(r.solve_status == "OK" for r in recs)
         return {r.sigma: r.err_L2_abs for r in recs}
 
@@ -185,7 +181,7 @@ def test_criterion_7_spectral_oracle():
     orders = {}
     for family, n_list in (("q1", [8, 16, 32, 64]), ("q2", [8, 16, 32])):
         cfg = StudyConfig("oracle_validation", family=family, n_list=n_list)
-        recs = run_oracle_validation(cfg)
+        recs = run_study(cfg)
         obs = observed_orders([r.h for r in recs], [r.err_L2_abs for r in recs])
         orders[family] = obs
     ok = (all(abs(o - 2.0) <= 0.3 for o in orders["q1"])
@@ -219,8 +215,8 @@ def test_criterion_7_spectral_oracle():
 
 
 def test_criterion_8_dual_norm_ratio():
-    out = run_dual_norm_check(StudyConfig("dual_norm_check", n_list=[128],
-                                        k_list=[1, 2, 3, 4]))
+    out = run_study(StudyConfig("dual_norm_check", n_list=[128],
+                                k_list=[1, 2, 3, 4]))
     worst = max(abs(c / a - 1.0) for _, c, a in out)
     ok = worst <= 0.02
     assert _report(8, ok, f"dual-norm ratio vs closed form, worst deviation "
@@ -228,7 +224,7 @@ def test_criterion_8_dual_norm_ratio():
 
 
 def test_criterion_9_infsup_probe():
-    out = dict(run_infsup_probe(StudyConfig("infsup_probe", n_list=[4, 8, 16, 32])))
+    out = dict(run_study(StudyConfig("infsup_probe", n_list=[4, 8, 16, 32])))
     ok = (all(0.0 < v <= 1.0 + 1e-8 for v in out.values())
           and out[32] < out[8])
     assert _report(9, ok, "coarse/fine Riesz ratios "
@@ -236,8 +232,7 @@ def test_criterion_9_infsup_probe():
 
 
 def test_criterion_10_low_regularity():
-    records = run_low_regularity(StudyConfig("low_regularity",
-                                             n_list=[16, 32, 64, 128]))
+    records = run_study(StudyConfig("low_regularity", n_list=[16, 32, 64, 128]))
     details, ok = [], True
     for alpha in (0.0, 2.0):
         for scheme in SCHEMES:

@@ -1,5 +1,6 @@
 import importlib
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -135,7 +136,8 @@ output = {out_csv}
 def test_cli_record_study_without_records_writes_record_header(tmp_path,
                                                                monkeypatch):
     # the output format follows the study kind, not the first result
-    monkeypatch.setitem(studies.STUDY_RUNNERS, "low_regularity", lambda cfg: [])
+    entry = replace(studies.STUDIES["low_regularity"], runner=lambda cfg: [])
+    monkeypatch.setitem(studies.STUDIES, "low_regularity", entry)
     out_csv = tmp_path / "empty.csv"
     cfg = _write(tmp_path, f"[empty]\nstudy = low_regularity\noutput = {out_csv}\n")
     assert main(["run", cfg]) == 0
@@ -237,6 +239,14 @@ def test_cli_check_smoke(capsys):
     "study = dual_norm_check\nn = [8]\nk = []",
     "study = low_regularity\nfamily = q1\nn = [4]\nalpha = []",
     "study = oracle_validation\nfamily = q1\nn = [4]\nmodes = []",
+    # flags took any value as true, and numeric keys took true as 1
+    "study = sigma_sweep\nfamily = q1\nn = [4]\nsigma = [1e-3]\nstrict = nope",
+    "study = sigma_sweep\nfamily = q1\nn = [4, 8]\nsigma = [1e-3]\nmulti_h = maybe",
+    "study = eps_sweep\nfamily = q1\nn = [4]\neps = [true]",
+    "study = eps_sweep\nfamily = q1\nn = true",
+    "study = eps_sweep\nfamily = q1\nn = [4]\nsigma = true",
+    # a path is one path, not a list
+    "study = eps_sweep\nfamily = q1\nn = [4]\nplot = [a.gp]",
 ], ids=["family_q3", "case_rough", "infsup_odd_n", "alpha_5_eps_sweep",
         "alpha_5_h_convergence", "alpha_5_sigma_sweep",
         "alpha_without_eps_h_convergence", "alpha_without_eps_sigma_sweep",
@@ -251,7 +261,8 @@ def test_cli_check_smoke(capsys):
         "sigma_sweep_multi_h_eps", "eps_sweep_empty_eps",
         "eps_sweep_empty_scheme", "eps_sweep_empty_n", "sigma_sweep_empty_sigma",
         "dual_norm_check_empty_k", "low_regularity_empty_alpha",
-        "oracle_empty_modes"])
+        "oracle_empty_modes", "strict_nope", "multi_h_maybe", "eps_true", "n_true",
+        "sigma_true", "plot_list"])
 def test_cli_rejects_bad_study_values(tmp_path, capsys, body):
     out_csv = tmp_path / "out.csv"
     cfg = _write(tmp_path, f"[bad]\n{body}\noutput = {out_csv}\n")
@@ -262,6 +273,23 @@ def test_cli_rejects_bad_study_values(tmp_path, capsys, body):
     assert "configuration error:" in captured.err
     assert "running" not in captured.out
     assert not out_csv.exists()
+
+
+def test_cli_output_is_the_text_of_its_key(tmp_path, monkeypatch, capsys):
+    # output = 100 names the file 100; a bracketed output is a
+    # configuration error before anything runs, not a traceback after
+    monkeypatch.chdir(tmp_path)
+    body = "[probe]\nstudy = dual_norm_check\nn = [8]\nk = [1]\noutput = "
+    assert main(["run", _write(tmp_path, body + "100\n")]) == 0
+    assert (tmp_path / "100").read_text().startswith("k,computed_ratio")
+    capsys.readouterr()
+    cfg = _write(tmp_path, body + "[a.csv]\n", name="list.cfg")
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+    assert main(["run", cfg]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error:" in captured.err
+    assert "running" not in captured.out
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -268,9 +268,9 @@ def test_star_norm_zero_and_homogeneity_and_dominance():
 
 def test_star_norm_ratio_approaches_closed_form():
     # moderate resolution variant of the separated-mode ratio check
-    from anisofem.studies import separated_mode_ratio, run_dual_norm_check, StudyConfig
+    from anisofem.studies import separated_mode_ratio, run_study, StudyConfig
 
-    out = run_dual_norm_check(StudyConfig("dual_norm_check", n_list=[32], k_list=[1]))
+    out = run_study(StudyConfig("dual_norm_check", n_list=[32], k_list=[1]))
     k, computed, analytic = out[0]
     assert analytic == pytest.approx(separated_mode_ratio(1), rel=1e-15)
     assert computed == pytest.approx(analytic, rel=0.01)

@@ -13,8 +13,8 @@ from anisofem.fem import assemble_rhs, error_norms
 from anisofem.schemes import (ProblemSpec, SchemeOperators, build_system,
                               solve_scheme)
 from anisofem.solver import lu_factor, solve
-from anisofem.studies import (StudyConfig, StudyRecord, _spec, run_eps_sweep,
-                              run_instance)
+from anisofem.studies import (StudyConfig, StudyRecord, _spec, run_instance,
+                              run_study)
 
 
 def _smooth_spec(scheme, eps, alpha, n, sigma=0.0, family="q2"):
@@ -311,7 +311,7 @@ def test_load_memo_survives_the_scheme_loop(monkeypatch):
         return lu_factor(*args, **kwargs)
 
     monkeypatch.setattr(schemes, "lu_factor", factor)
-    records = run_eps_sweep(cfg)
+    records = run_study(cfg)
     assert len(records) == 2 * len(eps_list)
     assert len(loads) == len(eps_list)
     assert threading.main_thread() not in loads

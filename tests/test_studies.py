@@ -11,14 +11,11 @@ from anisofem.fields import FieldSpec, LinearFunctional, ManufacturedCase
 from anisofem.geometry import build_quad_mesh
 from anisofem.schemes import ProblemSpec, SchemeOperators
 from anisofem.spectral import FourierRhs, eval_series, spectral_solve
-from anisofem.studies import (STUDY_KINDS, STUDY_RUNNERS, StudyConfig,
-                              StudyRecord, emit_csv, emit_plot_script,
-                              loglog_slope, observed_orders, read_csv,
-                              record_h, separated_mode_ratio, resolve_sigma,
-                              run_h_convergence, run_infsup_probe,
-                              run_instance, run_low_regularity,
-                              run_oracle_validation, run_dual_norm_check,
-                              run_sigma_sweep)
+from anisofem.studies import (STUDIES, StudyConfig, StudyRecord, emit_csv,
+                              emit_plot_script, loglog_slope, observed_orders,
+                              read_csv, record_h, separated_mode_ratio,
+                              resolve_sigma, run_instance, run_study,
+                              sweep_specs)
 
 warnings.filterwarnings("ignore", message="stabilized scheme with sigma = 0")
 
@@ -29,7 +26,7 @@ INFSUP_RATIO_N4 = 0.7980470866759155
 def test_study_kind_validation():
     with pytest.raises(ValueError):
         StudyConfig("unknown_study")
-    assert len(STUDY_KINDS) == 8
+    assert len(STUDIES) == 8
 
 
 def test_record_h_convention():
@@ -117,8 +114,8 @@ def test_small_study_deterministic(tmp_path):
     cfg = StudyConfig("h_convergence", schemes=["inflow"], family="q1",
                       n_list=[4, 8], eps_list=[1.0], alpha_list=[0.0])
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_csv(run_h_convergence(cfg), a)
-    emit_csv(run_h_convergence(cfg), b)
+    emit_csv(run_study(cfg), a)
+    emit_csv(run_study(cfg), b)
     for ra, rb in zip(read_csv(a), read_csv(b)):
         for name in StudyRecord.__dataclass_fields__:
             if name == "wall_time_seconds":
@@ -130,7 +127,7 @@ def test_sigma_sweep_records_failures_without_aborting():
     cfg = StudyConfig("sigma_sweep", family="q1", n_list=[4],
                       eps_list=[0.0], alpha_list=[0.0],
                       sigma_list=[1e-3, 0.0])
-    records = run_sigma_sweep(cfg)
+    records = run_study(cfg)
     statuses = [r.solve_status for r in records]
     assert statuses == ["OK", "SINGULAR"]
     assert math.isnan(records[1].err_L2_abs)
@@ -181,9 +178,32 @@ def test_h_convergence_grid_order(kind):
     # every sweep keeps its grid order; sigma reaches only the stabilized
     # scheme, the inflow scheme records 0 whatever the sigma rule
     overrides, expected = _GRID_ORDER[kind]
-    records = STUDY_RUNNERS[kind](StudyConfig(kind, family="q1", **overrides))
+    records = run_study(StudyConfig(kind, family="q1", **overrides))
     assert [(r.scheme, r.n, r.eps, r.sigma, r.alpha) for r in records] == expected
     assert all(r.h == 1.0 / r.n for r in records)
+
+
+# (instances, first and last (scheme, n, eps, sigma, alpha)) of each
+# sweep's default grid
+_DEFAULT_GRIDS = {
+    "sigma_sweep": (48, (_S, 50, 1.0, 1.0, 0.0), (_S, 50, 1e-10, 10.0 ** -15, 2.0)),
+    "h_convergence": (30, (_I, 5, 1.0, 0.0, 0.0),
+                      (_S, 80, 1e-10, (1 / 160) ** 3, 2.0)),
+    "eps_sweep": (22, (_I, 50, 1e-20, 0.0, 2.0), (_S, 50, 10.0, (1 / 100) ** 3, 2.0)),
+    "conditioning": (8, (_I, 10, 1e-10, 0.0, 2.0),
+                     (_S, 80, 1e-10, (1 / 160) ** 3, 2.0)),
+    "low_regularity": (16, (_I, 16, 1e-10, 0.0, 0.0),
+                       (_S, 128, 1e-10, (1 / 128) ** 2, 2.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DEFAULT_GRIDS))
+def test_sweep_default_grids(kind):
+    # the grid a bare config expands to, without solving any of it
+    count, first, last = _DEFAULT_GRIDS[kind]
+    points = [(s.scheme, s.n, s.eps, s.sigma, s.field.alpha)
+              for s in sweep_specs(StudyConfig(kind))]
+    assert (len(points), points[0], points[-1]) == (count, first, last)
 
 
 @pytest.mark.parametrize("scheme,sigma", [("inflow", 0.0), ("stabilized", 1e-4)])
@@ -209,16 +229,16 @@ def test_operators_reusable_after_low_regularity_solve(scheme, sigma):
 def test_low_regularity_uses_h_squared():
     cfg = StudyConfig("low_regularity", schemes=["stabilized"], n_list=[8],
                       alpha_list=[0.0])
-    rec = run_low_regularity(cfg)[0]
+    rec = run_study(cfg)[0]
     assert rec.sigma == pytest.approx(rec.h ** 2)
 
 
 def test_infsup_probe_baseline_and_oddity():
-    out = run_infsup_probe(StudyConfig("infsup_probe", n_list=[4]))
+    out = run_study(StudyConfig("infsup_probe", n_list=[4]))
     assert out[0][0] == 4
     assert out[0][1] == pytest.approx(INFSUP_RATIO_N4, rel=1e-9)
     with pytest.raises(ValueError):
-        run_infsup_probe(StudyConfig("infsup_probe", n_list=[5]))
+        run_study(StudyConfig("infsup_probe", n_list=[5]))
 
 
 def test_dual_norm_check_analytic_values():
@@ -230,15 +250,14 @@ def test_dual_norm_check_analytic_values():
 
 def test_oracle_regression_point():
     cfg = StudyConfig("oracle_validation", family="q2", n_list=[16])
-    rec = run_oracle_validation(cfg)[0]
+    rec = run_study(cfg)[0]
     assert rec.solve_status == "OK"
     # frozen from a reference run of this implementation
     assert rec.err_L2_abs == pytest.approx(9.654e-11, rel=0.05)
 
 
 def test_dual_norm_check_fast_path():
-    out = run_dual_norm_check(StudyConfig("dual_norm_check", n_list=[16],
-                                        k_list=[1, 2]))
+    out = run_study(StudyConfig("dual_norm_check", n_list=[16], k_list=[1, 2]))
     for k, computed, analytic in out:
         assert computed == pytest.approx(analytic, rel=0.05)
 
@@ -253,8 +272,8 @@ def test_dual_norm_check_factors_once(monkeypatch):
     for module in (fem, schemes, studies):
         if hasattr(module, "lu_factor"):
             monkeypatch.setattr(module, "lu_factor", counted)
-    out = run_dual_norm_check(StudyConfig("dual_norm_check", n_list=[16],
-                                          k_list=[1, 2, 3, 4]))
+    out = run_study(StudyConfig("dual_norm_check", n_list=[16],
+                                k_list=[1, 2, 3, 4]))
     assert len(calls) == 1
     # every ratio equals the one from a fresh factor of K on the free dofs
     ops = SchemeOperators(build_quad_mesh(16, 16, np.pi, np.pi),
@@ -272,7 +291,7 @@ def test_dual_norm_check_factors_once(monkeypatch):
 def test_sigma_sweep_multi_h_variant():
     cfg = StudyConfig("sigma_sweep", family="q1", n_list=[4, 8],
                       sigma_list=[1e-4], multi_h=True)
-    records = run_sigma_sweep(cfg)
+    records = run_study(cfg)
     # one fixed-h record per reference regime plus the ladder records,
     # which run at eps = 1e-10, alpha = 2
     assert [r.n for r in records] == [4, 4, 4, 4, 8]
