@@ -48,13 +48,18 @@ def _parse_scalar(text: str):
 
 
 def parse_value(text: str):
-    """Numbers, booleans, bare strings, and (nested) bracketed arrays."""
+    """Numbers, booleans, bare strings, and (nested) bracketed arrays.  A
+    flat list may hold bare words, as in [inflow, stabilized]; any other
+    bracketed text that is no Python literal raises ConfigError."""
     text = text.strip()
     if text.startswith("["):
         try:
             return ast.literal_eval(text)
         except (ValueError, SyntaxError):
-            inner = text[1:-1] if text.endswith("]") else text[1:]
+            inner = text[1:-1]
+            if not text.endswith("]") or "[" in inner or "]" in inner:
+                raise ConfigError(f"cannot parse {text!r}: brackets that do "
+                                  "not close, or a nested list of words") from None
             return [_parse_scalar(part.strip()) for part in inner.split(",")
                     if part.strip()]
     return _parse_scalar(text)

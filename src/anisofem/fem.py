@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import Mesh, BoundaryTags
-from .fields import FieldSpec, LinearFunctional, eval_A, eval_b
+from .fields import FieldSpec, FieldValues, LinearFunctional, eval_field
 from .solver import finalize_csr
 
 FAMILIES = {"q1": ("quad", 1), "q2": ("quad", 2), "p1": ("triangle", 1),
@@ -150,7 +150,7 @@ class FemSpace:
 
         self.element_dofs = self._build_element_dofs()
         self.n_local = self.element_dofs.shape[1]
-        self._tables: dict[str, dict] = {}
+        self._tables: dict = {}     # purpose -> tables, field -> FieldValues
         self._constrain(dirichlet_tags, boundary_tags)
 
     def _constrain(self, dirichlet_tags, boundary_tags):
@@ -168,7 +168,8 @@ class FemSpace:
         """The same space with another constrained set.
 
         Mesh, dof layout and the quadrature-table cache are shared with
-        this space, so each rule's tables are built once for both.
+        this space, so each rule's tables and each field's values are
+        built once for both.
         """
         other = copy.copy(self)
         other._constrain(dirichlet_tags, boundary_tags)
@@ -285,6 +286,18 @@ class FemSpace:
         self._tables[purpose] = out
         return out
 
+    def field_values(self, field: FieldSpec) -> FieldValues:
+        """Cached, read-only b, A and a_par of the field at the default
+        quadrature points, each (E, Q, ...): the forms and the loads on
+        this space read the same values."""
+        if field not in self._tables:
+            xq = self.tables()["xq"]
+            values = eval_field(field, xq[..., 0], xq[..., 1])
+            for array in values:
+                array.flags.writeable = False
+            self._tables[field] = values
+        return self._tables[field]
+
 
 # Lattice regions at most this many points on each side are not split.
 ND_LEAF = 8
@@ -342,15 +355,14 @@ def assemble(space: FemSpace, kind: str,
     if kind != "mass" and field is None:
         raise ValueError(f"form {kind!r} needs a field")
     tab = space.tables()
-    N, G, wdet, xq = tab["N"], tab["G"], tab["wdet"], tab["xq"]
+    N, G, wdet = tab["N"], tab["G"], tab["wdet"]
     if kind == "mass":
         Ke = np.einsum("eq,lq,mq->elm", wdet, N, N)
     elif kind == "a_full":
-        Aq = eval_A(field, xq[..., 0], xq[..., 1])
+        Aq = space.field_values(field).A
         Ke = np.einsum("eq,eqab,elqa,emqb->elm", wdet, Aq, G, G, optimize=True)
     else:
-        bq = eval_b(field, xq[..., 0], xq[..., 1])
-        apar = np.asarray(field.a_par(xq[..., 0], xq[..., 1]), dtype=float)
+        bq, _, apar = space.field_values(field)
         s = np.einsum("elqa,eqa->elq", G, bq)
         Ke = np.einsum("eq,eq,elq,emq->elm", wdet, apar, s, s, optimize=True)
     ed = space.element_dofs
@@ -362,12 +374,14 @@ def assemble(space: FemSpace, kind: str,
 
 
 def assemble_rhs(space: FemSpace, functional: LinearFunctional) -> np.ndarray:
-    """Load vector b_i = l(phi_i) using the same rule as assemble."""
+    """Load vector b_i = l(phi_i) using the same rule and, for the flux,
+    the same field values as assemble."""
     tab = space.tables()
     N, G, wdet, xq = tab["N"], tab["G"], tab["wdet"], tab["xq"]
     re = np.zeros((space.mesh.n_elements, space.n_local))
     if functional.flux is not None:
-        F = np.asarray(functional.flux(xq[..., 0], xq[..., 1]), dtype=float)
+        F = np.asarray(functional.flux(xq[..., 0], xq[..., 1], space.field_values),
+                       dtype=float)
         re += np.einsum("eq,eqa,elqa->el", wdet, F, G, optimize=True)
     if functional.source is not None:
         f0 = np.asarray(functional.source(xq[..., 0], xq[..., 1]), dtype=float)

@@ -16,7 +16,7 @@ All evaluators accept scalars or numpy arrays and broadcast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as _field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,6 +104,20 @@ def eval_A(field: FieldSpec, x, y):
     eye[..., 1, 1] = 1.0
     Q = eye - P
     return apar[..., None, None] * P + Q @ aperp @ Q
+
+
+class FieldValues(NamedTuple):
+    """A field's coefficients at a set of points."""
+
+    b: np.ndarray          # (..., 2)
+    A: np.ndarray          # (..., 2, 2)
+    a_par: np.ndarray      # (...)
+
+
+def eval_field(field: FieldSpec, x, y) -> FieldValues:
+    """b, A and a_par at the points (x, y)."""
+    return FieldValues(eval_b(field, x, y), eval_A(field, x, y),
+                       np.asarray(field.a_par(x, y), dtype=float))
 
 
 def field_line_coordinate(alpha: float, x, y):
@@ -252,8 +266,10 @@ class ManufacturedCase:
 class LinearFunctional:
     """Right-hand side in the generic form  l(v) = int F.grad(v) + f0*v.
 
-    ``flux`` maps (x, y) to the vector F with shape (..., 2); ``source``
-    maps (x, y) to f0.  Either may be None (meaning zero).
+    ``flux`` maps (x, y, field_values) to the vector F with shape
+    (..., 2), where field_values(field) gives a field's FieldValues at
+    (x, y); ``source`` maps (x, y) to f0.  Either may be None (meaning
+    zero).
     """
 
     def __init__(self, flux=None, source=None):
@@ -278,10 +294,8 @@ def rhs_functional(case: ManufacturedCase, field: FieldSpec, eps: float) -> Line
     perturbation.  No 1/eps factor ever appears, so the functional is
     stable down to eps = 0.
     """
-    def flux(x, y):
-        b = eval_b(field, x, y)
-        A = eval_A(field, x, y)
-        apar = np.asarray(field.a_par(x, y), dtype=float)
+    def flux(x, y, field_values: Callable[[FieldSpec], FieldValues]):
+        b, A, apar = field_values(field)
         gw = case.grad_perturbation(x, y)
         # grad of the eps-solution, formed with the eps given here so the
         # functional and the solution it manufactures always agree

@@ -14,26 +14,16 @@ solution-preserving transform) for experiments on the sign convention.
 
 All instances of a scheme on one operator set share one sparsity
 pattern, kept as the scheme's ``SchemePlan``: an instance only forms the
-data array, a linear combination of the data of K, P and M.
-
-An instance whose load vector is not memoized yet has it assembled on
-one worker thread while the calling thread builds its matrix and factors
-it: SuperLU's factorization releases the GIL, so the two overlap on a
-second core.  The factorization itself stays on the calling thread.  A
-factoring worker, under glibc's default of one malloc arena per thread,
-kept every freed SuperLU factor in its arena: peak RSS went from 193 to
-1,287 MiB on the Q2 n = 50 eps sweep.
+data array, a linear combination of the data of K, P and M.  The load
+vectors read the field values that K and P were assembled with.
 """
 
 from __future__ import annotations
 
-import ctypes
-import threading
 import warnings
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -101,17 +91,21 @@ class SchemeOperators:
     that builds or solves a system writes into them.
 
     The inflow q-space is the u-space with a larger constrained set, so
-    the two share their quadrature tables.  Two memos keep what the
-    instances of a sweep recompute otherwise: the load vector of every
-    (case, field, eps) met so far, and the exact values of the last case
-    at the error quadrature points (one entry, which it drops before
-    computing a new one: it is 18 times the size of a load).  Both
-    return read-only arrays and live as long as the operator set.
+    the two share their quadrature tables and the field's b, A and a_par
+    at the quadrature points, which K, P and every load read.  Two memos
+    keep what the instances of a sweep recompute otherwise: the load
+    vector of every (case, field, eps) met so far, and the exact values
+    of the last case at the error quadrature points (one entry, which it
+    drops before computing a new one: it is 18 times the size of a
+    load).  Both return read-only arrays and live as long as the
+    operator set.
 
-    Each scheme's plan is built by the first system of that scheme, not
-    here, so it is timed with that instance.  Likewise the LU factor of K
-    on the free u-dofs, behind ``riesz_norm``, is computed on first use
-    and kept for the life of the operator set.
+    K and P, which every scheme reads, are assembled here.  The mass
+    matrix M, which only the stabilized scheme reads, is assembled on
+    first read.  Each scheme's plan is built by the first system of that
+    scheme, so it is timed with that instance.  Likewise the LU factor of
+    K on the free u-dofs, behind ``riesz_norm``, is computed on first use.
+    All of them are kept for the life of the operator set.
     """
 
     def __init__(self, mesh: Mesh, field: FieldSpec, family: str):
@@ -124,11 +118,15 @@ class SchemeOperators:
                                                      self.tags)
         self.K = assemble(self.u_space, "a_full", field)
         self.P = assemble(self.u_space, "a_par", field)
-        self.M = assemble(self.u_space, "mass")
         self._loads = {}                # (case, field, eps) -> load vector
         self._exact = (None, None)      # (case, ExactValues)
         self._plans: dict[str, SchemePlan] = {}
         self._riesz: LuFactor | None = None
+
+    @cached_property
+    def M(self):
+        """The mass matrix, assembled on first read."""
+        return assemble(self.u_space, "mass")
 
     def aux_space(self, scheme: str) -> FemSpace | None:
         """The auxiliary variable's space; None for the standard scheme."""
@@ -159,24 +157,12 @@ class SchemeOperators:
 
     def case_load(self, case, field: FieldSpec, eps: float) -> np.ndarray:
         """Load vector of case.functional(field, eps) on the u-space."""
-        return self.start_load(case, field, eps)()
-
-    def start_load(self, case, field: FieldSpec,
-                   eps: float) -> Callable[[], np.ndarray]:
-        """Start the load vector of case.functional(field, eps) on the
-        worker thread unless it is memoized; the returned call joins the
-        worker, memoizes the vector and returns it, or raises what the
-        load raised."""
         key = (case, field, eps)
-        _join_load()                    # one worker at a time
         if key not in self._loads:
-            _pending.append((self, key, _LoadWorker(self.u_space, case,
-                                                    field, eps)))
-
-        def load():
-            _join_load()
-            return self._loads[key]
-        return load
+            load = assemble_rhs(self.u_space, case.functional(field, eps))
+            load.flags.writeable = False
+            self._loads[key] = load
+        return self._loads[key]
 
     def exact_values(self, case) -> ExactValues | None:
         """case.u and case.grad_u at the u-space's error quadrature points."""
@@ -187,59 +173,6 @@ class SchemeOperators:
                 array.flags.writeable = False
             self._exact = (case, values)
         return self._exact[1]
-
-
-# glibc serves each thread from an arena of its own and keeps what the
-# thread frees there, out of reach of the other threads: the load worker's
-# temporaries would then add to the calling thread's factorization
-# instead of reusing its free memory.  So every thread allocates from the
-# one main arena, and the worker hands free memory back to the system
-# when its load is done.  Together they keep the peak RSS of the three
-# benchmark studies within 5% of the single-threaded one; without them
-# the Q1 n = 128 low-regularity study rose from 294 to 362 MiB.
-try:                                    # glibc only
-    _libc = ctypes.CDLL(None)
-    _libc.mallopt(-8, 1)                # M_ARENA_MAX = 1
-    _malloc_trim = _libc.malloc_trim
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
-
-
-class _LoadWorker(threading.Thread):
-    """One load vector assembled on a thread of its own, started at once."""
-
-    def __init__(self, space: FemSpace, case, field: FieldSpec, eps: float):
-        super().__init__(name="anisofem-load", daemon=True)
-        self.inputs = (space, case, field, eps)
-        self.load = self.error = None
-        self.start()
-
-    def run(self):
-        space, case, field, eps = self.inputs
-        try:
-            self.load = assemble_rhs(space, case.functional(field, eps))
-        except BaseException as exc:    # raised again on the calling thread
-            self.error = exc
-        if _malloc_trim is not None:
-            _malloc_trim(0)
-
-
-# The load worker not yet joined, as (operators, key, worker): at most one.
-_pending: list = []
-
-
-def _join_load() -> None:
-    """Join the pending load worker, if any, and memoize its vector in
-    its operator set; raises what the load raised."""
-    if not _pending:
-        return
-    ops, key, worker = _pending.pop()
-    worker.join()
-    error, worker.error = worker.error, None    # no worker-error cycle
-    if error is not None:
-        raise error
-    worker.load.flags.writeable = False
-    ops._loads[key] = worker.load
 
 
 # Each scheme's matrix terms as form, row unknowns, column unknowns: "u"
@@ -299,12 +232,10 @@ def _build_plan(ops: SchemeOperators, scheme: str) -> SchemePlan:
 class BlockSystem:
     """Stacked linear system over the free dofs of (u, auxiliary), its
     rows and columns in the elimination order ``order``: row i is
-    unknown order[i] of (free u, then free auxiliary).
-
-    The right-hand side is completed on first read of ``rhs``, which
-    waits for the load vector if the worker thread still assembles it."""
+    unknown order[i] of (free u, then free auxiliary)."""
 
     matrix: sp.csc_matrix
+    rhs: np.ndarray
     n_u: int
     n_q: int
     u_space: FemSpace
@@ -312,11 +243,6 @@ class BlockSystem:
     operators: SchemeOperators
     u_pinned: np.ndarray   # values of u at u_space.constrained
     order: np.ndarray
-    complete_rhs: Callable[[], np.ndarray]
-
-    @cached_property
-    def rhs(self) -> np.ndarray:
-        return self.complete_rhs()
 
 
 class SchemeResult(NamedTuple):
@@ -330,9 +256,7 @@ def build_system(spec: ProblemSpec,
     """Form the block system of one problem instance on its scheme's plan.
 
     The load vector is that of spec.case's functional, remembered by the
-    operator set for later instances; when it is new, it is assembled on
-    the worker thread while this builds the matrix, and reading the
-    system's ``rhs`` waits for it.  u is pinned to the case's boundary
+    operator set for later instances; u is pinned to the case's boundary
     values and the auxiliary variable to zero.  For the standard scheme
     the system is the single primal block.
     """
@@ -346,33 +270,23 @@ def build_system(spec: ProblemSpec,
     us = ops.u_space
     pts = us.coords[us.constrained]
     gu = np.asarray(spec.case.boundary_values(pts[:, 0], pts[:, 1]), dtype=float)
-    load = ops.start_load(spec.case, spec.field, spec.eps)
-    try:
-        plan = ops.plan(spec.scheme)
-        data = np.zeros(len(plan.indices))
-        for (src, dst), term, c in zip(plan.terms, _TERMS[spec.scheme],
-                                       _coefficients(spec)):
-            data[dst] += c * getattr(ops, term[0]).data[src]
-        n, p = len(plan.order), plan.indptr
-        matrix = sp.csc_matrix((data[:p[n]], plan.indices[:p[n]], p[:n + 1]),
-                               shape=(n, n))
-        lift = sp.csc_matrix((data[p[n]:], plan.indices[p[n]:], p[n:] - p[n]),
-                             shape=(n, len(gu)))
-        lifted = lift @ gu
-    except BaseException:
-        with suppress(Exception):       # no load outlives its instance
-            load()
-        raise
-
-    def complete_rhs():
-        rhs = np.zeros(n)
-        rhs[plan.u_rows] = load()[us.free]
-        rhs -= lifted
-        return rhs
-
+    ell = ops.case_load(spec.case, spec.field, spec.eps)
+    plan = ops.plan(spec.scheme)
+    data = np.zeros(len(plan.indices))
+    for (src, dst), term, c in zip(plan.terms, _TERMS[spec.scheme],
+                                   _coefficients(spec)):
+        data[dst] += c * getattr(ops, term[0]).data[src]
+    n, p = len(plan.order), plan.indptr
+    matrix = sp.csc_matrix((data[:p[n]], plan.indices[:p[n]], p[:n + 1]),
+                           shape=(n, n))
+    lift = sp.csc_matrix((data[p[n]:], plan.indices[p[n]:], p[n:] - p[n]),
+                         shape=(n, len(gu)))
+    rhs = np.zeros(n)
+    rhs[plan.u_rows] = ell[us.free]
+    rhs -= lift @ gu
     n_u = len(us.free)
-    return BlockSystem(matrix, n_u, n - n_u, us, ops.aux_space(spec.scheme),
-                       ops, gu, plan.order, complete_rhs)
+    return BlockSystem(matrix, rhs, n_u, n - n_u, us, ops.aux_space(spec.scheme),
+                       ops, gu, plan.order)
 
 
 # Scheme solves keep going until the pivots reach the float64 noise floor:
@@ -385,20 +299,13 @@ def solve_scheme(system: BlockSystem) -> SchemeResult:
     """Direct solve with refinement and cond_1 estimated on the same
     factorization, both in the system's elimination order.
 
-    The factorization runs before the right-hand side is read, so that a
-    load still on the worker thread is assembled alongside it; the load
-    is waited for even when the factorization raises.
-
     Raises SingularMatrixError when the factorization degenerates (for
     example the stabilized scheme at eps = sigma = 0, whose auxiliary
     variable is genuinely non-unique).
     """
-    try:
-        factor = lu_factor(system.matrix, pivot_rtol=SCHEME_PIVOT_RTOL,
-                           order=system.order)
-    finally:
-        rhs = system.rhs
-    y, cond1 = solve_with_cond1(factor, rhs)
+    factor = lu_factor(system.matrix, pivot_rtol=SCHEME_PIVOT_RTOL,
+                       order=system.order)
+    y, cond1 = solve_with_cond1(factor, system.rhs)
     x = np.empty(len(y))
     x[system.order] = y
     u = system.u_space.expand(x[:system.n_u], system.u_pinned)

@@ -179,6 +179,14 @@ class StudyConfig:
             sigmas.append(self.sigma_rule[1])
         if any(not _is_number(sigma) or not sigma >= 0.0 for sigma in sigmas):
             raise ValueError(f"sigma {sigmas}: stabilization parameters are >= 0")
+        # what passed the two checks above is a number >= 0, inf included
+        for key, values in (("eps", self.eps_list or []), ("sigma", sigmas)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{key} {values}: the values must be finite")
+        if (self.sigma_rule is not None and self.sigma_rule[0] == "power"
+                and not np.isfinite(self.sigma_rule[1])):
+            raise ValueError(f"sigma h^{self.sigma_rule[1]}: the exponent of "
+                             "an h^p rule must be finite")
         if self.modes is not None:
             try:
                 FourierRhs.from_modes(self.modes)
@@ -393,8 +401,8 @@ def _infsup_ratio(n: int, field: FieldSpec) -> float:
     grad_q = np.einsum("el,ela->ea", q[Vc.element_dofs], tab_c["G"][:, :, 0, :])
     hcell = 1.0 / n
 
-    def flux(x, y):
-        # (b.grad q) b for the aligned field b = e2
+    def flux(x, y, field_values):
+        # (b.grad q) b for the aligned field b = e2, so no field values
         ci = np.clip((x // hcell).astype(int), 0, n - 1)
         cj = np.clip((y // hcell).astype(int), 0, n - 1)
         parent = 2 * (cj * n + ci) + (y - cj * hcell > x - ci * hcell)

@@ -20,6 +20,13 @@ def test_parse_value_kinds():
     assert parse_value("[inflow, stabilized]") == ["inflow", "stabilized"]
 
 
+@pytest.mark.parametrize("text", ["[4, 8", "[[1, 1, 1.0], [2", "[inflow, [stabilized]",
+                                  "[inflow]]"])
+def test_parse_value_rejects_unclosed_or_nested_word_lists(text):
+    with pytest.raises(ConfigError):
+        parse_value(text)
+
+
 def _write(tmp_path, text, name="study.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -102,7 +109,7 @@ plot = {out_gp}
 
 
 def test_cli_runs_leave_no_thread_behind(tmp_path):
-    # each instance joins the worker thread that assembles its load
+    # the library starts no thread
     cfg = _write(tmp_path, f"""
 [sweep]
 study = eps_sweep
@@ -247,6 +254,15 @@ def test_cli_check_smoke(capsys):
     "study = eps_sweep\nfamily = q1\nn = [4]\nsigma = true",
     # a path is one path, not a list
     "study = eps_sweep\nfamily = q1\nn = [4]\nplot = [a.gp]",
+    # non-finite values used to run and write SINGULAR rows
+    "study = eps_sweep\nfamily = q1\nn = [4]\nsigma = h^nan",
+    "study = eps_sweep\nfamily = q1\nn = [4]\nsigma = h^inf",
+    "study = eps_sweep\nfamily = q1\nn = [4]\nsigma = inf",
+    "study = eps_sweep\nfamily = q1\nn = [4]\neps = [inf]",
+    "study = sigma_sweep\nfamily = q1\nn = [4]\nsigma = [1e-3, inf]",
+    # an unterminated bracket used to read as if it were closed
+    "study = h_convergence\nfamily = q1\nn = [4, 8",
+    "study = oracle_validation\nfamily = q1\nn = [4]\nmodes = [[1, 1, 1.0], [2",
 ], ids=["family_q3", "case_rough", "infsup_odd_n", "alpha_5_eps_sweep",
         "alpha_5_h_convergence", "alpha_5_sigma_sweep",
         "alpha_without_eps_h_convergence", "alpha_without_eps_sigma_sweep",
@@ -262,7 +278,8 @@ def test_cli_check_smoke(capsys):
         "eps_sweep_empty_scheme", "eps_sweep_empty_n", "sigma_sweep_empty_sigma",
         "dual_norm_check_empty_k", "low_regularity_empty_alpha",
         "oracle_empty_modes", "strict_nope", "multi_h_maybe", "eps_true", "n_true",
-        "sigma_true", "plot_list"])
+        "sigma_true", "plot_list", "sigma_h_nan", "sigma_h_inf", "sigma_inf",
+        "eps_inf", "sigma_list_inf", "n_unterminated", "modes_unterminated"])
 def test_cli_rejects_bad_study_values(tmp_path, capsys, body):
     out_csv = tmp_path / "out.csv"
     cfg = _write(tmp_path, f"[bad]\n{body}\noutput = {out_csv}\n")

@@ -6,7 +6,7 @@ import pytest
 
 from anisofem import fem
 from anisofem.fields import (FieldSpec, LinearFunctional, ManufacturedCase,
-                             rhs_functional)
+                             eval_field, rhs_functional)
 from anisofem.fem import (FAMILIES, ND_LEAF, FemSpace, assemble, assemble_rhs,
                           error_norms, nd_blocks, nested_dissection,
                           parallel_seminorm, shape_functions, reference_rule)
@@ -216,7 +216,8 @@ def test_rhs_functional_matches_quadrature_oracle():
     functional = rhs_functional(case, UNIT_FIELD, 1.0)
     sp = _space(16, "q1")
     r = assemble_rhs(sp, functional)
-    oracle = _q1_oracle_load(16, lambda x, y: functional.flux(x, y))
+    oracle = _q1_oracle_load(16, lambda x, y: functional.flux(
+        x, y, lambda field: eval_field(field, x, y)))
     assert np.abs(r - oracle).max() <= 1e-10 * max(1.0, np.abs(oracle).max())
 
 

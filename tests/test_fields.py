@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anisofem.fields import (ALPHA_MAX, DegenerateFieldError, FieldSpec,
-                             ManufacturedCase, eval_A, eval_b,
+                             ManufacturedCase, eval_A, eval_b, eval_field,
                              field_line_coordinate, rhs_functional)
 
 
@@ -155,5 +155,6 @@ def test_rhs_functional_eps_one_drops_parallel_term():
     # at eps = 1 the flux reduces to A grad(u), A = Id here
     field = FieldSpec("variable_alpha", 2.0)
     case = ManufacturedCase("smooth", 2.0, 1.0)
-    F = rhs_functional(case, field, 1.0).flux(0.3, 0.6)
+    F = rhs_functional(case, field, 1.0).flux(
+        0.3, 0.6, lambda f: eval_field(f, 0.3, 0.6))
     assert np.allclose(F, case.grad_u(0.3, 0.6), atol=1e-13)

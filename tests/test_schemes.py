@@ -1,5 +1,5 @@
+import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ import scipy.sparse.linalg as spla
 
 from anisofem import schemes
 
-from anisofem.fields import FieldSpec, LinearFunctional, ManufacturedCase
+from anisofem.fields import (FieldSpec, LinearFunctional, ManufacturedCase,
+                             eval_A, eval_b)
 from anisofem.fem import assemble_rhs, error_norms
 from anisofem.schemes import (ProblemSpec, SchemeOperators, build_system,
                               solve_scheme)
@@ -282,14 +283,12 @@ def test_threshold_pivoting_cuts_fill():
     assert ours.L.nnz + ours.U.nnz <= 0.8 * (partial.L.nnz + partial.U.nnz)
 
 
-def _counted_loads(monkeypatch, delay=0.0):
-    """Make schemes.assemble_rhs record the thread of every call, and
-    take at least delay seconds."""
+def _counted_loads(monkeypatch):
+    """Make schemes.assemble_rhs record the thread of every call."""
     threads = []
 
     def counted(*args):
         threads.append(threading.current_thread())
-        time.sleep(delay)
         return assemble(*args)
 
     assemble = schemes.assemble_rhs
@@ -299,8 +298,8 @@ def _counted_loads(monkeypatch, delay=0.0):
 
 def test_load_memo_survives_the_scheme_loop(monkeypatch):
     # the eps sweep runs every eps of one scheme, then of the next, on one
-    # operator set: each (case, field, eps) load is assembled once, on the
-    # worker thread, while the calling thread factors
+    # operator set: each (case, field, eps) load is assembled once, and
+    # every load and factor runs on the calling thread
     eps_list = [1e-10, 1e-4, 1.0]
     cfg = StudyConfig("eps_sweep", family="q1", n_list=[8], eps_list=eps_list)
     loads = _counted_loads(monkeypatch)
@@ -314,14 +313,77 @@ def test_load_memo_survives_the_scheme_loop(monkeypatch):
     records = run_study(cfg)
     assert len(records) == 2 * len(eps_list)
     assert len(loads) == len(eps_list)
-    assert threading.main_thread() not in loads
-    assert set(factors) == {threading.main_thread()}
+    assert set(loads) == set(factors) == {threading.current_thread()}
     for rec in records:
         fresh = run_instance(_spec(cfg, rec.scheme, "q1", 8, rec.eps,
                                    ("power", 3), 2.0))
         for name in StudyRecord.__dataclass_fields__:
             if name != "wall_time_seconds":
                 assert getattr(rec, name) == getattr(fresh, name), name
+
+
+def test_field_values_are_evaluated_once_per_operator_set(monkeypatch):
+    # K, P and the three loads of both schemes read one evaluation of A
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return eval_A(*args)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("anisofem")
+                and vars(module).get("eval_A") is eval_A):
+            monkeypatch.setattr(module, "eval_A", counted)
+    cfg = StudyConfig("eps_sweep", family="q1", n_list=[8],
+                      eps_list=[1e-10, 1e-4, 1.0])
+    assert len(run_study(cfg)) == 6
+    assert calls == [FieldSpec("variable_alpha", 2.0)]
+
+
+def _reference_load(space, case, field, eps):
+    """The load with a flux that evaluates b, A and a_par itself."""
+    def flux(x, y, field_values):
+        b = eval_b(field, x, y)
+        A = eval_A(field, x, y)
+        apar = np.asarray(field.a_par(x, y), dtype=float)
+        gw = case.grad_perturbation(x, y)
+        gu = case.grad_u_limit(x, y) + eps * gw
+        bgw = b[..., 0] * gw[..., 0] + b[..., 1] * gw[..., 1]
+        par = ((1.0 - eps) * apar * bgw)[..., None] * b
+        return par + (A @ gu[..., None])[..., 0]
+    return assemble_rhs(space, LinearFunctional(flux=flux))
+
+
+@pytest.mark.parametrize("family", ["q1", "q2", "p1", "p2"])
+@pytest.mark.parametrize("profile", ["smooth", "low_reg"])
+def test_case_load_reads_the_assembly_field_values(profile, family):
+    field = FieldSpec("variable_alpha", 2.0)
+    spec = ProblemSpec("inflow", 0.5, field, family=family, n=5)
+    ops = SchemeOperators(spec.build_mesh(), field, family)
+    for eps in (0.0, 1e-10, 0.5, 1.0):
+        case = ManufacturedCase(profile, 2.0, eps)
+        assert np.array_equal(ops.case_load(case, field, eps),
+                              _reference_load(ops.u_space, case, field, eps))
+
+
+def test_mass_matrix_is_assembled_on_first_read(monkeypatch):
+    kinds = []
+
+    def counted(space, kind, field=None):
+        kinds.append(kind)
+        return assemble(space, kind, field)
+
+    assemble = schemes.assemble
+    monkeypatch.setattr(schemes, "assemble", counted)
+    cfg = StudyConfig("eps_sweep", schemes=["inflow"], family="q1", n_list=[8],
+                      eps_list=[1e-10, 1.0])
+    assert len(run_study(cfg)) == 2
+    assert kinds == ["a_full", "a_par"]
+    spec = _smooth_spec("stabilized", 1e-4, 2.0, 4, sigma=1e-3, family="q1")
+    ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
+    for _ in range(2):
+        run_instance(spec, ops)
+    assert kinds == ["a_full", "a_par"] * 2 + ["mass"]
 
 
 class _LoadFailure(Exception):
@@ -340,23 +402,19 @@ class _FailingLoadCase(_ZeroCase):
 def test_failing_load_is_joined_and_raised():
     spec = ProblemSpec("inflow", 0.5, FieldSpec("variable_alpha", 2.0),
                        _FailingLoadCase(), n=5)
-    before = set(threading.enumerate())
     with pytest.raises(_LoadFailure):
         run_instance(spec)
-    assert set(threading.enumerate()) <= before
 
 
 def test_singular_instance_waits_for_its_load(monkeypatch):
     # eps = sigma = 0 leaves the auxiliary variable of the stabilized
-    # scheme non-unique on the aligned field: the factor fails while the
-    # (slowed) load is still assembled
-    loads = _counted_loads(monkeypatch, delay=0.5)
+    # scheme non-unique on the aligned field: the factor fails, and the
+    # memo keeps the instance's load
+    loads = _counted_loads(monkeypatch)
     with pytest.warns(UserWarning):
         spec = _smooth_spec("stabilized", 0.0, 0.0, 8, sigma=0.0)
     ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
-    before = set(threading.enumerate())
     assert run_instance(spec, ops).solve_status == "SINGULAR"
-    assert set(threading.enumerate()) <= before
     assert (spec.case, spec.field, spec.eps) in ops._loads
     ell = ops.case_load(spec.case, spec.field, spec.eps)
     assert len(loads) == 1 and not ell.flags.writeable
