@@ -150,7 +150,7 @@ class FemSpace:
 
         self.element_dofs = self._build_element_dofs()
         self.n_local = self.element_dofs.shape[1]
-        self._tables: dict = {}     # purpose -> tables, field -> FieldValues
+        self._tables: dict = {}     # purpose, "geometry" -> dicts; field -> values
         self._constrain(dirichlet_tags, boundary_tags)
 
     def _constrain(self, dirichlet_tags, boundary_tags):
@@ -242,56 +242,55 @@ class FemSpace:
     # -- geometric/basis tables -------------------------------------------
 
     def tables(self, purpose: str = "default") -> dict:
-        """Cached per-rule tables: basis values, physical gradients, weights.
-
-        Returns dict with N (nd,Q), G (E,nd,Q,2), wdet (E,Q), xq (E,Q,2).
-        """
+        """Cached per-rule tables: reference N (nd,Q), dN (nd,Q,2), pts (Q,2),
+        weights wdet (E,Q), and the element maps J, invJ (E,2,2), detJ (E,)
+        and origin (E,2) that all rules share.  Kernels map dN by invJ."""
         if purpose in self._tables:
             return self._tables[purpose]
+        if "geometry" not in self._tables:
+            mesh = self.mesh
+            corners = mesh.nodes[mesh.elements]          # (E, nv, 2)
+            J = np.empty((mesh.n_elements, 2, 2))
+            if mesh.element_kind == "quad":
+                # bilinear map on rectangles is affine
+                J[:, :, 0] = 0.5 * (corners[:, 1] - corners[:, 0])
+                J[:, :, 1] = 0.5 * (corners[:, 3] - corners[:, 0])
+                origin = 0.5 * (corners[:, 0] + corners[:, 2])
+            else:
+                J[:, :, 0] = corners[:, 1] - corners[:, 0]
+                J[:, :, 1] = corners[:, 2] - corners[:, 0]
+                origin = corners[:, 0]
+            detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+            if np.any(detJ <= 0):
+                raise ValueError("non-positive element Jacobian")
+            invJ = np.empty_like(J)
+            invJ[:, 0, 0] = J[:, 1, 1] / detJ
+            invJ[:, 0, 1] = -J[:, 0, 1] / detJ
+            invJ[:, 1, 0] = -J[:, 1, 0] / detJ
+            invJ[:, 1, 1] = J[:, 0, 0] / detJ
+            self._tables["geometry"] = dict(J=J, invJ=invJ, origin=origin, detJ=detJ)
+        geo = self._tables["geometry"]
         pts, wts = reference_rule(self.family, purpose)
         N, dN = shape_functions(self.family, pts)
-        mesh = self.mesh
-        corners = mesh.nodes[mesh.elements]          # (E, nv, 2)
-        if mesh.element_kind == "quad":
-            # bilinear map on rectangles is affine
-            J = np.empty((mesh.n_elements, 2, 2))
-            J[:, :, 0] = 0.5 * (corners[:, 1] - corners[:, 0])
-            J[:, :, 1] = 0.5 * (corners[:, 3] - corners[:, 0])
-            origin = 0.5 * (corners[:, 0] + corners[:, 2])
-        else:
-            J = np.empty((mesh.n_elements, 2, 2))
-            J[:, :, 0] = corners[:, 1] - corners[:, 0]
-            J[:, :, 1] = corners[:, 2] - corners[:, 0]
-            origin = corners[:, 0]
-        detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        if np.any(detJ <= 0):
-            raise ValueError("non-positive element Jacobian")
-        invJ = np.empty_like(J)
-        invJ[:, 0, 0] = J[:, 1, 1] / detJ
-        invJ[:, 0, 1] = -J[:, 0, 1] / detJ
-        invJ[:, 1, 0] = -J[:, 1, 0] / detJ
-        invJ[:, 1, 1] = J[:, 0, 0] / detJ
-        # physical gradients G[e,l,q,i] = sum_j dN[l,q,j] * invJ[e,j,i] and
-        # points xq[e,q,i] = origin[e,i] + sum_j J[e,i,j] * pts[q,j], each sum
-        # written out as its two terms: the same products and additions as
-        # einsum's generic loop (bit-identical tables), 2.7-3.5x faster for
-        # the n = 128 Q1/Q2 error rules on a 2-core Xeon.  An optimized
-        # einsum may take a BLAS path and round differently.
-        G = (dN[None, :, :, 0, None] * invJ[:, None, None, 0, :]
-             + dN[None, :, :, 1, None] * invJ[:, None, None, 1, :])
-        xq = origin[:, None, :] + (J[:, None, :, 0] * pts[None, :, 0, None]
-                                   + J[:, None, :, 1] * pts[None, :, 1, None])
-        wdet = wts[None, :] * detJ[:, None]
-        out = {"N": N, "G": G, "wdet": wdet, "xq": xq}
-        self._tables[purpose] = out
-        return out
+        self._tables[purpose] = {"N": N, "dN": dN, "pts": pts, **geo,
+                                 "wdet": wts[None, :] * geo["detJ"][:, None]}
+        return self._tables[purpose]
+
+    def points(self, purpose: str = "default") -> np.ndarray:
+        """The rule's points origin + J.pts (E,Q,2), formed on each call with
+        each sum written out as its two terms: the products and additions
+        of einsum's generic loop, so the same points bit for bit."""
+        J, pts, origin = map(self.tables(purpose).get, ("J", "pts", "origin"))
+        return np.stack([origin[:, None, i] + (J[:, None, i, 0] * pts[:, 0]
+                                               + J[:, None, i, 1] * pts[:, 1])
+                         for i in (0, 1)], axis=-1)
 
     def field_values(self, field: FieldSpec) -> FieldValues:
         """Cached, read-only b, A and a_par of the field at the default
         quadrature points, each (E, Q, ...): the forms and the loads on
         this space read the same values."""
         if field not in self._tables:
-            xq = self.tables()["xq"]
+            xq = self.points()
             values = eval_field(field, xq[..., 0], xq[..., 1])
             for array in values:
                 array.flags.writeable = False
@@ -342,29 +341,46 @@ def nested_dissection(space: FemSpace) -> np.ndarray:
                            nd_blocks(space.mx, space.my, space.degree)])
 
 
+def apply_map(x, m):
+    """x @ m[e] for rows x (E, ..., 2) and per-element 2x2 maps m (E, 2, 2),
+    each sum written out as its two terms over whole component planes."""
+    x = np.ascontiguousarray(x)     # a transposed view would loop over pairs
+    m = m.reshape(m.shape[:1] + (1,) * (x.ndim - 2) + (2, 2))
+    return np.stack([x[..., 0] * m[..., 0, i] + x[..., 1] * m[..., 1, i]
+                     for i in (0, 1)], axis=-1)
+
+
 def assemble(space: FemSpace, kind: str,
              field: FieldSpec | None = None) -> sp.csr_matrix:
     """Assemble a bilinear form over the full (unconstrained) dof lattice.
 
     kind: ``a_full`` is int A grad(u).grad(v); ``a_par`` is
     int A_par (b.grad u)(b.grad v); ``mass`` the L2 product.  The
-    space's constrained set is ignored.
+    space's constrained set is ignored.  Each element matrix is one
+    product of a per-point geometry tensor (wdet J^-1 A J^-T, wdet a_par
+    (J^-1 b)(J^-1 b)^T or wdet) with a reference tensor (dN dN^T, or
+    N N^T for the mass).
     """
     if kind not in FORM_KINDS:
         raise ValueError(f"unknown form kind {kind!r}")
     if kind != "mass" and field is None:
         raise ValueError(f"form {kind!r} needs a field")
     tab = space.tables()
-    N, G, wdet = tab["N"], tab["G"], tab["wdet"]
+    N, dN, wdet = tab["N"], tab["dN"], tab["wdet"]
     if kind == "mass":
-        Ke = np.einsum("eq,lq,mq->elm", wdet, N, N)
-    elif kind == "a_full":
-        Aq = space.field_values(field).A
-        Ke = np.einsum("eq,eqab,elqa,emqb->elm", wdet, Aq, G, G, optimize=True)
+        geo, ref = wdet, np.einsum("lq,mq->qlm", N, N)
     else:
-        bq, _, apar = space.field_values(field)
-        s = np.einsum("elqa,eqa->elq", G, bq)
-        Ke = np.einsum("eq,eq,elq,emq->elm", wdet, apar, s, s, optimize=True)
+        inv_t = tab["invJ"].transpose(0, 2, 1)
+        if kind == "a_full":
+            # J^-1 A J^-T as (A J^-T)^T J^-T, A being symmetric
+            AJ = apply_map(space.field_values(field).A, inv_t)
+            geo = apply_map(AJ.swapaxes(-1, -2), inv_t) * wdet[..., None, None]
+        else:
+            bq, _, apar = space.field_values(field)
+            c = apply_map(bq, inv_t)                                 # J^-1 b
+            geo = ((wdet * apar)[..., None] * c)[..., :, None] @ c[..., None, :]
+        ref = np.einsum("lqj,mqk->qjklm", dN, dN)
+    Ke = geo.reshape(len(geo), -1) @ ref.reshape(-1, space.n_local ** 2)
     ed = space.element_dofs
     rows = np.repeat(ed, space.n_local, axis=1).ravel()
     cols = np.tile(ed, (1, space.n_local)).ravel()
@@ -377,16 +393,17 @@ def assemble_rhs(space: FemSpace, functional: LinearFunctional) -> np.ndarray:
     """Load vector b_i = l(phi_i) using the same rule and, for the flux,
     the same field values as assemble."""
     tab = space.tables()
-    N, G, wdet, xq = tab["N"], tab["G"], tab["wdet"], tab["xq"]
+    N, dN, wdet = tab["N"], tab["dN"], tab["wdet"]
+    xq = space.points()
     re = np.zeros((space.mesh.n_elements, space.n_local))
     if functional.flux is not None:
         F = np.asarray(functional.flux(xq[..., 0], xq[..., 1], space.field_values),
                        dtype=float)
-        re += np.einsum("eq,eqa,elqa->el", wdet, F, G, optimize=True)
+        H = apply_map(F, tab["invJ"].transpose(0, 2, 1)) * wdet[..., None]  # J^-1 F
+        re += H.reshape(len(H), -1) @ dN.transpose(1, 2, 0).reshape(-1, space.n_local)
     if functional.source is not None:
         f0 = np.asarray(functional.source(xq[..., 0], xq[..., 1]), dtype=float)
-        f0 = np.broadcast_to(f0, wdet.shape)
-        re += np.einsum("eq,eq,lq->el", wdet, f0, N)
+        re += (wdet * f0) @ N.T
     out = np.zeros(space.n_dofs)
     np.add.at(out, space.element_dofs.ravel(), re.ravel())
     return out
@@ -406,7 +423,7 @@ def exact_values(space: FemSpace, case) -> ExactValues | None:
     None (zero) stays None."""
     if case is None:
         return None
-    xq = space.tables("error")["xq"]
+    xq = space.points("error")
     return ExactValues(np.asarray(case.u(xq[..., 0], xq[..., 1]), dtype=float),
                        np.asarray(case.grad_u(xq[..., 0], xq[..., 1]), dtype=float))
 
@@ -425,10 +442,10 @@ def error_components(space: FemSpace, coefficients, case=None):
     if not isinstance(case, ExactValues):
         case = exact_values(space, case)
     tab = space.tables("error")
-    N, G, wdet = tab["N"], tab["G"], tab["wdet"]
+    N, dN, wdet = tab["N"], tab["dN"], tab["wdet"]
     ce = coefficients[space.element_dofs]                 # (E, nd)
-    uh = np.einsum("el,lq->eq", ce, N)
-    guh = np.einsum("el,elqa->eqa", ce, G)
+    uh = ce @ N
+    guh = apply_map((ce @ dN.reshape(len(dN), -1)).reshape(uh.shape + (2,)), tab["invJ"])
     if case is None:
         du, dg = uh, guh
     else:

@@ -192,45 +192,48 @@ class ManufacturedCase:
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
 
-    # -- limit solution, constant along field lines ---------------------
+    # -- limit solution u0 (constant along field lines), perturbation w --
 
     def u_limit(self, x, y):
-        t = field_line_coordinate(self.alpha, x, y)
-        if self.case_id == "smooth":
-            return np.sin(np.pi * t)
-        return _t2logt(t) - 1.5 + 7.5 * t
-
-    def grad_u_limit(self, x, y):
-        t = field_line_coordinate(self.alpha, x, y)
-        tx, ty = _grad_t(self.alpha, x, y)
-        if self.case_id == "smooth":
-            dt = np.pi * np.cos(np.pi * t)
-        else:
-            dt = _d_t2logt(t) + 7.5
-        return _stack(dt * tx, dt * ty)
-
-    # -- eps-proportional perturbation -----------------------------------
+        return self._values(x, y)[0]
 
     def perturbation(self, x, y):
-        t = field_line_coordinate(self.alpha, x, y)
-        return np.cos(2.0 * np.pi * np.asarray(x, dtype=float)) * np.sin(np.pi * t)
+        return self._values(x, y)[1]
+
+    def grad_u_limit(self, x, y):
+        return self._gradients(x, y)[0]
 
     def grad_perturbation(self, x, y):
+        return self._gradients(x, y)[1]
+
+    def _values(self, x, y):
+        """u0 and w at (x, y), from one evaluation of t."""
+        t = field_line_coordinate(self.alpha, x, y)
+        w = np.cos(2.0 * np.pi * np.asarray(x, dtype=float)) * np.sin(np.pi * t)
+        u0 = np.sin(np.pi * t) if self.case_id == "smooth" else _t2logt(t) - 1.5 + 7.5 * t
+        return u0, w
+
+    def _gradients(self, x, y):
+        """grad u0 and grad w at (x, y), from one evaluation of t and grad t."""
         x = np.asarray(x, dtype=float)
         t = field_line_coordinate(self.alpha, x, y)
         tx, ty = _grad_t(self.alpha, x, y)
+        dt = np.pi * np.cos(np.pi * t) if self.case_id == "smooth" else _d_t2logt(t) + 7.5
         c2, s2 = np.cos(2.0 * np.pi * x), np.sin(2.0 * np.pi * x)
         s, c = np.sin(np.pi * t), np.cos(np.pi * t)
-        return _stack(-2.0 * np.pi * s2 * s + c2 * np.pi * c * tx,
-                      c2 * np.pi * c * ty)
+        return (_stack(dt * tx, dt * ty),
+                _stack(-2.0 * np.pi * s2 * s + c2 * np.pi * c * tx,
+                       c2 * np.pi * c * ty))
 
     # -- exact solution of the eps-problem ------------------------------
 
     def u(self, x, y):
-        return self.u_limit(x, y) + self.eps * self.perturbation(x, y)
+        u0, w = self._values(x, y)
+        return u0 + self.eps * w
 
     def grad_u(self, x, y):
-        return self.grad_u_limit(x, y) + self.eps * self.grad_perturbation(x, y)
+        g0, gw = self._gradients(x, y)
+        return g0 + self.eps * gw
 
     # -- problem data: load functional and Dirichlet values --------------
 
@@ -296,10 +299,10 @@ def rhs_functional(case: ManufacturedCase, field: FieldSpec, eps: float) -> Line
     """
     def flux(x, y, field_values: Callable[[FieldSpec], FieldValues]):
         b, A, apar = field_values(field)
-        gw = case.grad_perturbation(x, y)
+        g0, gw = case._gradients(x, y)
         # grad of the eps-solution, formed with the eps given here so the
         # functional and the solution it manufactures always agree
-        gu = case.grad_u_limit(x, y) + eps * gw
+        gu = g0 + eps * gw
         bgw = b[..., 0] * gw[..., 0] + b[..., 1] * gw[..., 1]
         par = ((1.0 - eps) * apar * bgw)[..., None] * b
         return par + (A @ gu[..., None])[..., 0]

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import ALPHA_MAX, CASE_IDS, FieldSpec, LinearFunctional, ManufacturedCase
-from .fem import FAMILIES, assemble_rhs, error_norms, parallel_seminorm
+from .fem import FAMILIES, apply_map, assemble_rhs, error_norms, parallel_seminorm
 from .geometry import build_quad_mesh, build_tri_mesh
 from .schemes import (SCHEME_KINDS, ProblemSpec, SchemeOperators, build_system,
                       solve_scheme)
@@ -398,7 +398,7 @@ def _infsup_ratio(n: int, field: FieldSpec) -> float:
     # the coarse multiplier gradient is constant per coarse triangle; each
     # fine element, quadrature points included, nests inside one of them
     tab_c = Vc.tables()
-    grad_q = np.einsum("el,ela->ea", q[Vc.element_dofs], tab_c["G"][:, :, 0, :])
+    grad_q = apply_map(q[Vc.element_dofs] @ tab_c["dN"][:, 0, :], tab_c["invJ"])
     hcell = 1.0 / n
 
     def flux(x, y, field_values):

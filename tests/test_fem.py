@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from anisofem import fem
-from anisofem.fields import (FieldSpec, LinearFunctional, ManufacturedCase,
-                             eval_field, rhs_functional)
+from anisofem.fields import (FieldSpec, FieldValues, LinearFunctional,
+                             ManufacturedCase, eval_field, rhs_functional)
 from anisofem.fem import (FAMILIES, ND_LEAF, FemSpace, assemble, assemble_rhs,
                           error_norms, nd_blocks, nested_dissection,
                           parallel_seminorm, shape_functions, reference_rule)
@@ -60,7 +60,8 @@ def test_partition_of_unity():
 
 def _reference_tables(mesh, family, purpose):
     """The quadrature tables from their einsum formulas, the reference the
-    broadcast tables of FemSpace.tables must match bit for bit."""
+    tables and points of FemSpace must match bit for bit; G (E,nd,Q,2)
+    and xq (E,Q,2) are the physical gradients and points."""
     pts, wts = reference_rule(family, purpose)
     N, dN = shape_functions(family, pts)
     c = mesh.nodes[mesh.elements]
@@ -79,22 +80,116 @@ def _reference_tables(mesh, family, purpose):
     inv[:, 0, 1] = -J[:, 0, 1] / det
     inv[:, 1, 0] = -J[:, 1, 0] / det
     inv[:, 1, 1] = J[:, 0, 0] / det
-    return {"N": N, "G": np.einsum("lqj,eji->elqi", dN, inv),
-            "wdet": wts[None, :] * det[:, None],
+    return {"N": N, "dN": dN, "pts": pts, "J": J, "invJ": inv, "origin": origin,
+            "detJ": det, "wdet": wts[None, :] * det[:, None],
+            "G": np.einsum("lqj,eji->elqi", dN, inv),
             "xq": origin[:, None, :] + np.einsum("eij,qj->eqi", J, pts)}
+
+
+def _mesh(family, nx=6, ny=5):
+    if FAMILIES[family][0] == "quad":
+        return build_quad_mesh(nx, ny, 1.0, 1.3)
+    return build_tri_mesh(nx, 1.0, 1.3)
 
 
 @pytest.mark.parametrize("purpose", ["default", "error"])
 @pytest.mark.parametrize("family", ["q1", "q2", "p1", "p2"])
 def test_tables_match_einsum_reference(family, purpose):
-    if FAMILIES[family][0] == "quad":
-        mesh = build_quad_mesh(6, 5, 1.0, 1.3)
-    else:
-        mesh = build_tri_mesh(6, 1.0, 1.3)
-    tab = FemSpace(mesh, family).tables(purpose)
+    mesh = _mesh(family)
+    space = FemSpace(mesh, family)
+    tab = space.tables(purpose)
     ref = _reference_tables(mesh, family, purpose)
-    for name in ("N", "G", "wdet", "xq"):
+    assert set(tab) == {"N", "dN", "pts", "J", "invJ", "origin", "detJ", "wdet"}
+    for name in tab:
         assert np.array_equal(tab[name], ref[name]), name
+    assert np.array_equal(space.points(purpose), ref["xq"])
+    # the physical gradients the kernels form from dN and invJ
+    dN = np.broadcast_to(tab["dN"], (mesh.n_elements,) + tab["dN"].shape)
+    G = fem.apply_map(dN, tab["invJ"])
+    assert np.allclose(G, ref["G"], rtol=1e-15, atol=0.0)
+
+
+def _coo_dense(space, Ke):
+    ed = space.element_dofs
+    out = np.zeros((space.n_dofs, space.n_dofs))
+    np.add.at(out, (ed[:, :, None], ed[:, None, :]), Ke)
+    return out
+
+
+def _scatter(space, re):
+    out = np.zeros(space.n_dofs)
+    np.add.at(out, space.element_dofs, re)
+    return out
+
+
+def _reference_kernels(space, field, functional, coefficients, case):
+    """K, P, M, the load and error_components from the einsum-over-G
+    formulas that assembled them before the reference-tensor kernels."""
+    tab = _reference_tables(space.mesh, space.family, "default")
+    N, G, wdet, xq = tab["N"], tab["G"], tab["wdet"], tab["xq"]
+    values = eval_field(field, xq[..., 0], xq[..., 1])
+    K = np.einsum("eq,eqab,elqa,emqb->elm", wdet, values.A, G, G, optimize=True)
+    s = np.einsum("elqa,eqa->elq", G, values.b)
+    P = np.einsum("eq,eq,elq,emq->elm", wdet, values.a_par, s, s, optimize=True)
+    M = np.einsum("eq,lq,mq->elm", wdet, N, N)
+    F = functional.flux(xq[..., 0], xq[..., 1],
+                        lambda f: eval_field(f, xq[..., 0], xq[..., 1]))
+    load = np.einsum("eq,eqa,elqa->el", wdet, F, G, optimize=True)
+    err = _reference_tables(space.mesh, space.family, "error")
+    N, G, wdet, xq = err["N"], err["G"], err["wdet"], err["xq"]
+    ce = coefficients[space.element_dofs]
+    uh = np.einsum("el,lq->eq", ce, N)
+    guh = np.einsum("el,elqa->eqa", ce, G)
+    du = uh - case.u(xq[..., 0], xq[..., 1])
+    dg = guh - case.grad_u(xq[..., 0], xq[..., 1])
+    norms = (np.sum(wdet * du * du), np.sum(wdet[..., None] * dg * dg),
+             np.sum(wdet * uh * uh), np.sum(wdet[..., None] * guh * guh))
+    return ([_coo_dense(space, Ke) for Ke in (K, P, M)], _scatter(space, load),
+            np.array(norms))
+
+
+@pytest.mark.parametrize("case_id", ["smooth", "low_reg"])
+@pytest.mark.parametrize("kind, alpha", [("variable_alpha", 2.0), ("aligned_e2", 0.0)])
+@pytest.mark.parametrize("family", ["q1", "q2", "p1", "p2"])
+def test_kernels_match_einsum_over_gradients(family, kind, alpha, case_id):
+    space = FemSpace(_mesh(family, 5, 4), family)
+    field = FieldSpec(kind, alpha)
+    case = ManufacturedCase(case_id, alpha, 0.3)
+    functional = rhs_functional(case, field, 0.3)
+    coefficients = np.random.default_rng(3).standard_normal(space.n_dofs)
+    forms, load, norms = _reference_kernels(space, field, functional,
+                                            coefficients, case)
+    for form, ref in zip(("a_full", "a_par", "mass"), forms):
+        got = assemble(space, form, field).toarray()
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), form
+    got = assemble_rhs(space, functional)
+    assert np.abs(got - load).max() <= 1e-14 * np.abs(load).max()
+    got = np.array(fem.error_components(space, coefficients, case))
+    assert np.abs(got - norms).max() <= 1e-14 * np.abs(norms).max()
+
+
+@pytest.mark.parametrize("family", ["q1", "q2", "p1", "p2"])
+def test_table_cache_holds_no_per_point_gradients(family):
+    # after every kernel has run, both rules' cached tables hold the weights
+    # and a few doubles of element geometry per element: no gradient or
+    # point arrays (the field values are a separate, exempt cache)
+    space = FemSpace(_mesh(family, 24, 24), family)
+    field = FieldSpec("variable_alpha", 2.0)
+    case = ManufacturedCase("smooth", 2.0, 0.3)
+    for form in ("a_full", "a_par", "mass"):
+        assemble(space, form, field)
+    assemble_rhs(space, rhs_functional(case, field, 0.3))
+    error_norms(space, space.interpolate(case.u), case)
+    arrays = {}
+    for entry in space._tables.values():
+        if isinstance(entry, FieldValues):
+            continue
+        for array in entry.values():
+            arrays[id(array)] = array
+    per_element = sum(a.size for a in arrays.values()) / space.mesh.n_elements
+    n_points = sum(len(reference_rule(family, purpose)[1])
+                   for purpose in ("default", "error"))
+    assert per_element <= n_points + 16
 
 
 M1 = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0        # 1D linear mass on [0,1]

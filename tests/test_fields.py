@@ -158,3 +158,32 @@ def test_rhs_functional_eps_one_drops_parallel_term():
     F = rhs_functional(case, field, 1.0).flux(
         0.3, 0.6, lambda f: eval_field(f, 0.3, 0.6))
     assert np.allclose(F, case.grad_u(0.3, 0.6), atol=1e-13)
+
+
+@pytest.mark.parametrize("case_id", ["smooth", "low_reg"])
+def test_exact_values_and_flux_evaluate_t_once(case_id, monkeypatch):
+    # case.u, case.grad_u and the load's flux each evaluate the field-line
+    # coordinate t, and its gradient where they need it, once per call
+    from anisofem import fields
+    calls = {"t": 0, "grad_t": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(fields, "field_line_coordinate",
+                        counted("t", fields.field_line_coordinate))
+    monkeypatch.setattr(fields, "_grad_t", counted("grad_t", fields._grad_t))
+    field = FieldSpec("variable_alpha", 2.0)
+    case = ManufacturedCase(case_id, 2.0, 0.3)
+    x, y = np.meshgrid(np.linspace(0.1, 0.9, 5), np.linspace(0.1, 0.9, 4))
+    flux = rhs_functional(case, field, 0.3).flux
+    for evaluate, t_calls, grad_t_calls in (
+            (lambda: case.u(x, y), 1, 0),
+            (lambda: case.grad_u(x, y), 1, 1),
+            (lambda: flux(x, y, lambda f: eval_field(f, x, y)), 1, 1)):
+        calls.update(t=0, grad_t=0)
+        evaluate()
+        assert calls == {"t": t_calls, "grad_t": grad_t_calls}
