@@ -14,7 +14,7 @@ from .geometry import (BoundaryTags, Mesh, Tag, build_quad_mesh,
 from .schemes import (BlockSystem, ProblemSpec, SchemeOperators, SchemeResult,
                       build_system, solve_scheme)
 from .solver import (LuFactor, SingularMatrixError, cond1_estimate,
-                     finalize_csr, lu_factor, solve)
+                     lu_factor, solve)
 from .spectral import (DegenerateSpectralProblem, FourierRhs, SpectralSolution,
                        eval_series, sobolev_seminorm, spectral_solve)
 from .studies import (StudyConfig, StudyRecord, emit_csv, emit_plot_script,

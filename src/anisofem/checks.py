@@ -16,7 +16,7 @@ from .fields import FieldSpec, ManufacturedCase, eval_b
 from .fem import FAMILIES, parallel_seminorm, reference_rule, shape_functions
 from .geometry import build_quad_mesh
 from .schemes import SchemeOperators
-from .solver import cond1_estimate, finalize_csr, lu_factor, solve
+from .solver import cond1_estimate, lu_factor, solve
 from .studies import StudyRecord, emit_csv, read_csv
 
 
@@ -95,7 +95,7 @@ def check_lu_residual():
     A = rng.standard_normal((n, n))
     A[np.abs(A) < 1.0] = 0.0
     A += np.diag(np.abs(A).sum(axis=1) + 1.0)
-    As = finalize_csr(sp.csr_matrix(A))
+    As = sp.csr_matrix(A)
     factor = lu_factor(As)
     norm_a1 = float(np.max(np.abs(As).sum(axis=0)))
     worst = 0.0
@@ -114,7 +114,7 @@ def check_cond1_sandwich():
     worst_low, worst_high = np.inf, 0.0
     for _ in range(20):
         A = rng.standard_normal((50, 50))
-        As = finalize_csr(sp.csr_matrix(A))
+        As = sp.csr_matrix(A)
         est = cond1_estimate(lu_factor(As))
         exact = float(np.max(np.abs(A).sum(axis=0)) *
                       np.max(np.abs(np.linalg.inv(A)).sum(axis=0)))

@@ -7,7 +7,8 @@ midpoints fill the odd lattice positions), numbered lexicographically with
 x fastest, which keeps dof numbering bit-stable across runs.
 
 Assembly is vectorized over elements; constrained dofs are not touched at
-assembly time, elimination happens when systems are built.
+assembly time, elimination happens when systems are built.  All forms on a
+space share one CSR pattern, its element stencil: cancelled entries stay.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import scipy.sparse as sp
 
 from .geometry import Mesh, BoundaryTags
 from .fields import FieldSpec, FieldValues, LinearFunctional, eval_field
-from .solver import finalize_csr
 
 FAMILIES = {"q1": ("quad", 1), "q2": ("quad", 2), "p1": ("triangle", 1),
             "p2": ("triangle", 2)}
@@ -359,7 +359,7 @@ def assemble(space: FemSpace, kind: str,
     space's constrained set is ignored.  Each element matrix is one
     product of a per-point geometry tensor (wdet J^-1 A J^-T, wdet a_par
     (J^-1 b)(J^-1 b)^T or wdet) with a reference tensor (dN dN^T, or
-    N N^T for the mass).
+    N N^T for the mass).  Cancelled entries stay as explicit zeros.
     """
     if kind not in FORM_KINDS:
         raise ValueError(f"unknown form kind {kind!r}")
@@ -384,9 +384,8 @@ def assemble(space: FemSpace, kind: str,
     ed = space.element_dofs
     rows = np.repeat(ed, space.n_local, axis=1).ravel()
     cols = np.tile(ed, (1, space.n_local)).ravel()
-    K = sp.coo_matrix((Ke.ravel(), (rows, cols)),
-                      shape=(space.n_dofs, space.n_dofs))
-    return finalize_csr(K)
+    return sp.coo_matrix((Ke.ravel(), (rows, cols)),
+                         shape=(space.n_dofs, space.n_dofs)).tocsr()
 
 
 def assemble_rhs(space: FemSpace, functional: LinearFunctional) -> np.ndarray:

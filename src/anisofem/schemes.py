@@ -32,7 +32,7 @@ from .fields import FieldSpec, ManufacturedCase
 from .fem import (FAMILIES, ExactValues, FemSpace, assemble, assemble_rhs,
                   exact_values, nested_dissection)
 from .geometry import Mesh, Tag, build_quad_mesh, build_tri_mesh, classify_boundary
-from .solver import LuFactor, block_pattern, lu_factor, solve, solve_with_cond1
+from .solver import LuFactor, lu_factor, solve, solve_with_cond1
 from .spectral import SpectralSolution
 
 SCHEME_KINDS = ("standard", "inflow", "stabilized")
@@ -197,7 +197,8 @@ class SchemePlan(NamedTuple):
     holds the block matrix in that order as its first len(order) columns
     and the lift, the couplings to the pinned u-dofs, as the rest; a term
     (src, dst) of _TERMS adds its factor times form.data[src] to data[dst].
-    The systems share the order and pattern arrays, which are read-only."""
+    K, P and M share one pattern, so src is a slot of any of them.  The
+    systems share the order and pattern arrays, which are read-only."""
 
     order: np.ndarray
     u_rows: np.ndarray     # plan rows of the free u-dofs
@@ -214,15 +215,30 @@ def _build_plan(ops: SchemeOperators, scheme: str) -> SchemePlan:
     rank = np.empty(nd, dtype=np.int64)
     rank[nested_dissection(us)] = np.arange(nd)
     order = np.argsort(2 * rank[dofs % nd] + dofs // nd)
+    unknowns = dofs[order]                  # of each plan row
     n, n_c = len(order), len(us.constrained)
-    rows = np.full(2 * nd, -1)              # plan row of each unknown
-    rows[dofs[order]] = np.arange(n)
-    cols = rows.copy()
+    cols = np.full(2 * nd, -1, dtype=np.int32)  # plan column; a free one's row too
+    cols[unknowns] = np.arange(n)
     cols[us.constrained] = n + np.arange(n_c)
-    part = {"u": slice(0, nd), "q": slice(nd, 2 * nd)}
-    pattern = block_pattern([(getattr(ops, X), rows[part[r]], cols[part[c]])
-                             for X, r, c in _TERMS[scheme]], (n, n + n_c))
-    plan = SchemePlan(order, rows[us.free], *pattern)
+    # K, P and M share one pattern; entry s in column part c (0 for u, 1 for
+    # q) is 2 s + c.  Its rows, widened to every part, with plan columns and
+    # no pinned column outside the lift, are gathered in plan-row order; the
+    # CSR -> CSC transpose, a counting sort, leaves each column's rows sorted.
+    K, parts = ops.K, range(1 if qs is None else 2)
+    slots = 2 * np.arange(K.nnz, dtype=np.int32)
+    wide = sp.hstack([sp.csr_matrix((slots + c, K.indices, K.indptr), shape=K.shape)
+                      for c in parts], format="csr")
+    col = cols[wide.indices]
+    keep = col >= 0
+    indptr = np.concatenate([[0], np.cumsum(keep)])[wide.indptr]
+    stencil = sp.csr_matrix((wide.data[keep], col[keep], indptr), shape=(nd, n + n_c))
+    pattern = stencil[unknowns % nd].tocsc()
+    block = 2 * (unknowns // nd).astype(np.int8)[pattern.indices] + (pattern.data & 1)
+    terms = []
+    for _, r, c in _TERMS[scheme]:
+        dst = np.flatnonzero(block == 2 * (r == "q") + (c == "q"))
+        terms.append((pattern.data[dst] >> 1, dst.astype(np.int32)))
+    plan = SchemePlan(order, cols[us.free], pattern.indptr, pattern.indices, terms)
     for array in (plan.order, plan.indptr, plan.indices):
         array.flags.writeable = False       # shared by every system
     return plan

@@ -61,41 +61,6 @@ class LuFactor:
         return x
 
 
-def finalize_csr(A) -> sp.csr_matrix:
-    """Canonical CSR: duplicates summed, indices sorted, tiny entries dropped."""
-    A = sp.csr_matrix(A)
-    A.sum_duplicates()
-    A.sort_indices()
-    A.data[np.abs(A.data) < 1e-300] = 0.0
-    A.eliminate_zeros()
-    return A
-
-
-def block_pattern(blocks, shape) -> tuple:
-    """The CSC pattern of a sum of sparse blocks.
-
-    Each block is (X, rows, cols): row i of the canonical CSR matrix X
-    lands in row rows[i] of the sum, column j in column cols[j], and an
-    entry with a negative row or column is left out.  Returns indptr,
-    indices and, per block, (src, dst): which entries of X.data land, and
-    where in the pattern's data.
-    """
-    n = shape[0]
-    keys, sources = [], []
-    for X, rows, cols in blocks:
-        i = rows[np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))]
-        j = cols[X.indices]
-        src = np.flatnonzero((i >= 0) & (j >= 0))
-        keys.append(j[src] * n + i[src])
-        sources.append(src.astype(np.int32))
-    pattern, where = np.unique(np.concatenate(keys), return_inverse=True)
-    indptr = np.zeros(shape[1] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(pattern // n, minlength=shape[1]), out=indptr[1:])
-    dst = np.split(where.astype(np.int32),
-                   np.cumsum([len(src) for src in sources])[:-1])
-    return indptr, (pattern % n).astype(np.int32), list(zip(sources, dst))
-
-
 def lu_factor(A, pivot_rtol: float = PIVOT_RTOL, order=None) -> LuFactor:
     """Factor a square sparse matrix.
 

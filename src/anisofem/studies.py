@@ -165,6 +165,11 @@ class StudyConfig:
                              "(eps, alpha) regimes")
         if any(not _is_number(n, Integral) or n < 1 for n in self.n_list or ()):
             raise ValueError(f"n {self.n_list}: resolutions are positive integers")
+        # oracle_validation runs q1 and q2 unless a family is given
+        if ("family" in study.reads and 1 in (self.n_list or ())
+                and FAMILIES[self.value("family") or "q1"][1] == 1):
+            raise ValueError("n = 1 leaves a degree-1 family no unknowns: every "
+                             "dof of the mesh lies on the Dirichlet boundary")
         if any(not _is_number(k, Integral) or k < 1 for k in self.k_list or ()):
             raise ValueError(f"k {self.k_list}: mode indices are positive integers")
         if self.kind == "infsup_probe" and any(n % 2 for n in self.n_list or ()):

@@ -263,6 +263,11 @@ def test_cli_check_smoke(capsys):
     # an unterminated bracket used to read as if it were closed
     "study = h_convergence\nfamily = q1\nn = [4, 8",
     "study = oracle_validation\nfamily = q1\nn = [4]\nmodes = [[1, 1, 1.0], [2",
+    # n = 1 leaves a degree-1 family no unknowns: lu_factor failed on the
+    # empty system
+    "study = h_convergence\nfamily = q1\nn = [1, 2]",
+    "study = low_regularity\nn = [1]",
+    "study = oracle_validation\nn = [1]",
 ], ids=["family_q3", "case_rough", "infsup_odd_n", "alpha_5_eps_sweep",
         "alpha_5_h_convergence", "alpha_5_sigma_sweep",
         "alpha_without_eps_h_convergence", "alpha_without_eps_sigma_sweep",
@@ -279,7 +284,8 @@ def test_cli_check_smoke(capsys):
         "dual_norm_check_empty_k", "low_regularity_empty_alpha",
         "oracle_empty_modes", "strict_nope", "multi_h_maybe", "eps_true", "n_true",
         "sigma_true", "plot_list", "sigma_h_nan", "sigma_h_inf", "sigma_inf",
-        "eps_inf", "sigma_list_inf", "n_unterminated", "modes_unterminated"])
+        "eps_inf", "sigma_list_inf", "n_unterminated", "modes_unterminated",
+        "n_one_q1", "n_one_low_regularity", "n_one_oracle"])
 def test_cli_rejects_bad_study_values(tmp_path, capsys, body):
     out_csv = tmp_path / "out.csv"
     cfg = _write(tmp_path, f"[bad]\n{body}\noutput = {out_csv}\n")
@@ -290,6 +296,14 @@ def test_cli_rejects_bad_study_values(tmp_path, capsys, body):
     assert "configuration error:" in captured.err
     assert "running" not in captured.out
     assert not out_csv.exists()
+
+
+def test_cli_runs_q2_at_n_one(tmp_path, capsys):
+    # a Q2 cell has one interior dof, so n = 1 is a system
+    out_csv = tmp_path / "out.csv"
+    body = f"[one]\nstudy = eps_sweep\nfamily = q2\nn = [1]\noutput = {out_csv}\n"
+    assert main(["run", _write(tmp_path, body)]) == 0
+    assert len(out_csv.read_text().splitlines()) > 1
 
 
 def test_cli_output_is_the_text_of_its_key(tmp_path, monkeypatch, capsys):

@@ -7,8 +7,8 @@ import pytest
 from anisofem import fem
 from anisofem.fields import (FieldSpec, FieldValues, LinearFunctional,
                              ManufacturedCase, eval_field, rhs_functional)
-from anisofem.fem import (FAMILIES, ND_LEAF, FemSpace, assemble, assemble_rhs,
-                          error_norms, nd_blocks, nested_dissection,
+from anisofem.fem import (FAMILIES, FORM_KINDS, ND_LEAF, FemSpace, assemble,
+                          assemble_rhs, error_norms, nd_blocks, nested_dissection,
                           parallel_seminorm, shape_functions, reference_rule)
 from anisofem.geometry import (Tag, build_quad_mesh, build_tri_mesh,
                                classify_boundary)
@@ -248,6 +248,27 @@ def test_assembly_deterministic():
     assert np.array_equal(A1.data, A2.data)
     assert np.array_equal(A1.indices, A2.indices)
     assert np.array_equal(A1.indptr, A2.indptr)
+
+
+@pytest.mark.parametrize("field", [FieldSpec("variable_alpha", 2.0),
+                                   FieldSpec("aligned_e2")],
+                         ids=["curved", "aligned"])
+@pytest.mark.parametrize("family", ["q1", "q2", "p1", "p2"])
+def test_forms_share_the_element_stencil(family, field):
+    # the pattern depends on the mesh and family alone: an entry that
+    # cancels (a_par across the P1/P2 diagonals on the aligned field) is
+    # kept as an exact zero instead of being dropped
+    space = _space(4, family)
+    ed, nd = space.element_dofs, space.n_dofs
+    stencil = np.unique((ed[:, :, None] * nd + ed[:, None, :]).ravel())  # i * nd + j
+    for kind in FORM_KINDS:
+        A = assemble(space, kind, field)
+        assert A.has_canonical_format
+        assert np.array_equal(A.indptr, np.searchsorted(stencil, np.arange(nd + 1) * nd))
+        assert np.array_equal(A.indices, stencil % nd)
+        assert np.all(A.data[np.abs(A.data) < 1e-300] == 0.0)
+    if field.kind == "aligned_e2" and family.startswith("p"):
+        assert np.count_nonzero(assemble(space, "a_par", field).data == 0.0) > 0
 
 
 def test_a_par_kernel_on_aligned_interpolant():

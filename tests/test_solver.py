@@ -9,19 +9,19 @@ from anisofem import schemes
 from anisofem.fem import nested_dissection
 from anisofem.fields import FieldSpec, ManufacturedCase
 from anisofem.schemes import ProblemSpec, SchemeOperators, build_system
-from anisofem.solver import (SingularMatrixError, cond1_estimate,
-                             finalize_csr, lu_factor, solve, solve_with_cond1)
+from anisofem.solver import (SingularMatrixError, cond1_estimate, lu_factor,
+                             solve, solve_with_cond1)
 
 
 def test_identity_solve():
-    A = finalize_csr(sp.eye(5, format="csr"))
+    A = sp.eye(5, format="csr")
     F = lu_factor(A)
     b = np.arange(5.0)
     assert np.array_equal(solve(F, b), b)
 
 
 def test_permutation_solve():
-    A = finalize_csr(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     F = lu_factor(A)
     assert np.allclose(solve(F, np.array([1.0, 2.0])), [2.0, 1.0])
 
@@ -30,7 +30,7 @@ def _random_dd(rng, n):
     A = rng.standard_normal((n, n))
     A[np.abs(A) < 1.0] = 0.0
     A += np.diag(np.abs(A).sum(axis=1) + 1.0)
-    return finalize_csr(sp.csr_matrix(A))
+    return sp.csr_matrix(A)
 
 
 def test_residual_contract_random_dd():
@@ -65,11 +65,11 @@ def test_determinism():
 def test_exactly_singular_raises():
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):
-        lu_factor(finalize_csr(A))
+        lu_factor(A)
 
 
 def test_pivot_threshold_raises():
-    A = finalize_csr(sp.csr_matrix(np.diag([1.0, 1e-20])))
+    A = sp.csr_matrix(np.diag([1.0, 1e-20]))
     with pytest.raises(SingularMatrixError):
         lu_factor(A)
     # a relaxed threshold lets the same matrix through
@@ -82,7 +82,7 @@ def test_pivot_threshold_raises():
 def test_singular_verdict_leaves_no_cyclic_garbage(dense):
     # a failed factor pinned by a reference cycle would stay alive until the
     # cyclic collector runs, which on large systems multiplies peak memory
-    A = finalize_csr(sp.csr_matrix(np.array(dense)))
+    A = sp.csr_matrix(np.array(dense))
     gc.collect()
     gc.disable()
     try:
@@ -100,12 +100,12 @@ def test_nonsquare_rejected():
 
 
 def test_cond1_identity():
-    A = finalize_csr(sp.eye(17, format="csr"))
+    A = sp.eye(17, format="csr")
     assert cond1_estimate(lu_factor(A)) == 1.0
 
 
 def test_cond1_diagonal():
-    A = finalize_csr(sp.csr_matrix(np.diag([1.0, 1e-6])))
+    A = sp.csr_matrix(np.diag([1.0, 1e-6]))
     est = cond1_estimate(lu_factor(A))
     assert est == pytest.approx(1e6, rel=1e-12)
 
@@ -114,7 +114,7 @@ def test_cond1_sandwich_against_dense_oracle():
     rng = np.random.default_rng(13)
     for _ in range(20):
         A = rng.standard_normal((50, 50))
-        As = finalize_csr(sp.csr_matrix(A))
+        As = sp.csr_matrix(A)
         est = cond1_estimate(lu_factor(As))
         exact = float(np.max(np.abs(A).sum(axis=0))
                       * np.max(np.abs(np.linalg.inv(A)).sum(axis=0)))
@@ -126,7 +126,7 @@ def test_solve_with_cond1_matches_separate_calls():
     # the batched start solves feed the same estimate and refined solution
     rng = np.random.default_rng(13)
     for _ in range(20):
-        A = finalize_csr(sp.csr_matrix(rng.standard_normal((50, 50))))
+        A = sp.csr_matrix(rng.standard_normal((50, 50)))
         F = lu_factor(A)
         b = rng.standard_normal(50)
         x, cond1 = solve_with_cond1(F, b)
@@ -134,20 +134,11 @@ def test_solve_with_cond1_matches_separate_calls():
         assert cond1 == pytest.approx(cond1_estimate(F), rel=1e-8)
 
 
-def test_finalize_csr_contract():
-    A = sp.coo_matrix(([1.0, 2.0, 1e-301, 3.0], ([0, 0, 1, 0], [1, 1, 0, 0])),
-                      shape=(2, 2))
-    B = finalize_csr(A)
-    assert B[0, 1] == 3.0                # duplicates summed
-    assert B.nnz == 2                    # tiny entry dropped
-    assert B.has_sorted_indices
-
-
 def test_explicit_order_reaches_the_retry(monkeypatch):
     # the static-pivot factor keeps the 0.02 pivot, which fails the pivot
     # test; partial pivoting takes the 1 instead and passes.  A is given in
     # the order [1, 0] of its unknowns, so the retry factors it unpermuted.
-    A = finalize_csr(sp.csr_matrix(np.array([[0.02, 1.0], [1.0, 1.0]])))
+    A = sp.csr_matrix(np.array([[0.02, 1.0], [1.0, 1.0]]))
     calls, original = [], spla.splu
 
     def counted(M, **kwargs):
@@ -175,7 +166,7 @@ def test_order_is_solved_in_original_coordinates():
     rng = np.random.default_rng(5)
     A = _random_dd(rng, 60).tolil()
     A[0, 0] = 1e-12
-    A = finalize_csr(A)
+    A = sp.csr_matrix(A)
     order = rng.permutation(60)
     F = lu_factor(A, pivot_rtol=1e-10, order=order)
     assert F.order is not None
