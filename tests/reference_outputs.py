@@ -1,0 +1,150 @@
+"""Reference outputs of the eight default studies, and the check against them.
+
+``tests/reference/<kind>.csv`` holds what ``anisofem run`` writes for a
+section that sets only ``study = <kind>``, without the
+``wall_time_seconds`` column.  ``tests/reference/versions.json`` records
+the Python, numpy and scipy that wrote them.
+
+    python tests/reference_outputs.py [KIND ...]            compare
+    python tests/reference_outputs.py --update [KIND ...]   rewrite
+
+Both run the named studies (all eight by default; about 45 s on two
+cores) through ``anisofem.cli.main`` on the library in ``src/``.  The
+comparison reports a version mismatch first, then, per study and column,
+how many values moved and the largest relative move; it exits with 1 if
+anything moved.  The acceptance tests compare the five default studies
+that they run anyway; ``sigma_sweep``, ``eps_sweep`` and
+``oracle_validation`` are compared only here.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import math
+import os
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from anisofem import cli  # noqa: E402
+from anisofem.studies import STUDIES, emit_csv  # noqa: E402
+
+REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
+VERSIONS = REFERENCE_DIR / "versions.json"
+WALL_TIME = "wall_time_seconds"
+
+
+def versions() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
+
+def version_mismatch() -> list[str]:
+    """One line per package whose version differs from the references'."""
+    recorded = json.loads(VERSIONS.read_text())
+    return [f"version mismatch: {name} {mine} here, {recorded.get(name)} in "
+            f"the references" for name, mine in versions().items()
+            if recorded.get(name) != mine]
+
+
+def _read(path) -> list[list[str]]:
+    """A CSV file as rows of fields, header first, without the wall time."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if WALL_TIME in rows[0]:
+        i = rows[0].index(WALL_TIME)
+        rows = [row[:i] + row[i + 1:] for row in rows]
+    return rows
+
+
+def written(kind: str, result) -> list[list[str]]:
+    """run_study's result for kind as ``anisofem run`` writes it, read
+    back by _read."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        header = STUDIES[kind].header
+        if header is None:
+            emit_csv(result, path)
+        else:
+            cli._write_tuples(result, header, path)
+        return _read(path)
+
+
+def run_defaults(kinds) -> dict[str, list[list[str]]]:
+    """Run one config section per kind that sets only its study."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "defaults.ini")
+        with open(config, "w") as fh:
+            for kind in kinds:
+                fh.write(f"[{kind}]\nstudy = {kind}\n"
+                         f"output = {os.path.join(tmp, kind)}.csv\n\n")
+        if cli.main(["run", config]) != 0:
+            raise RuntimeError("anisofem run failed on the default studies")
+        return {kind: _read(os.path.join(tmp, f"{kind}.csv")) for kind in kinds}
+
+
+def _relative_move(ref: str, new: str) -> float:
+    """|new - ref| / |ref|: inf where ref is 0, nan for text or a nan value."""
+    try:
+        a, b = float(ref), float(new)
+    except ValueError:
+        return math.nan
+    return abs(b - a) / abs(a) if a != 0.0 else math.inf
+
+
+def compare(kind: str, rows) -> list[str]:
+    """One line per column of kind's output that differs from its
+    reference: how many values moved and the largest relative move."""
+    ref = _read(REFERENCE_DIR / f"{kind}.csv")
+    if rows[0] != ref[0] or len(rows) != len(ref):
+        return [f"{kind}: header {rows[0]} and {len(rows) - 1} rows, reference "
+                f"header {ref[0]} and {len(ref) - 1} rows"]
+    lines = []
+    for j, name in enumerate(ref[0]):
+        moves = [_relative_move(a[j], b[j]) for a, b in zip(ref[1:], rows[1:])
+                 if a[j] != b[j]]
+        if moves:
+            numeric = [m for m in moves if not math.isnan(m)]
+            largest = f"{max(numeric):.3g}" if numeric else "n/a (text or nan)"
+            lines.append(f"{kind}.{name}: {len(moves)} of {len(ref) - 1} values "
+                         f"moved, largest relative move {largest}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("kinds", nargs="*", metavar="KIND",
+                        help=f"studies to run (default: all of {', '.join(STUDIES)})")
+    parser.add_argument("--update", action="store_true",
+                        help="rewrite the references instead of comparing")
+    args = parser.parse_args(argv)
+    unknown = sorted(set(args.kinds) - set(STUDIES))
+    if unknown:
+        parser.error(f"unknown study kind(s) {unknown}")
+    outputs = run_defaults(args.kinds or list(STUDIES))
+    if args.update:
+        REFERENCE_DIR.mkdir(exist_ok=True)
+        for kind, rows in outputs.items():
+            with open(REFERENCE_DIR / f"{kind}.csv", "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+        VERSIONS.write_text(json.dumps(versions(), indent=2) + "\n")
+        print(f"wrote {len(outputs)} reference(s) to {REFERENCE_DIR}")
+        return 0
+    moved = [line for kind, rows in outputs.items() for line in compare(kind, rows)]
+    print("\n".join(version_mismatch() + moved
+                    + [f"{len(outputs)} studies compared, {len(moved)} moved "
+                       "column(s)"]))
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

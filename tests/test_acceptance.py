@@ -7,6 +7,7 @@ The whole module takes a few minutes; the reference-table ladder and the
 robustness sweep dominate.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -16,8 +17,9 @@ from anisofem.fields import FieldSpec, ManufacturedCase
 from anisofem.geometry import build_quad_mesh
 from anisofem.schemes import ProblemSpec, SchemeOperators
 from anisofem.spectral import FourierRhs, sobolev_seminorm, spectral_solve
-from anisofem.studies import (StudyConfig, loglog_slope, observed_orders,
-                              run_instance, run_study)
+from anisofem.studies import (STUDIES, StudyConfig, loglog_slope,
+                              observed_orders, run_instance, run_study)
+from reference_outputs import compare, version_mismatch, written
 
 warnings.filterwarnings("ignore", message="stabilized scheme with sigma = 0")
 
@@ -46,15 +48,33 @@ REGIMES = list(TABLE_L2)
 SCHEMES = ("inflow", "stabilized")
 
 
+# The default studies that the criteria below run, on the grids the
+# criteria state; each one's output is also compared with its reference
+# in tests/reference (see tests/reference_outputs.py).
+DEFAULT_RUNS = {
+    "h_convergence": StudyConfig("h_convergence", n_list=N_LADDER),
+    "conditioning": StudyConfig("conditioning", n_list=[10, 20, 40, 80]),
+    "low_regularity": StudyConfig("low_regularity", n_list=[16, 32, 64, 128]),
+    "dual_norm_check": StudyConfig("dual_norm_check", n_list=[128],
+                                   k_list=[1, 2, 3, 4]),
+    "infsup_probe": StudyConfig("infsup_probe", n_list=[4, 8, 16, 32]),
+}
+
+
+@pytest.fixture(scope="module")
+def default_run():
+    """run_study of a DEFAULT_RUNS entry, once per module."""
+    return functools.cache(lambda kind: run_study(DEFAULT_RUNS[kind]))
+
+
 def _report(num, ok, detail):
     print(f"\ncriterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
 
 
 @pytest.fixture(scope="module")
-def table_records():
-    cfg = StudyConfig("h_convergence", n_list=N_LADDER)
-    records = run_study(cfg)
+def table_records(default_run):
+    records = default_run("h_convergence")
     out = {}
     for (eps, alpha) in REGIMES:
         for scheme in SCHEMES:
@@ -126,8 +146,8 @@ def test_criterion_4_eps_robustness():
                           + f"; solve time {total_time:.0f}s")
 
 
-def test_criterion_5_conditioning():
-    records = run_study(StudyConfig("conditioning", n_list=[10, 20, 40, 80]))
+def test_criterion_5_conditioning(default_run):
+    records = default_run("conditioning")
     slopes = {}
     for scheme in SCHEMES:
         sel = [r for r in records if r.scheme == scheme]
@@ -214,25 +234,24 @@ def test_criterion_7_spectral_oracle():
                           f"{violations}/100")
 
 
-def test_criterion_8_dual_norm_ratio():
-    out = run_study(StudyConfig("dual_norm_check", n_list=[128],
-                                k_list=[1, 2, 3, 4]))
+def test_criterion_8_dual_norm_ratio(default_run):
+    out = default_run("dual_norm_check")
     worst = max(abs(c / a - 1.0) for _, c, a in out)
     ok = worst <= 0.02
     assert _report(8, ok, f"dual-norm ratio vs closed form, worst deviation "
                           f"{worst:.2e} over k=1..4 at 128 cells")
 
 
-def test_criterion_9_infsup_probe():
-    out = dict(run_study(StudyConfig("infsup_probe", n_list=[4, 8, 16, 32])))
+def test_criterion_9_infsup_probe(default_run):
+    out = dict(default_run("infsup_probe"))
     ok = (all(0.0 < v <= 1.0 + 1e-8 for v in out.values())
           and out[32] < out[8])
     assert _report(9, ok, "coarse/fine Riesz ratios "
                           + ", ".join(f"n={n}: {v:.3f}" for n, v in out.items()))
 
 
-def test_criterion_10_low_regularity():
-    records = run_study(StudyConfig("low_regularity", n_list=[16, 32, 64, 128]))
+def test_criterion_10_low_regularity(default_run):
+    records = default_run("low_regularity")
     details, ok = [], True
     for alpha in (0.0, 2.0):
         for scheme in SCHEMES:
@@ -261,3 +280,13 @@ def test_criterion_11_property_suite():
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed <= 60.0
     assert _report(11, ok, f"invariant suite in {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("kind", list(DEFAULT_RUNS))
+def test_default_output_matches_reference(kind, default_run):
+    # the criteria's grids are the study's defaults
+    default = StudyConfig(kind)
+    assert all(DEFAULT_RUNS[kind].value(name) == default.value(name)
+               for name in STUDIES[kind].reads)
+    moved = compare(kind, written(kind, default_run(kind)))
+    assert not moved, "\n".join(version_mismatch() + moved)
