@@ -13,9 +13,10 @@ The second block row is assembled exactly as the weak equations read,
 solution-preserving transform) for experiments on the sign convention.
 
 All instances of a scheme on one operator set share one sparsity
-pattern, kept as the scheme's ``SchemePlan``: an instance only forms the
-data array, a linear combination of the data of K, P and M.  The load
-vectors read the field values that K and P were assembled with.
+pattern, kept as the scheme's ``SchemePlan``: an instance forms each
+block as a linear combination of the data of K, P and M, which share one
+pattern, and gathers its data from the blocks.  The load vectors read
+the field values that K and P were assembled with.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ class SchemeOperators:
     operator set.
 
     K and P, which every scheme reads, are assembled here.  The mass
-    matrix M, which only the stabilized scheme reads, is assembled on
-    first read.  Each scheme's plan is built by the first system of that
+    matrix M, which only the stabilized scheme reads at sigma > 0, is
+    assembled on first read.  Each scheme's plan is built by the first system of that
     scheme, so it is timed with that instance.  Likewise the LU factor of
     K on the free u-dofs, behind ``riesz_norm``, is computed on first use.
     All of them are kept for the life of the operator set.
@@ -175,36 +176,34 @@ class SchemeOperators:
         return self._exact[1]
 
 
-# Each scheme's matrix terms as form, row unknowns, column unknowns: "u"
-# the free u-dofs, "q" the free auxiliary dofs.  A "u" column set also
-# takes in the pinned u-dofs, so a term carries the Dirichlet lift of its
-# block.  _coefficients gives the terms' factors in the same order.
-_TERMS = {"standard": ("Kuu", "Puu"),
-          "inflow": ("Kuu", "Puq", "Pqu", "Pqq"),
-          "stabilized": ("Kuu", "Puq", "Pqu", "Pqq", "Mqq")}
-
-
-def _coefficients(spec: ProblemSpec) -> tuple:
+def _blocks(spec: ProblemSpec) -> tuple:
+    """The coefficients on (K, P, M) of each block uu, uq, qu, qq, named
+    by row and column unknowns: "u" the free u-dofs, "q" the free
+    auxiliary dofs.  A "u" column also takes in the pinned u-dofs, so a
+    block carries its Dirichlet lift.  s is the sign of the second row."""
+    e, s = spec.eps, -1.0 if spec.flip_second_row else 1.0
     if spec.scheme == "standard":
-        return 1.0, (1.0 - spec.eps) / spec.eps
-    s = -1.0 if spec.flip_second_row else 1.0
-    return 1.0, 1.0 - spec.eps, s, -s * spec.eps, -s * spec.sigma
+        return ((1.0, (1.0 - e) / e, 0.0),)
+    sigma = spec.sigma if spec.scheme == "stabilized" else 0.0
+    return ((1.0, 0.0, 0.0), (0.0, 1.0 - e, 0.0), (0.0, s, 0.0),
+            (0.0, -s * e, -s * sigma))
 
 
 class SchemePlan(NamedTuple):
     """One scheme's block layout on an operator set.  ``order`` lists the
     unknowns (free u, then free q) in elimination order.  The CSC pattern
     holds the block matrix in that order as its first len(order) columns
-    and the lift, the couplings to the pinned u-dofs, as the rest; a term
-    (src, dst) of _TERMS adds its factor times form.data[src] to data[dst].
-    K, P and M share one pattern, so src is a slot of any of them.  The
-    systems share the order and pattern arrays, which are read-only."""
+    and the lift, the couplings to the pinned u-dofs, as the rest.  Entry
+    i of the pattern is entry idx[i] of the blocks build_system forms:
+    slot t of block b (in _blocks' order) of the pattern that K, P and M
+    share is b nnz(K) + t.  The systems share these arrays, which are
+    read-only."""
 
     order: np.ndarray
     u_rows: np.ndarray     # plan rows of the free u-dofs
     indptr: np.ndarray
     indices: np.ndarray
-    terms: list
+    idx: np.ndarray        # int32
 
 
 def _build_plan(ops: SchemeOperators, scheme: str) -> SchemePlan:
@@ -220,26 +219,23 @@ def _build_plan(ops: SchemeOperators, scheme: str) -> SchemePlan:
     cols = np.full(2 * nd, -1, dtype=np.int32)  # plan column; a free one's row too
     cols[unknowns] = np.arange(n)
     cols[us.constrained] = n + np.arange(n_c)
-    # K, P and M share one pattern; entry s in column part c (0 for u, 1 for
-    # q) is 2 s + c.  Its rows, widened to every part, with plan columns and
+    # K, P and M share one pattern; slot t in column part c (0 for u, 1 for
+    # q) is c nnz + t.  Its rows, widened to every part, with plan columns and
     # no pinned column outside the lift, are gathered in plan-row order; the
     # CSR -> CSC transpose, a counting sort, leaves each column's rows sorted.
     K, parts = ops.K, range(1 if qs is None else 2)
-    slots = 2 * np.arange(K.nnz, dtype=np.int32)
-    wide = sp.hstack([sp.csr_matrix((slots + c, K.indices, K.indptr), shape=K.shape)
-                      for c in parts], format="csr")
+    slots = np.arange(K.nnz, dtype=np.int32)
+    wide = sp.hstack([sp.csr_matrix((slots + c * K.nnz, K.indices, K.indptr),
+                                    shape=K.shape) for c in parts], format="csr")
     col = cols[wide.indices]
     keep = col >= 0
     indptr = np.concatenate([[0], np.cumsum(keep)])[wide.indptr]
     stencil = sp.csr_matrix((wide.data[keep], col[keep], indptr), shape=(nd, n + n_c))
     pattern = stencil[unknowns % nd].tocsc()
-    block = 2 * (unknowns // nd).astype(np.int8)[pattern.indices] + (pattern.data & 1)
-    terms = []
-    for _, r, c in _TERMS[scheme]:
-        dst = np.flatnonzero(block == 2 * (r == "q") + (c == "q"))
-        terms.append((pattern.data[dst] >> 1, dst.astype(np.int32)))
-    plan = SchemePlan(order, cols[us.free], pattern.indptr, pattern.indices, terms)
-    for array in (plan.order, plan.indptr, plan.indices):
+    # a q row moves the entry two blocks on: from uu or uq to qu or qq
+    idx = pattern.data + 2 * K.nnz * (unknowns // nd).astype(np.int32)[pattern.indices]
+    plan = SchemePlan(order, cols[us.free], pattern.indptr, pattern.indices, idx)
+    for array in (plan.order, plan.indptr, plan.indices, plan.idx):
         array.flags.writeable = False       # shared by every system
     return plan
 
@@ -288,10 +284,13 @@ def build_system(spec: ProblemSpec,
     gu = np.asarray(spec.case.boundary_values(pts[:, 0], pts[:, 1]), dtype=float)
     ell = ops.case_load(spec.case, spec.field, spec.eps)
     plan = ops.plan(spec.scheme)
-    data = np.zeros(len(plan.indices))
-    for (src, dst), term, c in zip(plan.terms, _TERMS[spec.scheme],
-                                   _coefficients(spec)):
-        data[dst] += c * getattr(ops, term[0]).data[src]
+    blocks = _blocks(spec)
+    table = np.zeros((len(blocks), ops.K.nnz))
+    for row, coefficients in zip(table, blocks):
+        for c, form in zip(coefficients, "KPM"):
+            if c:           # so M is assembled only for a scheme that reads it
+                row += c * getattr(ops, form).data
+    data = table.ravel()[plan.idx]
     n, p = len(plan.order), plan.indptr
     matrix = sp.csc_matrix((data[:p[n]], plan.indices[:p[n]], p[:n + 1]),
                            shape=(n, n))

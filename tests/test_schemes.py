@@ -142,9 +142,13 @@ def test_plan_matrix_is_canonical_csc(scheme, family, field):
     spec = ProblemSpec(scheme, 0.3, field, ManufacturedCase("smooth", field.alpha, 0.3),
                        family=family, n=5,
                        sigma=1e-3 if scheme == "stabilized" else 0.0)
-    matrix = build_system(spec).matrix
+    system = build_system(spec)
+    matrix, plan = system.matrix, system.operators.plan(scheme)
     assert matrix.has_canonical_format
     assert matrix.indptr.dtype == matrix.indices.dtype == np.int32
+    # one gather index per entry of the plan's pattern
+    assert plan.idx.dtype == np.int32
+    assert len(plan.idx) == len(plan.indices) == plan.indptr[-1]
     assert not matrix.indices.flags.writeable
     assert not matrix.indptr.flags.writeable
     spla.splu(matrix)
@@ -171,6 +175,9 @@ def test_plan_is_built_once_per_scheme(monkeypatch):
     # changing every later system of the scheme
     with pytest.raises(ValueError):
         first.matrix.eliminate_zeros()
+    # both systems gathered their data by the one plan's read-only idx
+    assert not ops.plan("stabilized").idx.flags.writeable
+    assert calls == ["stabilized"]
     spec.scheme = "inflow"
     build_system(spec, ops)
     assert calls == ["stabilized", "inflow"]
