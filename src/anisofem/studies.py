@@ -8,6 +8,7 @@ failures are recorded per point and never abort a sweep.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import ChainMap
 from dataclasses import (dataclass, field as dataclass_field,
@@ -521,6 +522,7 @@ def run_study(cfg: StudyConfig):
 # -- output -------------------------------------------------------------------
 
 _RECORD_FIELDS = [f.name for f in dataclass_fields(StudyRecord)]
+_PARSE = {"scheme": str, "n": int, "solve_status": str}     # the rest: float
 
 
 def _format_value(value) -> str:
@@ -541,23 +543,20 @@ def emit_csv(records, path) -> None:
 
 
 def read_csv(path) -> list[StudyRecord]:
-    """Parse a file written by emit_csv back into records."""
+    """Parse a file written by emit_csv back into records.  A row with
+    more or fewer fields than the header raises ValueError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header != _RECORD_FIELDS:
             raise ValueError("unexpected CSV header")
         records = []
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
-            kwargs = {}
-            for name, raw in zip(_RECORD_FIELDS, parts):
-                if name in ("scheme", "solve_status"):
-                    kwargs[name] = raw
-                elif name == "n":
-                    kwargs[name] = int(raw)
-                else:
-                    kwargs[name] = float(raw)
-            records.append(StudyRecord(**kwargs))
+            if len(parts) != len(_RECORD_FIELDS):
+                raise ValueError(f"{path}, line {number}: {len(parts)} fields, "
+                                 f"expected {len(_RECORD_FIELDS)}")
+            records.append(StudyRecord(*(_PARSE.get(name, float)(raw)
+                                         for name, raw in zip(_RECORD_FIELDS, parts))))
     return records
 
 
@@ -569,7 +568,7 @@ def emit_plot_script(records, path, csv_path=None) -> None:
     """
     records = list(records)
     if csv_path is None:
-        csv_path = str(path).rsplit(".", 1)[0] + ".csv"
+        csv_path = os.path.splitext(path)[0] + ".csv"
 
     def varies(name):
         vals = {getattr(r, name) for r in records}

@@ -109,6 +109,27 @@ def test_plot_script(tmp_path):
     assert "plot " in text
 
 
+def test_plot_script_default_csv_beside_it_in_a_dotted_directory(tmp_path):
+    directory = tmp_path / "run.d"
+    directory.mkdir()
+    emit_plot_script(_sample_records(), directory / "sweep")
+    text = (directory / "sweep").read_text()
+    assert f"'{directory / 'sweep.csv'}' skip 1" in text
+    assert str(tmp_path / "run.csv") not in text
+
+
+@pytest.mark.parametrize("edit", [lambda row: row.rsplit(",", 1)[0],
+                                  lambda row: row + ",1.5"],
+                         ids=["short", "long"])
+def test_read_csv_rejects_a_row_with_the_wrong_field_count(tmp_path, edit):
+    path = tmp_path / "records.csv"
+    emit_csv(_sample_records(), path)
+    header, first, second = path.read_text().splitlines()
+    path.write_text("\n".join([header, first, edit(second)]) + "\n")
+    with pytest.raises(ValueError, match="line 3: 1[46] fields, expected 15"):
+        read_csv(path)
+
+
 def test_small_study_deterministic(tmp_path):
     # every column except the wall time must be bit-identical across runs
     cfg = StudyConfig("h_convergence", schemes=["inflow"], family="q1",
