@@ -101,9 +101,9 @@ class SchemeOperators:
     load).  Both return read-only arrays and live as long as the
     operator set.
 
-    K and P, which every scheme reads, are assembled here.  The mass
-    matrix M, which only the stabilized scheme reads at sigma > 0, is
-    assembled on first read.  Each scheme's plan is built by the first system of that
+    K and P, which every scheme reads, are assembled here; the mass
+    matrix M, read only by a stabilized system with sigma > 0, on first
+    read.  Each scheme's plan is built by the first system of that
     scheme, so it is timed with that instance.  Likewise the LU factor of
     K on the free u-dofs, behind ``riesz_norm``, is computed on first use.
     All of them are kept for the life of the operator set.
@@ -288,7 +288,7 @@ def build_system(spec: ProblemSpec,
     table = np.zeros((len(blocks), ops.K.nnz))
     for row, coefficients in zip(table, blocks):
         for c, form in zip(coefficients, "KPM"):
-            if c:           # so M is assembled only for a scheme that reads it
+            if c:       # a zero adds nothing, and M is assembled on first read
                 row += c * getattr(ops, form).data
     data = table.ravel()[plan.idx]
     n, p = len(plan.order), plan.indptr
