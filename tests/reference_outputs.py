@@ -1,26 +1,32 @@
-"""Reference outputs of the eight default studies, and the check against them.
+"""Reference outputs of the eight default studies and of ``anisofem check``,
+and the comparison against them.
 
 ``tests/reference/<kind>.csv`` holds what ``anisofem run`` writes for a
 section that sets only ``study = <kind>``, without the
-``wall_time_seconds`` column.  ``tests/reference/versions.json`` records
+``wall_time_seconds`` column, and ``tests/reference/check.txt`` what
+``anisofem check`` prints.  ``tests/reference/versions.json`` records
 the Python, numpy and scipy that wrote them.
 
     python tests/reference_outputs.py [KIND ...]            compare
     python tests/reference_outputs.py --update [KIND ...]   rewrite
 
-Both run the named studies (all eight by default; about 45 s on two
-cores) through ``anisofem.cli.main`` on the library in ``src/``.  The
-comparison reports a version mismatch first, then, per study and column,
-how many values moved and the largest relative move; it exits with 1 if
-anything moved.  The acceptance tests compare the five default studies
-that they run anyway; ``sigma_sweep``, ``eps_sweep`` and
-``oracle_validation`` are compared only here.
+A KIND is a study kind or ``check``.  Both run the named outputs (all
+nine by default; about 45 s on two cores) through ``anisofem.cli.main``
+on the library in ``src/``.  The comparison reports a version mismatch
+first, then, per study and column, how many values moved and the
+largest relative move, and each line of the check that changed; it
+exits with 1 if anything moved.  The acceptance tests compare the five
+default studies that they run anyway, and ``test_cli_check_smoke`` the
+check; ``sigma_sweep``, ``eps_sweep`` and ``oracle_validation`` are
+compared only here.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -40,6 +46,8 @@ from anisofem.studies import STUDIES, emit_csv  # noqa: E402
 
 REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
 VERSIONS = REFERENCE_DIR / "versions.json"
+CHECK = "check"
+CHECK_FILE = REFERENCE_DIR / "check.txt"
 WALL_TIME = "wall_time_seconds"
 
 
@@ -92,6 +100,24 @@ def run_defaults(kinds) -> dict[str, list[list[str]]]:
         return {kind: _read(os.path.join(tmp, f"{kind}.csv")) for kind in kinds}
 
 
+def check_output() -> str:
+    """What ``anisofem check`` prints."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        if cli.main([CHECK]) != 0:
+            raise RuntimeError("anisofem check failed")
+    return buffer.getvalue()
+
+
+def compare_check(text: str) -> list[str]:
+    """One line per line of the check's output that differs from its
+    reference."""
+    ref, new = CHECK_FILE.read_text().splitlines(), text.splitlines()
+    if len(new) != len(ref):
+        return [f"check: {len(new)} lines, reference {len(ref)} lines"]
+    return [f"check: {a!r} is now {b!r}" for a, b in zip(ref, new) if a != b]
+
+
 def _relative_move(ref: str, new: str) -> float:
     """|new - ref| / |ref|: inf where ref is 0, nan for text or a nan value."""
     try:
@@ -122,27 +148,35 @@ def compare(kind: str, rows) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    every = [*STUDIES, CHECK]
     parser.add_argument("kinds", nargs="*", metavar="KIND",
-                        help=f"studies to run (default: all of {', '.join(STUDIES)})")
+                        help=f"outputs to run (default: all of {', '.join(every)})")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the references instead of comparing")
     args = parser.parse_args(argv)
-    unknown = sorted(set(args.kinds) - set(STUDIES))
+    unknown = sorted(set(args.kinds) - set(every))
     if unknown:
-        parser.error(f"unknown study kind(s) {unknown}")
-    outputs = run_defaults(args.kinds or list(STUDIES))
+        parser.error(f"unknown KIND(s) {unknown}")
+    kinds = args.kinds or every
+    studies = [kind for kind in kinds if kind != CHECK]
+    outputs = run_defaults(studies) if studies else {}
+    check = check_output() if CHECK in kinds else None
     if args.update:
         REFERENCE_DIR.mkdir(exist_ok=True)
         for kind, rows in outputs.items():
             with open(REFERENCE_DIR / f"{kind}.csv", "w", newline="") as fh:
                 csv.writer(fh, lineterminator="\n").writerows(rows)
+        if check is not None:
+            CHECK_FILE.write_text(check)
         VERSIONS.write_text(json.dumps(versions(), indent=2) + "\n")
-        print(f"wrote {len(outputs)} reference(s) to {REFERENCE_DIR}")
+        print(f"wrote {len(set(kinds))} reference(s) to {REFERENCE_DIR}")
         return 0
     moved = [line for kind, rows in outputs.items() for line in compare(kind, rows)]
+    if check is not None:
+        moved += compare_check(check)
     print("\n".join(version_mismatch() + moved
-                    + [f"{len(outputs)} studies compared, {len(moved)} moved "
-                       "column(s)"]))
+                    + [f"{len(set(kinds))} outputs compared, {len(moved)} moved "
+                       "column(s) or line(s)"]))
     return 1 if moved else 0
 
 

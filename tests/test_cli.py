@@ -8,6 +8,7 @@ import pytest
 from anisofem import studies
 from anisofem.cli import main
 from anisofem.config import ConfigError, load_config, parse_value
+from reference_outputs import compare_check, version_mismatch
 
 
 def test_parse_value_kinds():
@@ -192,6 +193,8 @@ def test_cli_check_smoke(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 8
     assert "FAIL" not in out
+    changed = compare_check(out)        # against tests/reference/check.txt
+    assert not changed, "\n".join(version_mismatch() + changed)
 
 
 # the first values used to end in a traceback, most of them partway
