@@ -103,9 +103,9 @@ class SchemeOperators:
 
     K and P, which every scheme reads, are assembled here; the mass
     matrix M, read only by a stabilized system with sigma > 0, on first
-    read.  Each scheme's plan is built by the first system of that
-    scheme, so it is timed with that instance.  Likewise the LU factor of
-    K on the free u-dofs, behind ``riesz_norm``, is computed on first use.
+    read.  Each scheme's plan is built on first use, by the first system
+    of that scheme, so it is timed with that instance; so is the LU factor
+    behind ``riesz_norm``, of the standard plan's matrix at (1, 0, 0).
     All of them are kept for the life of the operator set.
     """
 
@@ -142,13 +142,16 @@ class SchemeOperators:
         return self._plans[scheme]
 
     def riesz_norm(self, r) -> float:
-        """Energy norm of the Riesz representer of the load r on the free
-        u-dofs: sqrt(r . v) with K v = r, K restricted to the free dofs."""
+        """Energy norm sqrt(r . v), K v = r, of the Riesz representer of the
+        load r on the free u-dofs; K is the standard plan's matrix at (1, 0, 0)."""
+        plan = self.plan("standard")
         if self._riesz is None:
-            free = self.u_space.free
-            self._riesz = lu_factor(self.K[free][:, free].tocsr())
-        v = solve(self._riesz, r)
-        return float(np.sqrt(max(v @ r, 0.0)))
+            matrix, _ = _plan_matrices(self, plan, ((1.0, 0.0, 0.0),))
+            self._riesz = lu_factor(matrix, order=plan.order)
+        b = np.zeros(len(plan.order))
+        b[plan.u_rows] = r
+        v = solve(self._riesz, b)
+        return float(np.sqrt(max(v @ b, 0.0)))
 
     def dual_norm(self, q) -> float:
         """Mesh-dependent dual norm sup_v a_par(q, v)/|v| over the u-space,
@@ -240,6 +243,22 @@ def _build_plan(ops: SchemeOperators, scheme: str) -> SchemePlan:
     return plan
 
 
+def _plan_matrices(ops: SchemeOperators, plan: SchemePlan, blocks) -> tuple:
+    """The plan's matrix and lift at the coefficients ``blocks`` on (K, P, M)."""
+    table = np.zeros((len(blocks), ops.K.nnz))
+    for row, coefficients in zip(table, blocks):
+        for c, form in zip(coefficients, "KPM"):
+            if c:       # a zero adds nothing, and M is assembled on first read
+                row += c * getattr(ops, form).data
+    data = table.ravel()[plan.idx]
+    n, p = len(plan.order), plan.indptr
+    matrix = sp.csc_matrix((data[:p[n]], plan.indices[:p[n]], p[:n + 1]),
+                           shape=(n, n))
+    lift = sp.csc_matrix((data[p[n]:], plan.indices[p[n]:], p[n:] - p[n]),
+                         shape=(n, len(ops.u_space.constrained)))
+    return matrix, lift
+
+
 @dataclass
 class BlockSystem:
     """Stacked linear system over the free dofs of (u, auxiliary), its
@@ -284,23 +303,12 @@ def build_system(spec: ProblemSpec,
     gu = np.asarray(spec.case.boundary_values(pts[:, 0], pts[:, 1]), dtype=float)
     ell = ops.case_load(spec.case, spec.field, spec.eps)
     plan = ops.plan(spec.scheme)
-    blocks = _blocks(spec)
-    table = np.zeros((len(blocks), ops.K.nnz))
-    for row, coefficients in zip(table, blocks):
-        for c, form in zip(coefficients, "KPM"):
-            if c:       # a zero adds nothing, and M is assembled on first read
-                row += c * getattr(ops, form).data
-    data = table.ravel()[plan.idx]
-    n, p = len(plan.order), plan.indptr
-    matrix = sp.csc_matrix((data[:p[n]], plan.indices[:p[n]], p[:n + 1]),
-                           shape=(n, n))
-    lift = sp.csc_matrix((data[p[n]:], plan.indices[p[n]:], p[n:] - p[n]),
-                         shape=(n, len(gu)))
-    rhs = np.zeros(n)
+    matrix, lift = _plan_matrices(ops, plan, _blocks(spec))
+    rhs = np.zeros(len(plan.order))
     rhs[plan.u_rows] = ell[us.free]
     rhs -= lift @ gu
     n_u = len(us.free)
-    return BlockSystem(matrix, rhs, n_u, n - n_u, us, ops.aux_space(spec.scheme),
+    return BlockSystem(matrix, rhs, n_u, len(rhs) - n_u, us, ops.aux_space(spec.scheme),
                        ops, gu, plan.order)
 
 

@@ -7,13 +7,12 @@ around 1/h^5, which erodes ~9 digits; refinement restores them for the
 error studies), and a Hager-style estimator for
 cond_1 = ||A||_1 ||A^-1||_1 that never forms the inverse.
 
-A general matrix is factored with threshold pivoting in COLAMD's column
-order.  A matrix that the caller has already put into its elimination
-order, as the scheme solves do with the nested-dissection order of the
-dof lattice, is factored as it stands, with static diagonal pivots.
-The partial-pivoting retry always factors the matrix in its unknowns'
-own order by COLAMD.  Either way every solve works in the coordinates of
-the matrix that was passed in.
+A matrix already in its elimination order (the scheme and Riesz solves
+pass the nested-dissection order of the dof lattice) is factored as it
+stands, with static diagonal pivots.  Any other matrix, and the retry of
+a failed static-pivot factor, gets partial pivoting in the unknowns' own
+order with COLAMD's column order.  Every solve works in the coordinates
+of the matrix that was passed in.
 """
 
 from __future__ import annotations
@@ -25,10 +24,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 PIVOT_RTOL = 1e-14
-# SuperLU keeps the diagonal (hence the fill-reducing column order)
-# whenever |a_jj| >= DIAG_PIVOT_THRESH * max_i |a_ij|; 1.0 is partial
-# pivoting, and 0.0 keeps every nonzero diagonal (static pivots).
-DIAG_PIVOT_THRESH = 0.01
 
 
 class SingularMatrixError(RuntimeError):
@@ -64,18 +59,15 @@ class LuFactor:
 def lu_factor(A, pivot_rtol: float = PIVOT_RTOL, order=None) -> LuFactor:
     """Factor a square sparse matrix.
 
-    Without ``order`` the first attempt orders the columns by COLAMD and
-    pivots with DIAG_PIVOT_THRESH, which keeps most of the fill-reducing
-    order on the saddle-point systems.  With ``order`` the matrix is
-    already in its elimination order: A = B[order][:, order] for the
-    matrix B of the unknowns in their own order.  The first attempt then
-    factors A as it stands, with the natural column order and static
-    diagonal pivots.  When the first factor is exactly singular, or its
-    smallest pivot falls below pivot_rtol times the largest matrix entry,
-    B (A itself without ``order``) is factored once more with partial
-    pivoting in COLAMD's column order.  SingularMatrixError is raised only
-    if both attempts fail.  Callers that deliberately probe near-singular
-    regimes (the stabilization sweeps) pass a smaller pivot_rtol.
+    With ``order``, A is in its elimination order: A = B[order][:, order]
+    for the matrix B of the unknowns in their own order.  A is then
+    factored as it stands, with static diagonal pivots, and if that factor
+    fails, B is factored with partial pivoting in COLAMD's column order.
+    Without ``order``, only the latter runs, on B = A.  A factor fails when
+    it is exactly singular or its smallest pivot is below pivot_rtol times
+    the largest matrix entry; SingularMatrixError is raised if the last
+    attempt fails.  Callers that deliberately probe near-singular regimes
+    (the stabilization sweeps) pass a smaller pivot_rtol.
     """
     A = sp.csc_matrix(A)
     n, m = A.shape
@@ -88,7 +80,7 @@ def lu_factor(A, pivot_rtol: float = PIVOT_RTOL, order=None) -> LuFactor:
     # and which COLAMD orders).  On the Q2 n = 30 sigma tail the retry's
     # fill was 3.4M in the nested-dissection order and 2.5M under COLAMD.
     if order is None:
-        attempts = ((None, "COLAMD", DIAG_PIVOT_THRESH), (None, "COLAMD", 1.0))
+        attempts = ((None, "COLAMD", 1.0),)
     else:
         attempts = ((None, "NATURAL", 0.0), (np.argsort(order), "COLAMD", 1.0))
     # Only the message survives a failed attempt: a kept exception would tie

@@ -310,13 +310,29 @@ def test_sigma_tail_point_solves_after_threshold_failure():
     assert run_instance(spec).solve_status == "OK"
 
 
-def test_threshold_pivoting_cuts_fill():
-    # guards against a silent return to partial pivoting (splu's default)
-    matrix = build_system(_smooth_spec("stabilized", 1e-8, 0.0, 20,
-                                       sigma=1e-6)).matrix
-    ours = lu_factor(matrix).lu
-    partial = spla.splu(matrix.tocsc())
-    assert ours.L.nnz + ours.U.nnz <= 0.8 * (partial.L.nnz + partial.U.nnz)
+@pytest.mark.parametrize("family", ["q1", "q2", "p1", "p2"])
+def test_riesz_norm_factors_the_standard_plan(monkeypatch, family):
+    field = FieldSpec("variable_alpha", 2.0)
+    ops = SchemeOperators(ProblemSpec("standard", 1.0, field, family=family,
+                                      n=6).build_mesh(), field, family)
+    factors = []
+
+    def factor(*args, **kwargs):
+        factors.append((lu_factor(*args, **kwargs), kwargs.get("order")))
+        return factors[-1][0]
+
+    monkeypatch.setattr(schemes, "lu_factor", factor)
+    free = ops.u_space.free
+    r = np.random.default_rng(5).standard_normal(len(free))
+    norm = ops.riesz_norm(r)
+    # the reference: a factor of K on the free dofs in their own order
+    Kf = ops.K[free][:, free].tocsr()
+    v = solve(lu_factor(Kf), r)
+    assert abs(norm - np.sqrt(v @ r)) <= 1e-13 * norm
+    (riesz, order), = factors
+    assert order is ops.plan("standard").order
+    assert abs(riesz.matrix - Kf[order][:, order]).max() == 0.0
+    assert riesz.order is None          # the first attempt, not the retry
 
 
 def _counted_loads(monkeypatch):

@@ -296,17 +296,21 @@ def test_dual_norm_check_factors_once(monkeypatch):
     out = run_study(StudyConfig("dual_norm_check", n_list=[16],
                                 k_list=[1, 2, 3, 4]))
     assert len(calls) == 1
-    # every ratio equals the one from a fresh factor of K on the free dofs
+    # every ratio equals the one from a fresh factor of the standard plan's
+    # matrix at coefficients (1, 0, 0): K on the free dofs in its order
     ops = SchemeOperators(build_quad_mesh(16, 16, np.pi, np.pi),
                           FieldSpec("aligned_e2"), "q2")
-    free = ops.u_space.free
+    plan = ops.plan("standard")
+    matrix, _ = schemes._plan_matrices(ops, plan, ((1.0, 0.0, 0.0),))
+    factor = solver.lu_factor(matrix, order=plan.order)
     for k, ratio, _ in out:
         q = ops.q_space.interpolate(
             lambda x, y: np.sin(k * x) * (np.cos(y) - np.cos(2 * y)))
         q[ops.q_space.constrained] = 0.0
-        r = (ops.P @ q)[free]
-        v = solver.solve(solver.lu_factor(ops.K[free][:, free].tocsr()), r)
-        assert ratio == np.sqrt(max(v @ r, 0.0)) / parallel_seminorm(q, ops.P)
+        b = np.zeros(len(plan.order))
+        b[plan.u_rows] = (ops.P @ q)[ops.u_space.free]
+        v = solver.solve(factor, b)
+        assert ratio == np.sqrt(max(v @ b, 0.0)) / parallel_seminorm(q, ops.P)
 
 
 def test_sigma_sweep_multi_h_variant():
