@@ -120,6 +120,9 @@ def load_config(path) -> list[ConfiguredStudy]:
         if STUDIES[kind].header is not None and (plot is not None or strict):
             raise ConfigError(f"{kind} writes a table, not study records: plot "
                               f"and strict do not apply in section [{name}]")
+        if plot is not None and output is None:
+            raise ConfigError(f"plot needs output in section [{name}]: the "
+                              "script reads the CSV that output writes")
         studies.append(ConfiguredStudy(name, cfg, output, plot, strict))
     if not studies:
         raise ConfigError("configuration file defines no study section")

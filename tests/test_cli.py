@@ -309,6 +309,20 @@ def test_cli_runs_q2_at_n_one(tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) > 1
 
 
+def test_cli_rejects_plot_without_output(tmp_path, capsys):
+    # its script would read a CSV that nothing writes
+    plot = tmp_path / "run.d" / "sweep"
+    cfg = _write(tmp_path, "[bad]\nstudy = h_convergence\nfamily = q1\n"
+                           f"n = [4]\nplot = {plot}\n")
+    with pytest.raises(ConfigError, match="plot needs output"):
+        load_config(cfg)
+    assert main(["run", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "configuration error:" in captured.err
+    assert "running" not in captured.out
+    assert not plot.exists()
+
+
 def test_cli_output_is_the_text_of_its_key(tmp_path, monkeypatch, capsys):
     # output = 100 names the file 100; a bracketed output is a
     # configuration error before anything runs, not a traceback after
