@@ -2,8 +2,9 @@
 
 The library works on tensor-product rectangle grids, or on the same grids
 split into triangles along the lower-left/upper-right diagonal.  The
-boundary is partitioned by the sign of b.n into a tangential (Dirichlet)
-part, an inflow part and an outflow part; the direction field decides
+boundary edges come as parallel arrays (side, position along the side,
+midpoint, outward normal), and the sign of b.n at the midpoints tags each
+one tangential (Dirichlet), inflow or outflow; the direction field decides
 which side is which.
 """
 
@@ -11,6 +12,7 @@ import numpy as np
 
 from anisofem import (FieldSpec, Tag, build_quad_mesh, build_tri_mesh,
                       classify_boundary)
+from anisofem.geometry import boundary_edges
 
 quad = build_quad_mesh(8, 8)
 tri = build_tri_mesh(8)
@@ -30,7 +32,6 @@ for alpha in (0.0, 2.0):
 # On a rectangle with the vertical field the roles rotate by 90 degrees.
 aligned = build_quad_mesh(8, 8, np.pi, np.pi)
 tags = classify_boundary(aligned, FieldSpec("aligned_e2"))
-sides = {}
-for edge, tag in zip(aligned.boundary_edges, tags.edge_tags):
-    sides.setdefault(edge.side, tag.value)
+side = boundary_edges(aligned).side
+sides = {s: tags.edge_tags[side == s][0].value for s in ("bottom", "right", "top", "left")}
 print("aligned field on (0, pi)^2, tag per side:", sides)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Mesh, BoundaryTags
+from .geometry import Mesh, BoundaryTags, boundary_edges
 from .fields import FieldSpec, FieldValues, LinearFunctional, eval_field
 
 FAMILIES = {"q1": ("quad", 1), "q2": ("quad", 2), "p1": ("triangle", 1),
@@ -202,28 +202,18 @@ class FemSpace:
         out[1::2] = upper
         return out
 
-    def _edge_dofs(self, side: str, index: int):
-        """Lattice dofs lying on one boundary mesh edge."""
-        k, mx, my = self.degree, self.mx, self.my
-        a = np.arange(k + 1)
-        if side == "bottom":
-            return k * index + a
-        if side == "top":
-            return (my - 1) * mx + k * index + a
-        if side == "left":
-            return (k * index + a) * mx
-        return (k * index + a) * mx + (mx - 1)
-
     def _constrained_dofs(self, tags, boundary_tags):
+        """Lattice dofs on the boundary edges whose tag is in ``tags``."""
         if not tags:
             return np.empty(0, dtype=np.int64)
-        dofs = []
-        for edge, tag in zip(self.mesh.boundary_edges, boundary_tags.edge_tags):
-            if tag in tags:
-                dofs.append(self._edge_dofs(edge.side, edge.index))
-        if not dofs:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(dofs))
+        edges = boundary_edges(self.mesh)
+        pick = np.isin(boundary_tags.edge_tags, list(tags))
+        side, k, mx = edges.side[pick], self.degree, self.mx
+        # an edge's k + 1 dofs start at its side's offset and step along it
+        start = np.select([side == "right", side == "top"], [mx - 1, (self.my - 1) * mx])
+        step = np.where((side == "bottom") | (side == "top"), 1, mx)
+        along = k * edges.index[pick, None] + np.arange(k + 1)
+        return np.unique(start[:, None] + along * step[:, None])
 
     # -- vectors ----------------------------------------------------------
 

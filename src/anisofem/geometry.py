@@ -3,14 +3,16 @@
 Meshes are uniform tensor grids of rectangles, or the same grids with every
 cell split into two triangles along the lower-left to upper-right diagonal
 (so the hypotenuses are parallel but not aligned with either coordinate
-axis).  The boundary is partitioned by the sign of b.n into a tangential
-part (Dirichlet), an inflow part and an outflow part.
+axis).  The boundary edges are parallel arrays in one fixed order (bottom,
+right, top, left), and the sign of b.n at their midpoints splits them into
+a tangential part (Dirichlet), an inflow part and an outflow part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,34 +21,12 @@ import numpy as np
 BN_TOLERANCE = 1e-12
 
 
-_SIDE_NORMALS = {
-    "bottom": np.array([0.0, -1.0]),
-    "right": np.array([1.0, 0.0]),
-    "top": np.array([0.0, 1.0]),
-    "left": np.array([-1.0, 0.0]),
-}
-
-
 class Tag(Enum):
     """Boundary classification by the sign of b.n."""
 
     DIRICHLET = "dirichlet"   # b.n = 0
     INFLOW = "inflow"         # b.n < 0
     OUTFLOW = "outflow"       # b.n > 0
-
-
-@dataclass(frozen=True)
-class BoundaryEdge:
-    """One element edge lying on the domain boundary.
-
-    ``side`` is the rectangle side it belongs to and ``index`` its 0-based
-    position along that side.
-    """
-
-    side: str
-    index: int
-    midpoint: tuple[float, float]
-    normal: tuple[float, float]
 
 
 @dataclass
@@ -66,7 +46,6 @@ class Mesh:
     nx: int                       # cells per direction
     ny: int
     h: float
-    boundary_edges: list[BoundaryEdge]
 
     @property
     def n_nodes(self) -> int:
@@ -84,27 +63,6 @@ def _lattice_nodes(nx: int, ny: int, Lx: float, Ly: float) -> np.ndarray:
     return np.column_stack([X.ravel(), Y.ravel()])
 
 
-def _boundary_edges_structured(nodes, nx, ny):
-    """Boundary edges of an nx-by-ny cell grid, counter-clockwise per side."""
-    edges = []
-
-    def add(side, index, n0, n1):
-        mid = 0.5 * (nodes[n0] + nodes[n1])
-        edges.append(BoundaryEdge(side, index, (float(mid[0]), float(mid[1])),
-                                  tuple(_SIDE_NORMALS[side])))
-
-    stride = nx + 1
-    for i in range(nx):
-        add("bottom", i, i, i + 1)
-    for j in range(ny):
-        add("right", j, j * stride + nx, (j + 1) * stride + nx)
-    for i in range(nx):
-        add("top", i, ny * stride + i, ny * stride + i + 1)
-    for j in range(ny):
-        add("left", j, j * stride, (j + 1) * stride)
-    return edges
-
-
 def build_quad_mesh(nx: int, ny: int, Lx: float = 1.0, Ly: float = 1.0) -> Mesh:
     """Uniform grid of nx*ny rectangles; connectivity is counter-clockwise."""
     if nx < 1 or ny < 1:
@@ -118,9 +76,8 @@ def build_quad_mesh(nx: int, ny: int, Lx: float = 1.0, Ly: float = 1.0) -> Mesh:
     ll = j * stride + i
     elements = np.column_stack([ll, ll + 1, ll + stride + 1, ll + stride])
     hx, hy = Lx / nx, Ly / ny
-    edges = _boundary_edges_structured(nodes, nx, ny)
     return Mesh(nodes, elements.astype(np.int64), "quad", Lx, Ly, nx, ny,
-                float(np.hypot(hx, hy)), edges)
+                float(np.hypot(hx, hy)))
 
 
 def build_tri_mesh(n: int, Lx: float = 1.0, Ly: float = 1.0) -> Mesh:
@@ -143,33 +100,55 @@ def build_tri_mesh(n: int, Lx: float = 1.0, Ly: float = 1.0) -> Mesh:
     elements = np.empty((2 * n * n, 3), dtype=np.int64)
     elements[0::2] = lower
     elements[1::2] = upper
-    edges = _boundary_edges_structured(nodes, n, n)
     return Mesh(nodes, elements, "triangle", Lx, Ly, n, n,
-                float(np.hypot(Lx / n, Ly / n)), edges)
+                float(np.hypot(Lx / n, Ly / n)))
+
+
+class BoundaryEdges(NamedTuple):
+    """A mesh's boundary edges as parallel arrays.
+
+    Edges run along the bottom, right, top and left sides in turn, each
+    side from its lower or left end; ``index`` is the 0-based position
+    along the side.
+    """
+
+    side: np.ndarray       # (E,) "bottom" | "right" | "top" | "left"
+    index: np.ndarray      # (E,)
+    midpoint: np.ndarray   # (E, 2)
+    normal: np.ndarray     # (E, 2) outward unit normal
+
+
+def boundary_edges(mesh: Mesh) -> BoundaryEdges:
+    """Every boundary edge of a structured mesh, in the fixed side order."""
+    nx, ny, stride = mesh.nx, mesh.ny, mesh.nx + 1
+    counts = [nx, ny, nx, ny]
+    i, j = np.arange(nx), np.arange(ny)
+    first = np.concatenate([i, j * stride + nx, ny * stride + i, j * stride])
+    last = first + np.repeat([1, stride, 1, stride], counts)
+    return BoundaryEdges(
+        np.repeat(["bottom", "right", "top", "left"], counts),
+        np.concatenate([i, j, i, j]),
+        0.5 * (mesh.nodes[first] + mesh.nodes[last]),
+        np.repeat([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], counts, axis=0))
 
 
 @dataclass
 class BoundaryTags:
-    """Per-edge boundary tags, parallel to mesh.boundary_edges."""
+    """Boundary tags: ``edge_tags[e]`` is the Tag of edge e of
+    :func:`boundary_edges`, an object array in that order."""
 
-    edge_tags: list[Tag]
+    edge_tags: np.ndarray
 
     def count(self, tag: Tag) -> int:
-        return sum(1 for t in self.edge_tags if t is tag)
+        return int(np.count_nonzero(self.edge_tags == tag))
 
 
 def classify_boundary(mesh: Mesh, field) -> BoundaryTags:
     """Tag every boundary edge from the sign of b.n at its midpoint."""
     from .fields import eval_b
 
-    edge_tags = []
-    for edge in mesh.boundary_edges:
-        b = eval_b(field, edge.midpoint[0], edge.midpoint[1])
-        bn = float(b[0] * edge.normal[0] + b[1] * edge.normal[1])
-        if abs(bn) < BN_TOLERANCE:
-            edge_tags.append(Tag.DIRICHLET)
-        elif bn < 0:
-            edge_tags.append(Tag.INFLOW)
-        else:
-            edge_tags.append(Tag.OUTFLOW)
-    return BoundaryTags(edge_tags)
+    edges = boundary_edges(mesh)
+    b = eval_b(field, edges.midpoint[:, 0], edges.midpoint[:, 1])
+    bn = b[:, 0] * edges.normal[:, 0] + b[:, 1] * edges.normal[:, 1]
+    return BoundaryTags(np.select([np.abs(bn) < BN_TOLERANCE, bn < 0],
+                                  [Tag.DIRICHLET, Tag.INFLOW], Tag.OUTFLOW))

@@ -46,7 +46,9 @@ class ProblemSpec:
     ``case`` supplies the instance's data: ``functional(field, eps)``, the
     load functional; ``boundary_values(x, y)``, the Dirichlet values of u;
     and ``u``/``grad_u``, the error reference.  A manufactured solution and
-    the closed-form mode solution are the two built-in cases.
+    the closed-form mode solution are the two built-in cases; each must
+    have been built for the spec's eps, and the manufactured one for the
+    field's alpha, the mode solution on the stabilized scheme for its sigma.
     """
 
     scheme: str
@@ -74,10 +76,23 @@ class ProblemSpec:
             raise ValueError("eps must be nonnegative")
         if self.sigma < 0.0:
             raise ValueError("sigma must be nonnegative")
+        # a built-in case fixed its own eps (and alpha, or sigma) when built
+        case, built_for = self.case, {}
+        if isinstance(case, ManufacturedCase):
+            built_for = {"eps": self.eps, "alpha": self.field.alpha}
+        elif isinstance(case, SpectralSolution):
+            built_for = {"eps": self.eps}
+            if self.scheme == "stabilized":
+                built_for["sigma"] = self.sigma
+        for name, value in built_for.items():
+            if getattr(case, name) != value:
+                raise ValueError(f"the case was built for {name} = "
+                                 f"{getattr(case, name)}, the spec has {value}")
         if self.scheme == "stabilized" and self.sigma == 0.0:
+            # level 3: past the dataclass-generated __init__ to its caller
             warnings.warn("stabilized scheme with sigma = 0: the auxiliary "
                           "variable is not unique and the solver may report "
-                          "a singular matrix", stacklevel=2)
+                          "a singular matrix", stacklevel=3)
 
     def build_mesh(self) -> Mesh:
         kind, _ = FAMILIES[self.family]

@@ -25,7 +25,7 @@ from .geometry import build_quad_mesh, build_tri_mesh
 from .schemes import (SCHEME_KINDS, ProblemSpec, SchemeOperators, build_system,
                       solve_scheme)
 from .solver import SingularMatrixError
-from .spectral import FourierRhs, spectral_solve
+from .spectral import DegenerateSpectralProblem, FourierRhs, spectral_solve
 
 
 def _is_number(value, kind=Real) -> bool:
@@ -199,6 +199,13 @@ class StudyConfig:
             except (TypeError, IndexError, ValueError) as exc:
                 raise ValueError(f"modes {self.modes!r} are not [[k, l, coeff], ...] "
                                  f"with k >= 1 and l >= 0") from exc
+        if self.kind == "oracle_validation":
+            eps, = self.value("eps_list")
+            try:
+                spectral_solve(FourierRhs.from_modes(self.value("modes")), eps,
+                               resolve_sigma(self.value("sigma_rule"), 0.0))
+            except DegenerateSpectralProblem as exc:
+                raise ValueError(f"oracle_validation: {exc}") from None
 
 
 @dataclass

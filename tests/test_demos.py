@@ -1,15 +1,19 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.name)
 def test_demo_imports_exist(path):
-    # every name a demo imports from anisofem exists; no demo is run
+    # every name a demo imports from anisofem exists
     tree = ast.parse(path.read_text(), filename=str(path))
     imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                and (node.module or "").split(".")[0] == "anisofem"]
@@ -18,3 +22,14 @@ def test_demo_imports_exist(path):
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(path, tmp_path):
+    # anything a demo writes lands in tmp_path
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from anisofem.fields import FieldSpec
+from anisofem.fields import FieldSpec, eval_b
 from anisofem.fem import FemSpace
-from anisofem.geometry import (Tag, build_quad_mesh, build_tri_mesh,
-                               classify_boundary)
+from anisofem.geometry import (BN_TOLERANCE, Tag, boundary_edges, build_quad_mesh,
+                               build_tri_mesh, classify_boundary)
 
 
 def test_single_quad_cell():
@@ -68,8 +68,8 @@ def test_h_halves_when_n_doubles():
 
 def _tags_by_side(mesh, tags):
     out = {}
-    for edge, tag in zip(mesh.boundary_edges, tags.edge_tags):
-        out.setdefault(edge.side, set()).add(tag)
+    for side, tag in zip(boundary_edges(mesh).side, tags.edge_tags):
+        out.setdefault(side, set()).add(tag)
     return out
 
 
@@ -98,7 +98,7 @@ def test_tag_partition():
     for mesh in (build_quad_mesh(7, 5), build_tri_mesh(6)):
         tags = classify_boundary(mesh, FieldSpec("variable_alpha", 1.0))
         total = sum(tags.count(t) for t in Tag)
-        assert total == len(mesh.boundary_edges)
+        assert total == len(boundary_edges(mesh).side)
 
 
 def test_refinement_stable_tags():
@@ -122,3 +122,60 @@ def test_corner_dirichlet_dominance():
     mid_left = (4 + 1) * 2
     assert not u_space.constrained_mask[mid_left]
     assert q_space.constrained_mask[mid_left]
+
+
+def _per_edge_reference(mesh, field, k):
+    """The boundary split one edge at a time: (side, index, midpoint, normal,
+    tag, lattice dofs) per edge, each tag from its own scalar eval_b call."""
+    nx, ny, stride = mesh.nx, mesh.ny, mesh.nx + 1
+    mx, my = k * nx + 1, k * ny + 1
+    a = np.arange(k + 1)
+    edges = []
+    for i in range(nx):
+        edges.append(("bottom", i, i, i + 1, (0.0, -1.0), k * i + a))
+    for j in range(ny):
+        edges.append(("right", j, j * stride + nx, (j + 1) * stride + nx, (1.0, 0.0),
+                      (k * j + a) * mx + (mx - 1)))
+    for i in range(nx):
+        edges.append(("top", i, ny * stride + i, ny * stride + i + 1, (0.0, 1.0),
+                      (my - 1) * mx + k * i + a))
+    for j in range(ny):
+        edges.append(("left", j, j * stride, (j + 1) * stride, (-1.0, 0.0), (k * j + a) * mx))
+    out = []
+    for side, index, n0, n1, normal, dofs in edges:
+        mid = 0.5 * (mesh.nodes[n0] + mesh.nodes[n1])
+        b = eval_b(field, float(mid[0]), float(mid[1]))
+        bn = float(b[0] * normal[0] + b[1] * normal[1])
+        tag = (Tag.DIRICHLET if abs(bn) < BN_TOLERANCE
+               else Tag.INFLOW if bn < 0 else Tag.OUTFLOW)
+        out.append((side, index, mid, normal, tag, dofs))
+    return out
+
+
+@pytest.mark.parametrize("extent", [(1.0, 1.0), (np.pi, np.pi), (1.0, 0.4)],
+                         ids=["unit", "pi", "flat"])
+@pytest.mark.parametrize("field", [FieldSpec("variable_alpha", 0.0),
+                                   FieldSpec("variable_alpha", 2.0),
+                                   FieldSpec("aligned_e2")],
+                         ids=["alpha0", "alpha2", "aligned"])
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("family", ["q1", "q2", "p1", "p2"])
+def test_boundary_split_matches_per_edge_reference(family, n, field, extent):
+    mesh = (build_quad_mesh(n, n, *extent) if family[0] == "q"
+            else build_tri_mesh(n, *extent))
+    sides, indices, mids, normals, ref_tags, dofs = zip(
+        *_per_edge_reference(mesh, field, int(family[1])))
+    edges = boundary_edges(mesh)
+    assert list(edges.side) == list(sides)
+    assert list(edges.index) == list(indices)
+    assert np.array_equal(edges.midpoint, mids)
+    assert np.array_equal(edges.normal, normals)
+    tags = classify_boundary(mesh, field)
+    assert list(tags.edge_tags) == list(ref_tags)
+    u_space = FemSpace(mesh, family, {Tag.DIRICHLET}, tags)
+    q_space = u_space.with_constraints({Tag.DIRICHLET, Tag.INFLOW}, tags)
+    for space, keep in ((u_space, {Tag.DIRICHLET}), (q_space, {Tag.DIRICHLET, Tag.INFLOW})):
+        pinned = [d for t, d in zip(ref_tags, dofs) if t in keep]
+        expected = np.unique(np.concatenate(pinned)) if pinned else np.empty(0, np.int64)
+        assert space.constrained.dtype == np.int64
+        assert np.array_equal(space.constrained, expected)

@@ -14,6 +14,7 @@ from anisofem.fem import assemble_rhs, error_norms
 from anisofem.schemes import (ProblemSpec, SchemeOperators, build_system,
                               solve_scheme)
 from anisofem.solver import lu_factor, solve
+from anisofem.spectral import FourierRhs, spectral_solve
 from anisofem.studies import (StudyConfig, StudyRecord, _spec, run_instance,
                               run_study)
 
@@ -35,6 +36,28 @@ def test_spec_validation():
     ProblemSpec("inflow", 0.0, field)          # eps = 0 allowed for AP schemes
     with pytest.warns(UserWarning):
         ProblemSpec("stabilized", 0.5, field, sigma=0.0)
+
+
+def test_sigma_zero_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="sigma = 0") as caught:
+        ProblemSpec("stabilized", 0.5, FieldSpec("variable_alpha", 0.0), sigma=0.0)
+    assert caught[0].filename == __file__
+
+
+_MODE = FourierRhs.from_modes([(1, 1, 1.0)])
+
+
+@pytest.mark.parametrize("field, case, sigma", [
+    (FieldSpec("variable_alpha", 2.0), ManufacturedCase("smooth", 0.0, 1e-10), 1e-6),
+    (FieldSpec("variable_alpha", 2.0), ManufacturedCase("smooth", 2.0, 0.5), 1e-6),
+    (FieldSpec("aligned_e2"), spectral_solve(_MODE, 0.5, 1e-6), 1e-6),
+    (FieldSpec("aligned_e2"), spectral_solve(_MODE, 1e-10, 1e-6), 1e-2),
+], ids=["manufactured_alpha", "manufactured_eps", "modes_eps", "modes_sigma"])
+def test_spec_rejects_a_case_built_for_other_parameters(field, case, sigma):
+    # each used to run and be reported OK, with relative L2 errors of 0.27
+    # and more where the matching case gives 1.8e-4 or less
+    with pytest.raises(ValueError, match="the case was built for"):
+        ProblemSpec("stabilized", 1e-10, field, case, sigma=sigma, family="q2", n=16)
 
 
 def test_dof_partition_counts():
