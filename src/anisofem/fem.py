@@ -6,9 +6,14 @@ space live on a (k*nx+1) x (k*ny+1) point lattice (for P2 the edge
 midpoints fill the odd lattice positions), numbered lexicographically with
 x fastest, which keeps dof numbering bit-stable across runs.
 
-Assembly is vectorized over elements; constrained dofs are not touched at
-assembly time, elimination happens when systems are built.  All forms on a
-space share one CSR pattern, its element stencil: cancelled entries stay.
+The per-point kernels (field values, exact values, the geometry tensors
+of the forms and the load integrands) run over blocks of elements and
+write into full-size arrays, so their temporaries stay bounded whatever
+the mesh; each product that mixes elements (element matrices and load
+vectors from those arrays) and each error norm is one whole-array step.
+Constrained dofs are not touched at assembly time, elimination happens
+when systems are built.  All forms on a space share one CSR pattern, its
+element stencil: cancelled entries stay.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ FORM_KINDS = ("a_full", "a_par", "mass")
 # degree-4 rule on triangles.  Error norms use one order more.
 _QUAD_DEFAULT_PTS = 4
 _QUAD_ERROR_PTS = 5
+
+# The per-point kernels run over blocks of this many elements: 2^15 points
+# of the largest rule (5x5 Gauss on quads), a few MiB of temporaries.
+BLOCK_ELEMENTS = 2 ** 15 // _QUAD_ERROR_PTS ** 2
 
 
 def gauss_tensor(p: int):
@@ -266,11 +275,20 @@ class FemSpace:
                                  "wdet": wts[None, :] * geo["detJ"][:, None]}
         return self._tables[purpose]
 
-    def points(self, purpose: str = "default") -> np.ndarray:
-        """The rule's points origin + J.pts (E,Q,2), formed on each call with
-        each sum written out as its two terms: the products and additions
-        of einsum's generic loop, so the same points bit for bit."""
+    def blocks(self):
+        """Slices of the element axis, BLOCK_ELEMENTS elements each, in
+        order: the per-point kernels run one block at a time."""
+        for start in range(0, self.mesh.n_elements, BLOCK_ELEMENTS):
+            yield slice(start, start + BLOCK_ELEMENTS)
+
+    def points(self, purpose: str = "default", elements=slice(None)) -> np.ndarray:
+        """The rule's points origin + J.pts (e,Q,2) on the given elements
+        (all of them by default; a kernel passes its block), formed on each
+        call with each sum written out as its two terms: the products and
+        additions of einsum's generic loop, so the same points bit for bit,
+        whatever the block."""
         J, pts, origin = map(self.tables(purpose).get, ("J", "pts", "origin"))
+        J, origin = J[elements], origin[elements]
         return np.stack([origin[:, None, i] + (J[:, None, i, 0] * pts[:, 0]
                                                + J[:, None, i, 1] * pts[:, 1])
                          for i in (0, 1)], axis=-1)
@@ -278,10 +296,17 @@ class FemSpace:
     def field_values(self, field: FieldSpec) -> FieldValues:
         """Cached, read-only b, A and a_par of the field at the default
         quadrature points, each (E, Q, ...): the forms and the loads on
-        this space read the same values."""
+        this space read the same values.  They are evaluated block by
+        block into full-size arrays."""
         if field not in self._tables:
-            xq = self.points()
-            values = eval_field(field, xq[..., 0], xq[..., 1])
+            shape = self.tables()["wdet"].shape
+            values = FieldValues(np.empty(shape + (2,)), np.empty(shape + (2, 2)),
+                                 np.empty(shape))
+            for s in self.blocks():
+                xq = self.points(elements=s)
+                for array, block in zip(values,
+                                        eval_field(field, xq[..., 0], xq[..., 1])):
+                    array[s] = block
             for array in values:
                 array.flags.writeable = False
             self._tables[field] = values
@@ -361,14 +386,16 @@ def assemble(space: FemSpace, kind: str,
         geo, ref = wdet, np.einsum("lq,mq->qlm", N, N)
     else:
         inv_t = tab["invJ"].transpose(0, 2, 1)
-        if kind == "a_full":
-            # J^-1 A J^-T as (A J^-T)^T J^-T, A being symmetric
-            AJ = apply_map(space.field_values(field).A, inv_t)
-            geo = apply_map(AJ.swapaxes(-1, -2), inv_t) * wdet[..., None, None]
-        else:
-            bq, _, apar = space.field_values(field)
-            c = apply_map(bq, inv_t)                                 # J^-1 b
-            geo = ((wdet * apar)[..., None] * c)[..., :, None] @ c[..., None, :]
+        bq, A, apar = space.field_values(field)
+        geo = np.empty(wdet.shape + (2, 2))
+        for s in space.blocks():
+            if kind == "a_full":
+                # J^-1 A J^-T as (A J^-T)^T J^-T, A being symmetric
+                AJ = apply_map(A[s], inv_t[s])
+                geo[s] = apply_map(AJ.swapaxes(-1, -2), inv_t[s]) * wdet[s, ..., None, None]
+            else:
+                c = apply_map(bq[s], inv_t[s])                       # J^-1 b
+                geo[s] = ((wdet[s] * apar[s])[..., None] * c)[..., :, None] @ c[..., None, :]
         ref = np.einsum("lqj,mqk->qjklm", dN, dN)
     Ke = geo.reshape(len(geo), -1) @ ref.reshape(-1, space.n_local ** 2)
     ed = space.element_dofs
@@ -380,19 +407,29 @@ def assemble(space: FemSpace, kind: str,
 
 def assemble_rhs(space: FemSpace, functional: LinearFunctional) -> np.ndarray:
     """Load vector b_i = l(phi_i) using the same rule and, for the flux,
-    the same field values as assemble."""
+    the same field values as assemble.  The flux and the source are
+    evaluated block by block; the flux's field_values argument gives the
+    block's slices of the cached field values."""
     tab = space.tables()
     N, dN, wdet = tab["N"], tab["dN"], tab["wdet"]
-    xq = space.points()
+    inv_t = tab["invJ"].transpose(0, 2, 1)
+    flux, source = functional.flux, functional.source
+    H = None if flux is None else np.empty(wdet.shape + (2,))   # wdet J^-1 F
+    S = None if source is None else np.empty(wdet.shape)        # wdet f0
+    for s in space.blocks():
+        xq = space.points(elements=s)
+        if flux is not None:
+            def field_values(field, s=s):
+                return FieldValues._make(v[s] for v in space.field_values(field))
+            F = np.asarray(flux(xq[..., 0], xq[..., 1], field_values), dtype=float)
+            H[s] = apply_map(F, inv_t[s]) * wdet[s, ..., None]
+        if source is not None:
+            S[s] = wdet[s] * np.asarray(source(xq[..., 0], xq[..., 1]), dtype=float)
     re = np.zeros((space.mesh.n_elements, space.n_local))
-    if functional.flux is not None:
-        F = np.asarray(functional.flux(xq[..., 0], xq[..., 1], space.field_values),
-                       dtype=float)
-        H = apply_map(F, tab["invJ"].transpose(0, 2, 1)) * wdet[..., None]  # J^-1 F
+    if H is not None:
         re += H.reshape(len(H), -1) @ dN.transpose(1, 2, 0).reshape(-1, space.n_local)
-    if functional.source is not None:
-        f0 = np.asarray(functional.source(xq[..., 0], xq[..., 1]), dtype=float)
-        re += (wdet * f0) @ N.T
+    if S is not None:
+        re += S @ N.T
     out = np.zeros(space.n_dofs)
     np.add.at(out, space.element_dofs.ravel(), re.ravel())
     return out
@@ -408,13 +445,17 @@ class ExactValues(NamedTuple):
 
 
 def exact_values(space: FemSpace, case) -> ExactValues | None:
-    """case.u and case.grad_u at the error quadrature points of the space;
-    None (zero) stays None."""
+    """case.u and case.grad_u at the error quadrature points of the space,
+    evaluated block by block into full-size arrays; None (zero) stays None."""
     if case is None:
         return None
-    xq = space.points("error")
-    return ExactValues(np.asarray(case.u(xq[..., 0], xq[..., 1]), dtype=float),
-                       np.asarray(case.grad_u(xq[..., 0], xq[..., 1]), dtype=float))
+    shape = space.tables("error")["wdet"].shape
+    values = ExactValues(np.empty(shape), np.empty(shape + (2,)))
+    for s in space.blocks():
+        xq = space.points("error", s)
+        values.u[s] = case.u(xq[..., 0], xq[..., 1])
+        values.grad_u[s] = case.grad_u(xq[..., 0], xq[..., 1])
+    return values
 
 
 def error_components(space: FemSpace, coefficients, case=None):

@@ -258,14 +258,32 @@ def _build_plan(ops: SchemeOperators, scheme: str) -> SchemePlan:
     return plan
 
 
+# _plan_matrices forms this many entries at a time: its temporaries stay
+# a few hundred KiB beside the data it returns.
+_GATHER_CHUNK = 2 ** 13
+
+
 def _plan_matrices(ops: SchemeOperators, plan: SchemePlan, blocks) -> tuple:
-    """The plan's matrix and lift at the coefficients ``blocks`` on (K, P, M)."""
-    table = np.zeros((len(blocks), ops.K.nnz))
-    for row, coefficients in zip(table, blocks):
-        for c, form in zip(coefficients, "KPM"):
-            if c:       # a zero adds nothing, and M is assembled on first read
-                row += c * getattr(ops, form).data
-    data = table.ravel()[plan.idx]
+    """The plan's matrix and lift at the coefficients ``blocks`` on (K, P, M).
+
+    Entry i, at slot t of block b, is 0.0 + c_K[b] K_t + c_P[b] P_t +
+    c_M[b] M_t summed left to right, a chunk of entries at a time, so no
+    table of all blocks is held beside the data.  A form with a zero
+    coefficient in every block is not read (M is assembled on first
+    read); elsewhere a zero coefficient adds a signed zero, which leaves
+    a finite sum as it is, so each entry is bit for bit its block's
+    combination without the zero terms."""
+    coefficients = np.array(blocks)
+    forms = [(coefficients[:, j], getattr(ops, form).data)
+             for j, form in enumerate("KPM") if coefficients[:, j].any()]
+    data = np.zeros(len(plan.idx))
+    for start in range(0, len(data), _GATHER_CHUNK):
+        flat = plan.idx[start:start + _GATHER_CHUNK].astype(np.intp)
+        b = flat // ops.K.nnz       # np.divmod and int32 indices are slower
+        t = flat - b * ops.K.nnz
+        chunk = data[start:start + _GATHER_CHUNK]
+        for c, values in forms:
+            chunk += c[b] * values[t]
     n, p = len(plan.order), plan.indptr
     matrix = sp.csc_matrix((data[:p[n]], plan.indices[:p[n]], p[:n + 1]),
                            shape=(n, n))

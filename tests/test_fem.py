@@ -1,10 +1,11 @@
 import hashlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from anisofem import fem
+from anisofem import fem, studies
 from anisofem.fields import (FieldSpec, FieldValues, LinearFunctional,
                              ManufacturedCase, eval_field, rhs_functional)
 from anisofem.fem import (FAMILIES, FORM_KINDS, ND_LEAF, FemSpace, assemble,
@@ -190,6 +191,71 @@ def test_table_cache_holds_no_per_point_gradients(family):
     n_points = sum(len(reference_rule(family, purpose)[1])
                    for purpose in ("default", "error"))
     assert per_element <= n_points + 16
+
+
+def _kernel_outputs(family, field):
+    """What every per-point kernel writes on a fresh operator set: the field
+    values, the data of K, P and M, and the smooth and low_reg loads and
+    exact values."""
+    ops = SchemeOperators(_mesh(family), field, family)
+    out = list(ops.u_space.field_values(field))
+    out += [form.data for form in (ops.K, ops.P, ops.M)]
+    for case_id in ("smooth", "low_reg"):
+        case = ManufacturedCase(case_id, field.alpha, 0.3)
+        out.append(ops.case_load(case, field, 0.3))
+        out += list(ops.exact_values(case))
+    return out
+
+
+@pytest.mark.parametrize("kind, alpha", [("variable_alpha", 2.0), ("aligned_e2", 0.0)])
+@pytest.mark.parametrize("family", ["q1", "q2", "p1", "p2"])
+def test_kernels_do_not_depend_on_the_block_size(family, kind, alpha, monkeypatch):
+    # the mesh is one block at the default size; blocks of 1 and of 7
+    # elements (the last one partial) must give the same bits
+    field = FieldSpec(kind, alpha)
+    assert _mesh(family).n_elements <= fem.BLOCK_ELEMENTS
+    whole = _kernel_outputs(family, field)
+    for size in (1, 7):
+        monkeypatch.setattr(fem, "BLOCK_ELEMENTS", size)
+        blocked = _kernel_outputs(family, field)
+        assert len(blocked) == len(whole)
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want), size
+
+
+def test_coordinate_flux_load_does_not_depend_on_the_block_size(monkeypatch):
+    # the inf-sup probe's flux reads the point coordinates, not the field
+    loads = []
+
+    def recorded(space, functional):
+        loads.append(assemble_rhs(space, functional))
+        return loads[-1]
+
+    monkeypatch.setattr(studies, "assemble_rhs", recorded)
+    for size in (fem.BLOCK_ELEMENTS, 1, 7):
+        monkeypatch.setattr(fem, "BLOCK_ELEMENTS", size)
+        studies._infsup_ratio(3, FieldSpec("aligned_e2", 0.0))
+    assert len(loads) == 3
+    assert all(np.array_equal(load, loads[0]) for load in loads[1:])
+
+
+def test_operator_set_transients_stay_within_a_budget():
+    # peak allocation above what is kept while one Q1 n = 64 operator set
+    # assembles K and P, a load and the exact values: 10.94 MiB when each
+    # kernel ran over all points at once, 4.00 MiB over element blocks
+    # (set by the block, so the same at n = 128)
+    field = FieldSpec("variable_alpha", 2.0)
+    case = ManufacturedCase("low_reg", 2.0, 1e-4)
+    mesh = build_quad_mesh(64, 64)
+    tracemalloc.start()
+    try:
+        ops = SchemeOperators(mesh, field, "q1")
+        ops.case_load(case, field, 1e-4)
+        ops.exact_values(case)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept <= 6 * 2 ** 20
 
 
 M1 = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0        # 1D linear mass on [0,1]

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,6 +396,25 @@ def test_load_memo_survives_the_scheme_loop(monkeypatch):
         for name in StudyRecord.__dataclass_fields__:
             if name != "wall_time_seconds":
                 assert getattr(rec, name) == getattr(fresh, name), name
+
+
+def test_warm_build_system_holds_at_most_one_row_beside_its_result():
+    # a stabilized system gathers from four coefficient rows of nnz(K)
+    # doubles; holding them all beside the data read 1.78 MiB above what
+    # build_system returns, 4.0 rows.  Formed a chunk of entries at a time
+    # it reads 0.32 MiB, 0.73 of a row at this size; the slack covers small
+    # allocations of numpy and scipy.
+    spec = _smooth_spec("stabilized", 1e-4, 2.0, 30, sigma=1e-6)
+    ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
+    build_system(spec, ops)             # plan, load and M are built
+    tracemalloc.start()
+    try:
+        system = build_system(spec, ops)
+        returned, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.matrix.nnz > 0
+    assert peak - returned <= 8 * ops.K.nnz + 64 * 2 ** 10
 
 
 def test_field_values_are_evaluated_once_per_operator_set(monkeypatch):
