@@ -11,9 +11,13 @@ of the forms and the load integrands) run over blocks of elements and
 write into full-size arrays, so their temporaries stay bounded whatever
 the mesh; each product that mixes elements (element matrices and load
 vectors from those arrays) and each error norm is one whole-array step.
+No quadrature weight is cached: each kernel forms the weights times
+detJ of its block, or of the whole mesh for the error norms.
 Constrained dofs are not touched at assembly time, elimination happens
 when systems are built.  All forms on a space share one CSR pattern, its
-element stencil: cancelled entries stay.
+element stencil: cancelled entries stay.  scipy's COO -> CSR conversion
+leaves a form's arrays at the COO size, so an operator set stores each
+form's data at its nnz on one read-only copy of that pattern.
 """
 
 from __future__ import annotations
@@ -242,8 +246,11 @@ class FemSpace:
 
     def tables(self, purpose: str = "default") -> dict:
         """Cached per-rule tables: reference N (nd,Q), dN (nd,Q,2), pts (Q,2),
-        weights wdet (E,Q), and the element maps J, invJ (E,2,2), detJ (E,)
-        and origin (E,2) that all rules share.  Kernels map dN by invJ."""
+        wts (Q,), and the element maps J, invJ (E,2,2), detJ (E,) and
+        origin (E,2) that all rules share.  Kernels map dN by invJ and
+        form the weights wts detJ (``weights``): no (E,Q) array is cached
+        here.  The forms' shared pattern is not cached either; an operator
+        set keeps it."""
         if purpose in self._tables:
             return self._tables[purpose]
         if "geometry" not in self._tables:
@@ -271,9 +278,15 @@ class FemSpace:
         geo = self._tables["geometry"]
         pts, wts = reference_rule(self.family, purpose)
         N, dN = shape_functions(self.family, pts)
-        self._tables[purpose] = {"N": N, "dN": dN, "pts": pts, **geo,
-                                 "wdet": wts[None, :] * geo["detJ"][:, None]}
+        self._tables[purpose] = {"N": N, "dN": dN, "pts": pts, "wts": wts, **geo}
         return self._tables[purpose]
+
+    def weights(self, purpose: str = "default", elements=slice(None)) -> np.ndarray:
+        """The rule's weights times detJ (e,Q) on the given elements (all
+        of them by default), formed on each call: one product per entry,
+        so the same weights bit for bit, whatever the block."""
+        tab = self.tables(purpose)
+        return tab["wts"][None, :] * tab["detJ"][elements, None]
 
     def blocks(self):
         """Slices of the element axis, BLOCK_ELEMENTS elements each, in
@@ -299,7 +312,7 @@ class FemSpace:
         this space read the same values.  They are evaluated block by
         block into full-size arrays."""
         if field not in self._tables:
-            shape = self.tables()["wdet"].shape
+            shape = (self.mesh.n_elements, len(self.tables()["pts"]))
             values = FieldValues(np.empty(shape + (2,)), np.empty(shape + (2, 2)),
                                  np.empty(shape))
             for s in self.blocks():
@@ -373,29 +386,31 @@ def assemble(space: FemSpace, kind: str,
     int A_par (b.grad u)(b.grad v); ``mass`` the L2 product.  The
     space's constrained set is ignored.  Each element matrix is one
     product of a per-point geometry tensor (wdet J^-1 A J^-T, wdet a_par
-    (J^-1 b)(J^-1 b)^T or wdet) with a reference tensor (dN dN^T, or
-    N N^T for the mass).  Cancelled entries stay as explicit zeros.
+    (J^-1 b)(J^-1 b)^T or wdet, wdet the weights) with a reference tensor
+    (dN dN^T, or N N^T for the mass).  Cancelled entries stay as explicit
+    zeros, so every form on the space has one pattern.
     """
     if kind not in FORM_KINDS:
         raise ValueError(f"unknown form kind {kind!r}")
     if kind != "mass" and field is None:
         raise ValueError(f"form {kind!r} needs a field")
     tab = space.tables()
-    N, dN, wdet = tab["N"], tab["dN"], tab["wdet"]
+    N, dN = tab["N"], tab["dN"]
     if kind == "mass":
-        geo, ref = wdet, np.einsum("lq,mq->qlm", N, N)
+        geo, ref = space.weights(), np.einsum("lq,mq->qlm", N, N)
     else:
         inv_t = tab["invJ"].transpose(0, 2, 1)
         bq, A, apar = space.field_values(field)
-        geo = np.empty(wdet.shape + (2, 2))
+        geo = np.empty(apar.shape + (2, 2))
         for s in space.blocks():
+            wdet = space.weights(elements=s)
             if kind == "a_full":
                 # J^-1 A J^-T as (A J^-T)^T J^-T, A being symmetric
                 AJ = apply_map(A[s], inv_t[s])
-                geo[s] = apply_map(AJ.swapaxes(-1, -2), inv_t[s]) * wdet[s, ..., None, None]
+                geo[s] = apply_map(AJ.swapaxes(-1, -2), inv_t[s]) * wdet[..., None, None]
             else:
                 c = apply_map(bq[s], inv_t[s])                       # J^-1 b
-                geo[s] = ((wdet[s] * apar[s])[..., None] * c)[..., :, None] @ c[..., None, :]
+                geo[s] = ((wdet * apar[s])[..., None] * c)[..., :, None] @ c[..., None, :]
         ref = np.einsum("lqj,mqk->qjklm", dN, dN)
     Ke = geo.reshape(len(geo), -1) @ ref.reshape(-1, space.n_local ** 2)
     ed = space.element_dofs
@@ -411,20 +426,21 @@ def assemble_rhs(space: FemSpace, functional: LinearFunctional) -> np.ndarray:
     evaluated block by block; the flux's field_values argument gives the
     block's slices of the cached field values."""
     tab = space.tables()
-    N, dN, wdet = tab["N"], tab["dN"], tab["wdet"]
+    N, dN = tab["N"], tab["dN"]
     inv_t = tab["invJ"].transpose(0, 2, 1)
     flux, source = functional.flux, functional.source
-    H = None if flux is None else np.empty(wdet.shape + (2,))   # wdet J^-1 F
-    S = None if source is None else np.empty(wdet.shape)        # wdet f0
+    shape = (space.mesh.n_elements, len(tab["pts"]))
+    H = None if flux is None else np.empty(shape + (2,))    # wdet J^-1 F
+    S = None if source is None else np.empty(shape)         # wdet f0
     for s in space.blocks():
-        xq = space.points(elements=s)
+        xq, wdet = space.points(elements=s), space.weights(elements=s)
         if flux is not None:
             def field_values(field, s=s):
                 return FieldValues._make(v[s] for v in space.field_values(field))
             F = np.asarray(flux(xq[..., 0], xq[..., 1], field_values), dtype=float)
-            H[s] = apply_map(F, inv_t[s]) * wdet[s, ..., None]
+            H[s] = apply_map(F, inv_t[s]) * wdet[..., None]
         if source is not None:
-            S[s] = wdet[s] * np.asarray(source(xq[..., 0], xq[..., 1]), dtype=float)
+            S[s] = wdet * np.asarray(source(xq[..., 0], xq[..., 1]), dtype=float)
     re = np.zeros((space.mesh.n_elements, space.n_local))
     if H is not None:
         re += H.reshape(len(H), -1) @ dN.transpose(1, 2, 0).reshape(-1, space.n_local)
@@ -449,7 +465,7 @@ def exact_values(space: FemSpace, case) -> ExactValues | None:
     evaluated block by block into full-size arrays; None (zero) stays None."""
     if case is None:
         return None
-    shape = space.tables("error")["wdet"].shape
+    shape = (space.mesh.n_elements, len(space.tables("error")["pts"]))
     values = ExactValues(np.empty(shape), np.empty(shape + (2,)))
     for s in space.blocks():
         xq = space.points("error", s)
@@ -472,19 +488,18 @@ def error_components(space: FemSpace, coefficients, case=None):
     if not isinstance(case, ExactValues):
         case = exact_values(space, case)
     tab = space.tables("error")
-    N, dN, wdet = tab["N"], tab["dN"], tab["wdet"]
+    N, dN, wdet = tab["N"], tab["dN"], space.weights("error")
     ce = coefficients[space.element_dofs]                 # (E, nd)
     uh = ce @ N
     guh = apply_map((ce @ dN.reshape(len(dN), -1)).reshape(uh.shape + (2,)), tab["invJ"])
-    if case is None:
-        du, dg = uh, guh
-    else:
-        du = uh - case.u
-        dg = guh - case.grad_u
-    err_l2_sq = float(np.sum(wdet * du * du))
-    err_h1_sq = float(np.sum(wdet[..., None] * dg * dg))
     uh_l2_sq = float(np.sum(wdet * uh * uh))
     uh_h1_sq = float(np.sum(wdet[..., None] * guh * guh))
+    if case is None:            # the error is u_h itself
+        return uh_l2_sq, uh_h1_sq, uh_l2_sq, uh_h1_sq
+    du = uh - case.u
+    dg = guh - case.grad_u
+    err_l2_sq = float(np.sum(wdet * du * du))
+    err_h1_sq = float(np.sum(wdet[..., None] * dg * dg))
     return err_l2_sq, err_h1_sq, uh_l2_sq, uh_h1_sq
 
 

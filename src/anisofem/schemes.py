@@ -118,10 +118,14 @@ class SchemeOperators:
 
     K and P, which every scheme reads, are assembled here; the mass
     matrix M, read only by a stabilized system with sigma > 0, on first
-    read.  Each scheme's plan is built on first use, by the first system
-    of that scheme, so it is timed with that instance; so is the LU factor
-    behind ``riesz_norm``, of the standard plan's matrix at (1, 0, 0).
-    All of them are kept for the life of the operator set.
+    read.  The three hold only their data, on the one read-only pattern
+    of the u-space.  A scheme's plan is built on first use, by the first
+    system of that scheme, so it is timed with that instance; the set
+    keeps the last plan it built only (a one-entry memo like the exact
+    values, dropped before the next plan is built), since a sweep runs
+    the instances of one scheme together.  The LU factor behind
+    ``riesz_norm``, of the standard plan's matrix at (1, 0, 0), is built
+    on first use too and kept for the life of the operator set.
     """
 
     def __init__(self, mesh: Mesh, field: FieldSpec, family: str):
@@ -132,17 +136,27 @@ class SchemeOperators:
         self.u_space = FemSpace(mesh, family, {Tag.DIRICHLET}, self.tags)
         self.q_space = self.u_space.with_constraints({Tag.DIRICHLET, Tag.INFLOW},
                                                      self.tags)
-        self.K = assemble(self.u_space, "a_full", field)
-        self.P = assemble(self.u_space, "a_par", field)
+        self._pattern = None            # (indices, indptr) of every form
+        self.K = self._stored(assemble(self.u_space, "a_full", field))
+        self.P = self._stored(assemble(self.u_space, "a_par", field))
         self._loads = {}                # (case, field, eps) -> load vector
         self._exact = (None, None)      # (case, ExactValues)
-        self._plans: dict[str, SchemePlan] = {}
+        self._plan = (None, None)       # (scheme, SchemePlan)
         self._riesz: LuFactor | None = None
 
     @cached_property
     def M(self):
         """The mass matrix, assembled on first read."""
-        return assemble(self.u_space, "mass")
+        return self._stored(assemble(self.u_space, "mass"))
+
+    def _stored(self, form: sp.csr_matrix) -> sp.csr_matrix:
+        """The form's data, copied at its nnz, on the pattern that all
+        forms on the u-space share: a read-only copy of the first one's."""
+        if self._pattern is None:
+            self._pattern = (form.indices.copy(), form.indptr.copy())
+            for array in self._pattern:
+                array.flags.writeable = False
+        return sp.csr_matrix((form.data.copy(), *self._pattern), shape=form.shape)
 
     def aux_space(self, scheme: str) -> FemSpace | None:
         """The auxiliary variable's space; None for the standard scheme."""
@@ -151,10 +165,11 @@ class SchemeOperators:
         return self.q_space if scheme == "inflow" else self.u_space
 
     def plan(self, scheme: str) -> SchemePlan:
-        """The scheme's plan, built on first use."""
-        if scheme not in self._plans:
-            self._plans[scheme] = _build_plan(self, scheme)
-        return self._plans[scheme]
+        """The scheme's plan; the last one built is kept."""
+        if self._plan[0] != scheme:
+            self._plan = (None, None)
+            self._plan = (scheme, _build_plan(self, scheme))
+        return self._plan[1]
 
     def riesz_norm(self, r) -> float:
         """Energy norm sqrt(r . v), K v = r, of the Riesz representer of the

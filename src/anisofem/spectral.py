@@ -35,15 +35,19 @@ class FourierRhs:
 
     @classmethod
     def from_modes(cls, modes) -> "FourierRhs":
-        """modes: iterable of (k, l, f_kl) triples."""
+        """modes: iterable of (k, l, f_kl) triples, k and l 64-bit integers
+        and f_kl finite; any other triple raises ValueError."""
         if len(modes) == 0:
             raise ValueError("need at least one mode")
-        k = np.array([int(m[0]) for m in modes])
-        l = np.array([int(m[1]) for m in modes])
-        c = np.array([float(m[2]) for m in modes])
+        k, l, c = (np.array([float(m[i]) for m in modes]) for i in range(3))
+        if not np.all(np.isfinite(c)):
+            raise ValueError("mode coefficients must be finite")
+        kl = np.concatenate([k, l])
+        if not (np.all(np.abs(kl) < 2.0 ** 63) and np.all(kl == np.round(kl))):
+            raise ValueError("mode indices k and l must be 64-bit integers")
         if np.any(k < 1) or np.any(l < 0):
             raise ValueError("modes need k >= 1 and l >= 0")
-        return cls(k, l, c)
+        return cls(k.astype(np.int64), l.astype(np.int64), c)
 
     def __call__(self, x, y):
         """Evaluate f(x, y); usable directly as a source term."""

@@ -273,6 +273,10 @@ def test_cli_check_smoke(capsys):
     "study = oracle_validation\nn = [1]",
     # no closed form: the run ended in a DegenerateSpectralProblem traceback
     "study = oracle_validation\nn = [2]\neps = [0.0]\nsigma = 0",
+    # a fractional mode index ran the truncated mode, and a coefficient
+    # that overflows to inf wrote NaN errors with solve_status OK
+    "study = oracle_validation\nfamily = q1\nn = [4]\nmodes = [[1.5, 1, 1.0]]",
+    "study = oracle_validation\nfamily = q1\nn = [4]\nmodes = [[1, 1, 1e400]]",
 ], ids=["family_q3", "case_rough", "infsup_odd_n", "alpha_5_eps_sweep",
         "alpha_5_h_convergence", "alpha_5_sigma_sweep",
         "alpha_without_eps_h_convergence", "alpha_without_eps_sigma_sweep",
@@ -290,7 +294,8 @@ def test_cli_check_smoke(capsys):
         "oracle_empty_modes", "strict_nope", "multi_h_maybe", "eps_true", "n_true",
         "sigma_true", "plot_list", "sigma_h_nan", "sigma_h_inf", "sigma_inf",
         "eps_inf", "sigma_list_inf", "n_unterminated", "modes_unterminated",
-        "n_one_q1", "n_one_low_regularity", "n_one_oracle", "oracle_degenerate"])
+        "n_one_q1", "n_one_low_regularity", "n_one_oracle", "oracle_degenerate",
+        "modes_fractional_k", "modes_inf_coeff"])
 def test_cli_rejects_bad_study_values(tmp_path, capsys, body):
     out_csv = tmp_path / "out.csv"
     cfg = _write(tmp_path, f"[bad]\n{body}\noutput = {out_csv}\n")

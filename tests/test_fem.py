@@ -81,8 +81,8 @@ def _reference_tables(mesh, family, purpose):
     inv[:, 0, 1] = -J[:, 0, 1] / det
     inv[:, 1, 0] = -J[:, 1, 0] / det
     inv[:, 1, 1] = J[:, 0, 0] / det
-    return {"N": N, "dN": dN, "pts": pts, "J": J, "invJ": inv, "origin": origin,
-            "detJ": det, "wdet": wts[None, :] * det[:, None],
+    return {"N": N, "dN": dN, "pts": pts, "wts": wts, "J": J, "invJ": inv,
+            "origin": origin, "detJ": det, "wdet": wts[None, :] * det[:, None],
             "G": np.einsum("lqj,eji->elqi", dN, inv),
             "xq": origin[:, None, :] + np.einsum("eij,qj->eqi", J, pts)}
 
@@ -100,9 +100,12 @@ def test_tables_match_einsum_reference(family, purpose):
     space = FemSpace(mesh, family)
     tab = space.tables(purpose)
     ref = _reference_tables(mesh, family, purpose)
-    assert set(tab) == {"N", "dN", "pts", "J", "invJ", "origin", "detJ", "wdet"}
+    assert set(tab) == {"N", "dN", "pts", "wts", "J", "invJ", "origin", "detJ"}
     for name in tab:
         assert np.array_equal(tab[name], ref[name]), name
+    # the weights and points as the kernels form them, whole or by block
+    assert np.array_equal(space.weights(purpose), ref["wdet"])
+    assert np.array_equal(space.weights(purpose, slice(3, 9)), ref["wdet"][3:9])
     assert np.array_equal(space.points(purpose), ref["xq"])
     # the physical gradients the kernels form from dN and invJ
     dN = np.broadcast_to(tab["dN"], (mesh.n_elements,) + tab["dN"].shape)

@@ -41,6 +41,21 @@ def test_mode_validation():
         FourierRhs.from_modes([(1, -1, 1.0)])
 
 
+@pytest.mark.parametrize("mode", [(1.5, 1, 1.0), (1, 0.5, 1.0), (np.inf, 1, 1.0),
+                                  (1e20, 1, 1.0), (1, 1, np.inf), (1, 1, np.nan),
+                                  (1, 1, float("1e400"))])
+def test_modes_are_integral_with_finite_coefficients(mode):
+    # a fractional index used to run the truncated mode, an index past
+    # int64 to become an object array, and an infinite coefficient NaN
+    # errors with solve_status OK
+    with pytest.raises(ValueError):
+        FourierRhs.from_modes([(1, 1, 1.0), mode])
+    # an integral index may be given as a float, and keeps its integer type
+    f = FourierRhs.from_modes([(2.0, 1.0, -0.5)])
+    assert f.k.tolist() == [2] and f.l.tolist() == [1]
+    assert f.k.dtype == f.l.dtype == np.int64
+
+
 def test_series_values():
     sol = spectral_solve(FourierRhs.from_modes([(1, 1, 1.0)]), 0.5, 0.0)
     assert eval_series(sol, "u", np.pi / 2, 0.0) == pytest.approx(sol.u_coeff[0])

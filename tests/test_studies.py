@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from types import SimpleNamespace
@@ -225,6 +226,27 @@ def test_sweep_default_grids(kind):
     points = [(s.scheme, s.n, s.eps, s.sigma, s.field.alpha)
               for s in sweep_specs(StudyConfig(kind))]
     assert (len(points), points[0], points[-1]) == (count, first, last)
+
+
+def _scheme_runs(cfg):
+    """The schemes of each operator set of a sweep, in run order, with
+    each run of equal schemes given once."""
+    groups = itertools.groupby(sweep_specs(cfg), key=studies._operators_key)
+    return [[scheme for scheme, _ in itertools.groupby(s.scheme for s in specs)]
+            for _, specs in groups]
+
+
+@pytest.mark.parametrize("cfg", [StudyConfig(kind) for kind, study in STUDIES.items()
+                                 if study.runner is None]
+                         + [StudyConfig("sigma_sweep", multi_h=True)],
+                         ids=lambda cfg: cfg.kind + ("_multi_h" if cfg.multi_h else ""))
+def test_default_sweeps_run_each_scheme_of_a_set_together(cfg):
+    # an operator set keeps its last plan only: a grid that came back to a
+    # scheme on the same set would build that scheme's plan again
+    runs = _scheme_runs(cfg)
+    assert runs
+    for schemes_of_set in runs:
+        assert len(schemes_of_set) == len(set(schemes_of_set)), schemes_of_set
 
 
 @pytest.mark.parametrize("scheme,sigma", [("inflow", 0.0), ("stabilized", 1e-4)])
