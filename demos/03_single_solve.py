@@ -6,17 +6,17 @@ eps = 1e-10 the standard matrix is miserably conditioned while both
 reformulations stay accurate.
 """
 
-from anisofem import FieldSpec, ManufacturedCase, ProblemSpec
+from anisofem import FieldSpec, ProblemSpec
 from anisofem.studies import run_instance
 
 eps, alpha, n = 1e-10, 2.0, 20
 field = FieldSpec("variable_alpha", alpha)
-case = ManufacturedCase("smooth", alpha, eps)
 
 print(f"eps = {eps}, alpha = {alpha}, {n}x{n} cells, Q2 elements\n")
 print(f"{'scheme':12s} {'L2 rel':>10s} {'H1 rel':>10s} {'cond1':>10s} {'time':>7s}")
 for scheme, sigma in (("standard", 0.0), ("inflow", 0.0), ("stabilized", 0.025 ** 3)):
-    spec = ProblemSpec(scheme, eps, field, case, sigma=sigma, family="q2", n=n)
+    # the case is a recipe: the spec binds "smooth" to its own eps and alpha
+    spec = ProblemSpec(scheme, eps, field, "smooth", sigma=sigma, family="q2", n=n)
     rec = run_instance(spec)
     print(f"{scheme:12s} {rec.err_L2_rel:10.3e} {rec.err_H1_rel:10.3e} "
           f"{rec.cond1:10.2e} {rec.wall_time_seconds:6.2f}s  {rec.solve_status}")

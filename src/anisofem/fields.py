@@ -256,15 +256,6 @@ class ManufacturedCase:
         t = field_line_coordinate(self.alpha, x, y)
         return (np.cos(2.0 * np.pi * x) - 1.0) * np.sin(np.pi * t)
 
-    def grad_q(self, x, y):
-        x = np.asarray(x, dtype=float)
-        t = field_line_coordinate(self.alpha, x, y)
-        tx, ty = _grad_t(self.alpha, x, y)
-        s, c = np.sin(np.pi * t), np.cos(np.pi * t)
-        c2m1 = np.cos(2.0 * np.pi * x) - 1.0
-        return _stack(-2.0 * np.pi * np.sin(2.0 * np.pi * x) * s + c2m1 * np.pi * c * tx,
-                      c2m1 * np.pi * c * ty)
-
 
 class LinearFunctional:
     """Right-hand side in the generic form  l(v) = int F.grad(v) + f0*v.

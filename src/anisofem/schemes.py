@@ -34,27 +34,33 @@ from .fem import (FAMILIES, ExactValues, FemSpace, assemble, assemble_rhs,
                   exact_values, nested_dissection)
 from .geometry import Mesh, Tag, build_quad_mesh, build_tri_mesh, classify_boundary
 from .solver import LuFactor, lu_factor, solve, solve_with_cond1
-from .spectral import SpectralSolution
+from .spectral import FourierRhs, SpectralSolution, spectral_solve
 
 SCHEME_KINDS = ("standard", "inflow", "stabilized")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """Full description of one discrete problem instance.
 
-    ``case`` supplies the instance's data: ``functional(field, eps)``, the
-    load functional; ``boundary_values(x, y)``, the Dirichlet values of u;
-    and ``u``/``grad_u``, the error reference.  A manufactured solution and
-    the closed-form mode solution are the two built-in cases; each must
-    have been built for the spec's eps, and the manufactured one for the
-    field's alpha, the mode solution on the stabilized scheme for its sigma.
+    ``case`` is a recipe without eps, alpha or sigma: a manufactured
+    case's id ("smooth" or "low_reg"), a ``FourierRhs`` for the mode
+    solution on the aligned field over (0, pi)^2, or an object that
+    implements the case protocol, used as it stands.  The spec binds a
+    recipe once, when it is built, and exposes the result as
+    ``solution``: ``ManufacturedCase(id, field.alpha, eps)``, or
+    ``spectral_solve(rhs, eps, sigma)`` with sigma on the stabilized
+    scheme only.  A solution supplies ``functional(field, eps)``, the
+    load functional; ``boundary_values(x, y)``, the Dirichlet values of
+    u; and ``u``/``grad_u``, the error reference.  A bound built-in case
+    as the recipe raises TypeError, since it fixes parameters that the
+    spec states.
     """
 
     scheme: str
     eps: float
     field: FieldSpec
-    case: ManufacturedCase | SpectralSolution | None = None
+    case: str | FourierRhs | object | None = None
     sigma: float = 0.0
     family: str = "q2"
     n: int = 10
@@ -76,18 +82,16 @@ class ProblemSpec:
             raise ValueError("eps must be nonnegative")
         if self.sigma < 0.0:
             raise ValueError("sigma must be nonnegative")
-        # a built-in case fixed its own eps (and alpha, or sigma) when built
-        case, built_for = self.case, {}
-        if isinstance(case, ManufacturedCase):
-            built_for = {"eps": self.eps, "alpha": self.field.alpha}
-        elif isinstance(case, SpectralSolution):
-            built_for = {"eps": self.eps}
-            if self.scheme == "stabilized":
-                built_for["sigma"] = self.sigma
-        for name, value in built_for.items():
-            if getattr(case, name) != value:
-                raise ValueError(f"the case was built for {name} = "
-                                 f"{getattr(case, name)}, the spec has {value}")
+        if type(self.case) in (ManufacturedCase, SpectralSolution):
+            raise TypeError("pass the case's recipe, its id or its FourierRhs: "
+                            "the spec binds it to its own eps, alpha and sigma")
+        solution = self.case
+        if isinstance(solution, str):
+            solution = ManufacturedCase(solution, self.field.alpha, self.eps)
+        elif isinstance(solution, FourierRhs):
+            solution = spectral_solve(solution, self.eps, self.sigma
+                                      if self.scheme == "stabilized" else 0.0)
+        object.__setattr__(self, "solution", solution)
         if self.scheme == "stabilized" and self.sigma == 0.0:
             # level 3: past the dataclass-generated __init__ to its caller
             warnings.warn("stabilized scheme with sigma = 0: the auxiliary "
@@ -334,7 +338,7 @@ def build_system(spec: ProblemSpec,
                  operators: SchemeOperators | None = None) -> BlockSystem:
     """Form the block system of one problem instance on its scheme's plan.
 
-    The load vector is that of spec.case's functional, remembered by the
+    The load vector is that of spec.solution's functional, remembered by the
     operator set for later instances; u is pinned to the case's boundary
     values and the auxiliary variable to zero.  For the standard scheme
     the system is the single primal block.
@@ -348,8 +352,8 @@ def build_system(spec: ProblemSpec,
     ops = operators
     us = ops.u_space
     pts = us.coords[us.constrained]
-    gu = np.asarray(spec.case.boundary_values(pts[:, 0], pts[:, 1]), dtype=float)
-    ell = ops.case_load(spec.case, spec.field, spec.eps)
+    gu = np.asarray(spec.solution.boundary_values(pts[:, 0], pts[:, 1]), dtype=float)
+    ell = ops.case_load(spec.solution, spec.field, spec.eps)
     plan = ops.plan(spec.scheme)
     matrix, lift = _plan_matrices(ops, plan, _blocks(spec))
     rhs = np.zeros(len(plan.order))

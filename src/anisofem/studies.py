@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import ALPHA_MAX, CASE_IDS, FieldSpec, LinearFunctional, ManufacturedCase
+from .fields import ALPHA_MAX, CASE_IDS, FieldSpec, LinearFunctional
 from .fem import FAMILIES, apply_map, assemble_rhs, error_norms, parallel_seminorm
 from .geometry import build_quad_mesh, build_tri_mesh
 from .schemes import (SCHEME_KINDS, ProblemSpec, SchemeOperators, build_system,
@@ -269,7 +269,7 @@ def loglog_slope(xs, ys) -> float:
 
 def run_instance(spec: ProblemSpec,
                  operators: SchemeOperators | None = None) -> StudyRecord:
-    """Build, solve and measure one problem instance against spec.case,
+    """Build, solve and measure one problem instance against spec.solution,
     whose values at the quadrature points the operator set remembers."""
     alpha = spec.field.alpha
     h = record_h(spec.family, spec.n, spec.Lx)
@@ -284,7 +284,7 @@ def run_instance(spec: ProblemSpec,
         return StudyRecord(spec.scheme, spec.n, h, spec.eps, spec.sigma, alpha,
                            nan, nan, nan, nan, nan, nan, nan, "SINGULAR", elapsed)
     elapsed = time.perf_counter() - t0
-    exact = system.operators.exact_values(spec.case)
+    exact = system.operators.exact_values(spec.solution)
     l2, h1, l2r, h1r = error_norms(system.u_space, result.u, exact)
     if system.q_space is not None:
         q_l2, q_h1, _, _ = error_norms(system.q_space, result.q, None)
@@ -335,8 +335,7 @@ def _spec(cfg: StudyConfig, scheme: str, family: str, n: int, eps: float,
     """One grid point on the variable field; sigma, a rule resolved at the
     record h, reaches only the stabilized scheme."""
     sigma = resolve_sigma(sigma, record_h(family, n))
-    return ProblemSpec(scheme, eps, FieldSpec("variable_alpha", alpha),
-                       ManufacturedCase(case, alpha, eps),
+    return ProblemSpec(scheme, eps, FieldSpec("variable_alpha", alpha), case,
                        sigma=sigma if scheme == "stabilized" else 0.0,
                        family=family, n=n, flip_second_row=cfg.flip_second_row)
 
@@ -382,9 +381,9 @@ def _oracle_validation(cfg: StudyConfig) -> list[StudyRecord]:
     families = [cfg.family] if cfg.family else ["q1", "q2"]
     eps, = cfg.value("eps_list")
     sigma = resolve_sigma(cfg.value("sigma_rule"), 0.0)
-    sol = spectral_solve(FourierRhs.from_modes(cfg.value("modes")), eps, sigma)
+    rhs = FourierRhs.from_modes(cfg.value("modes"))
     scheme = "standard" if eps == 1.0 and sigma == 0.0 else "stabilized"
-    specs = [ProblemSpec(scheme, eps, FieldSpec("aligned_e2"), sol,
+    specs = [ProblemSpec(scheme, eps, FieldSpec("aligned_e2"), rhs,
                          sigma=sigma, family=family, n=n, Lx=np.pi, Ly=np.pi,
                          flip_second_row=cfg.flip_second_row)
              for family in families for n in cfg.value("n_list")]

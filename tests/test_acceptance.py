@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from anisofem.fields import FieldSpec, ManufacturedCase
+from anisofem.fields import FieldSpec
 from anisofem.geometry import build_quad_mesh
 from anisofem.schemes import ProblemSpec, SchemeOperators
 from anisofem.spectral import FourierRhs, sobolev_seminorm, spectral_solve
@@ -156,8 +156,7 @@ def test_criterion_5_conditioning(default_run):
     ops = SchemeOperators(build_quad_mesh(40, 40), field, "q2")
     conds = []
     for eps in (1e-4, 1e-12):
-        case = ManufacturedCase("smooth", 2.0, eps)
-        rec = run_instance(ProblemSpec("inflow", eps, field, case,
+        rec = run_instance(ProblemSpec("inflow", eps, field, "smooth",
                                        family="q2", n=40), ops)
         conds.append(rec.cond1)
     eps_ratio = max(conds) / min(conds)

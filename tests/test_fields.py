@@ -113,7 +113,7 @@ def test_gradients_match_finite_differences(case_id, alpha):
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.15, 0.85, size=(25, 2))
     d = 1e-5
-    for value, grad in ((case.u, case.grad_u), (case.q, case.grad_q),
+    for value, grad in ((case.u, case.grad_u),
                         (case.perturbation, case.grad_perturbation),
                         (case.u_limit, case.grad_u_limit)):
         for x, y in pts:

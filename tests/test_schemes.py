@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +25,7 @@ from anisofem.studies import (StudyConfig, StudyRecord, _spec, run_instance,
 
 def _smooth_spec(scheme, eps, alpha, n, sigma=0.0, family="q2"):
     field = FieldSpec("variable_alpha", alpha)
-    case = ManufacturedCase("smooth", alpha, eps)
-    return ProblemSpec(scheme, eps, field, case, sigma=sigma, family=family, n=n)
+    return ProblemSpec(scheme, eps, field, "smooth", sigma=sigma, family=family, n=n)
 
 
 def test_spec_validation():
@@ -50,17 +50,31 @@ def test_sigma_zero_warning_names_the_caller():
 _MODE = FourierRhs.from_modes([(1, 1, 1.0)])
 
 
-@pytest.mark.parametrize("field, case, sigma", [
-    (FieldSpec("variable_alpha", 2.0), ManufacturedCase("smooth", 0.0, 1e-10), 1e-6),
-    (FieldSpec("variable_alpha", 2.0), ManufacturedCase("smooth", 2.0, 0.5), 1e-6),
-    (FieldSpec("aligned_e2"), spectral_solve(_MODE, 0.5, 1e-6), 1e-6),
-    (FieldSpec("aligned_e2"), spectral_solve(_MODE, 1e-10, 1e-6), 1e-2),
-], ids=["manufactured_alpha", "manufactured_eps", "modes_eps", "modes_sigma"])
-def test_spec_rejects_a_case_built_for_other_parameters(field, case, sigma):
-    # each used to run and be reported OK, with relative L2 errors of 0.27
-    # and more where the matching case gives 1.8e-4 or less
-    with pytest.raises(ValueError, match="the case was built for"):
-        ProblemSpec("stabilized", 1e-10, field, case, sigma=sigma, family="q2", n=16)
+@pytest.mark.parametrize("case", [ManufacturedCase("smooth", 2.0, 1e-10),
+                                  spectral_solve(_MODE, 1e-10, 1e-6)],
+                         ids=["manufactured", "modes"])
+def test_spec_refuses_a_bound_case(case):
+    # a bound case fixes eps and alpha or sigma that the spec states too
+    field = FieldSpec("variable_alpha", 2.0)
+    with pytest.raises(TypeError, match="recipe"):
+        ProblemSpec("stabilized", 1e-10, field, case, sigma=1e-6)
+
+
+@pytest.mark.parametrize("scheme", ["standard", "inflow", "stabilized"])
+def test_spec_binds_its_case_to_its_parameters(scheme):
+    sigma = 1e-6 if scheme == "stabilized" else 0.0
+    curved = ProblemSpec(scheme, 0.5, FieldSpec("variable_alpha", 2.0), "low_reg",
+                         sigma=1e-6)
+    assert curved.solution == ManufacturedCase("low_reg", 2.0, 0.5)
+    aligned = ProblemSpec(scheme, 0.5, FieldSpec("aligned_e2"), _MODE, sigma=1e-6)
+    expected, bound = spectral_solve(_MODE, 0.5, sigma), aligned.solution
+    assert bound.rhs is _MODE and (bound.eps, bound.sigma) == (0.5, sigma)
+    for name in ("u_coeff", "xi_coeff"):
+        assert np.array_equal(getattr(bound, name), getattr(expected, name))
+    # a replaced parameter binds again; a user case stands as it is
+    assert replace(curved, eps=0.25).solution == ManufacturedCase("low_reg", 2.0, 0.25)
+    zero = _ZeroCase()
+    assert ProblemSpec(scheme, 0.5, curved.field, zero, sigma=1e-6).solution is zero
 
 
 def test_dof_partition_counts():
@@ -99,8 +113,8 @@ def _block_assembly(spec, ops):
     us = ops.u_space
     uf, uc = us.free, us.constrained
     pts = us.coords[uc]
-    gu = spec.case.boundary_values(pts[:, 0], pts[:, 1])
-    ell = ops.case_load(spec.case, spec.field, spec.eps)
+    gu = spec.solution.boundary_values(pts[:, 0], pts[:, 1])
+    ell = ops.case_load(spec.solution, spec.field, spec.eps)
     eps = spec.eps
     if spec.scheme == "standard":
         S = (ops.K + ((1.0 - eps) / eps) * ops.P).tocsr()
@@ -134,8 +148,7 @@ def test_plan_matrix_matches_block_assembly(scheme, family, field):
         assert ops.P.nnz == ops.M.nnz
     for flip in (False, True):
         for profile in ("smooth", "low_reg"):
-            case = ManufacturedCase(profile, field.alpha, 0.3)
-            spec = ProblemSpec(scheme, 0.3, field, case, family=family, n=5,
+            spec = ProblemSpec(scheme, 0.3, field, profile, family=family, n=5,
                                sigma=1e-3 if scheme == "stabilized" else 0.0,
                                flip_second_row=flip)
             system = build_system(spec, ops)
@@ -165,7 +178,7 @@ def test_plan_matrix_matches_block_assembly(scheme, family, field):
 def test_plan_matrix_is_canonical_csc(scheme, family, field):
     # splu sorts the indices of a non-canonical CSC in place, which fails
     # on the plan's read-only shared indices
-    spec = ProblemSpec(scheme, 0.3, field, ManufacturedCase("smooth", field.alpha, 0.3),
+    spec = ProblemSpec(scheme, 0.3, field, "smooth",
                        family=family, n=5,
                        sigma=1e-3 if scheme == "stabilized" else 0.0)
     system = build_system(spec)
@@ -204,8 +217,7 @@ def test_plan_is_built_once_per_scheme(monkeypatch):
     # both systems gathered their data by the one plan's read-only idx
     assert not ops.plan("stabilized").idx.flags.writeable
     assert calls == ["stabilized"]
-    spec.scheme = "inflow"
-    build_system(spec, ops)
+    build_system(replace(spec, scheme="inflow"), ops)
     assert calls == ["stabilized", "inflow"]
 
 
@@ -289,8 +301,7 @@ def test_operator_set_keeps_each_array_once():
     # forms at their nnz on one pattern and no cached weights.  The field
     # values (3.7 MiB) and the exact values (2.3 MiB) make most of the rest.
     field = FieldSpec("variable_alpha", 2.0)
-    case = ManufacturedCase("low_reg", 2.0, 1e-10)
-    specs = [ProblemSpec(scheme, 1e-10, field, case, family="q1", n=64,
+    specs = [ProblemSpec(scheme, 1e-10, field, "low_reg", family="q1", n=64,
                          sigma=1e-4 if scheme == "stabilized" else 0.0)
              for scheme in ("inflow", "stabilized")]
     mesh = specs[0].build_mesh()
@@ -339,7 +350,7 @@ def test_decoupling_at_eps_one(scheme, sigma):
     system = build_system(spec, operators=ops)
     result = solve_scheme(system)
     # pure primal solve of the same load
-    ell = assemble_rhs(ops.u_space, spec.case.functional(spec.field, 1.0))
+    ell = assemble_rhs(ops.u_space, spec.solution.functional(spec.field, 1.0))
     uf = ops.u_space.free
     K = ops.K[uf][:, uf].tocsr()
     u_pure = ops.u_space.expand(solve(lu_factor(K), ell[uf]), 0.0)
@@ -397,8 +408,8 @@ def test_inhomogeneous_dirichlet_low_reg():
     # the low-regularity profile carries nonzero constant traces; the
     # discrete solution must pick them up exactly at constrained dofs
     field = FieldSpec("variable_alpha", 0.0)
-    case = ManufacturedCase("low_reg", 0.0, 1e-10)
-    spec = ProblemSpec("inflow", 1e-10, field, case, family="q1", n=8)
+    spec = ProblemSpec("inflow", 1e-10, field, "low_reg", family="q1", n=8)
+    case = spec.solution
     system = build_system(spec)
     result = solve_scheme(system)
     us = system.u_space
@@ -609,6 +620,6 @@ def test_singular_instance_waits_for_its_load(monkeypatch):
         spec = _smooth_spec("stabilized", 0.0, 0.0, 8, sigma=0.0)
     ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
     assert run_instance(spec, ops).solve_status == "SINGULAR"
-    assert (spec.case, spec.field, spec.eps) in ops._loads
-    ell = ops.case_load(spec.case, spec.field, spec.eps)
+    assert (spec.solution, spec.field, spec.eps) in ops._loads
+    ell = ops.case_load(spec.solution, spec.field, spec.eps)
     assert len(loads) == 1 and not ell.flags.writeable

@@ -1,4 +1,5 @@
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from anisofem import schemes
 from anisofem.fem import nested_dissection
-from anisofem.fields import FieldSpec, ManufacturedCase
+from anisofem.fields import FieldSpec
 from anisofem.schemes import ProblemSpec, SchemeOperators, build_system
 from anisofem.solver import (SingularMatrixError, cond1_estimate, lu_factor,
                              solve, solve_with_cond1)
@@ -155,8 +156,7 @@ def test_explicit_order_reaches_the_retry(monkeypatch):
 
 def _stabilized(n=20):
     field = FieldSpec("variable_alpha", 0.0)
-    case = ManufacturedCase("smooth", 0.0, 1e-8)
-    return ProblemSpec("stabilized", 1e-8, field, case, sigma=1e-6,
+    return ProblemSpec("stabilized", 1e-8, field, "smooth", sigma=1e-6,
                        family="q2", n=n)
 
 
@@ -204,8 +204,7 @@ def test_static_pivots_cut_fill():
     # threshold pivoting at 0.01 in the same order (ratio 0.7565)
     eps = 1e-10
     spec = ProblemSpec("stabilized", eps, FieldSpec("variable_alpha", 0.0),
-                       ManufacturedCase("low_reg", 0.0, eps),
-                       sigma=(1.0 / 32) ** 2, family="q1", n=32)
+                       "low_reg", sigma=(1.0 / 32) ** 2, family="q1", n=32)
     system = build_system(spec)
     factor = lu_factor(system.matrix, pivot_rtol=schemes.SCHEME_PIVOT_RTOL,
                        order=system.order)
@@ -243,8 +242,7 @@ def test_scheme_solves_factor_in_the_scheme_order(monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["standard", "inflow", "stabilized"])
 def test_scheme_order_puts_u_before_q(scheme):
-    spec = _stabilized(n=6)
-    spec.scheme = scheme
+    spec = replace(_stabilized(n=6), scheme=scheme)
     ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
     us, qs = ops.u_space, ops.aux_space(scheme)
     order = ops.plan(scheme).order
@@ -276,6 +274,5 @@ def test_scheme_order_is_computed_once_per_scheme(monkeypatch):
     assert calls == []               # not at construction: it is timed work
     first = build_system(spec, ops).order
     assert build_system(spec, ops).order is first
-    spec.scheme = "inflow"
-    build_system(spec, ops)
+    build_system(replace(spec, scheme="inflow"), ops)
     assert len(calls) == 2

@@ -11,7 +11,7 @@ from anisofem.fem import parallel_seminorm
 from anisofem.fields import FieldSpec, LinearFunctional, ManufacturedCase
 from anisofem.geometry import build_quad_mesh
 from anisofem.schemes import ProblemSpec, SchemeOperators
-from anisofem.spectral import FourierRhs, eval_series, spectral_solve
+from anisofem.spectral import FourierRhs, eval_series
 from anisofem.studies import (STUDIES, StudyConfig, StudyRecord, emit_csv,
                               emit_plot_script, loglog_slope, observed_orders,
                               read_csv, record_h, separated_mode_ratio,
@@ -257,7 +257,7 @@ def test_operators_reusable_after_low_regularity_solve(scheme, sigma):
     field = FieldSpec("variable_alpha", 2.0)
 
     def spec(case_id):
-        return ProblemSpec(scheme, eps, field, ManufacturedCase(case_id, 2.0, eps),
+        return ProblemSpec(scheme, eps, field, case_id,
                            sigma=sigma, family="q1", n=16)
 
     ops = SchemeOperators(spec("smooth").build_mesh(), field, "q1")
@@ -357,10 +357,10 @@ def test_xi_against_mode_series():
 
     f = FourierRhs.from_modes([(1, 1, 1.0)])
     eps, sigma = 1e-10, 1e-6
-    sol = spectral_solve(f, eps, sigma)
     field = FieldSpec("aligned_e2")
-    spec = ProblemSpec("stabilized", eps, field, sol, sigma=sigma,
+    spec = ProblemSpec("stabilized", eps, field, f, sigma=sigma,
                        family="q2", n=32, Lx=np.pi, Ly=np.pi)
+    sol = spec.solution
     system = build_system(spec)
     result = solve_scheme(system)
     k, l, c = sol.rhs.k.astype(float), sol.rhs.l.astype(float), sol.xi_coeff
@@ -395,35 +395,14 @@ class _LimitReferenceCase(ManufacturedCase):
         return self.grad_u_limit(x, y)
 
 
-class _AnyEpsCase:
-    """A manufactured case's data under whatever eps the spec gives.
-
-    It is not a built-in case, so a spec may pair it with another eps than
-    the one it was built for, and it compares equal to the case it wraps,
-    so to the memos its instance differs from that case's by eps only.
-    """
-
-    def __init__(self, case_id, alpha, eps):
-        self.case = ManufacturedCase(case_id, alpha, eps)
-
-    def __getattr__(self, name):
-        return getattr(self.case, name)
-
-    def __eq__(self, other):
-        return self.case == other
-
-    def __hash__(self):
-        return hash(self.case)
-
-
 def test_operator_memos_match_fresh_operators():
     # one operator set through changes of case, eps and scheme, with a case
     # of another load and one of another reference in between, back to the
     # first spec: every record equals the one from fresh operators
     field = FieldSpec("variable_alpha", 2.0)
 
-    def spec(scheme, case_id, eps, case_eps=None, case_type=ManufacturedCase):
-        case = case_type(case_id, 2.0, eps if case_eps is None else case_eps)
+    def spec(scheme, case_id, eps, case_type=None):
+        case = case_id if case_type is None else case_type(case_id, 2.0, eps)
         return ProblemSpec(scheme, eps, field, case,
                            sigma=1e-4 if scheme == "stabilized" else 0.0,
                            family="q1", n=8)
@@ -431,7 +410,7 @@ def test_operator_memos_match_fresh_operators():
     first = spec("inflow", "smooth", 1e-10)
     runs = [first,
             spec("stabilized", "smooth", 1e-10),
-            spec("inflow", "smooth", 1e-4, case_eps=1e-10, case_type=_AnyEpsCase),
+            spec("inflow", "smooth", 1e-4),
             spec("inflow", "low_reg", 1e-10),
             spec("stabilized", "low_reg", 1e-10),
             spec("stabilized", "low_reg", 1e-4),
@@ -449,8 +428,8 @@ def test_operator_memos_match_fresh_operators():
             if name != "wall_time_seconds":
                 assert getattr(reused, name) == getattr(fresh, name), name
         records.append(reused)
-    # an eps-only change, another load and another reference each give
-    # another record than the memo's entry would
+    # another eps, another load and another reference each give another
+    # record than the memo's entry would
     for i in (2, 7, 8):
         assert records[i].err_L2_abs != records[0].err_L2_abs
     # the inflow q-space shares the u-space's tables, not its constraints
@@ -463,28 +442,23 @@ def test_operator_memos_match_fresh_operators():
 def test_oracle_cases_share_operators():
     # two multi-mode mode solutions and a manufactured case alternate on one
     # operator set: every record equals the one from fresh operators.  The
-    # memos key on the cases, so a mode solution compared by value (its
-    # coefficient arrays) would raise here.
+    # memos key on the bound cases, so a mode solution compared by value
+    # (its coefficient arrays) would raise here.
     field = FieldSpec("aligned_e2")
     eps, sigma = 1e-4, 1e-3
-    sol_a = spectral_solve(FourierRhs.from_modes([(1, 1, 1.0), (2, 3, -0.5)]),
-                           eps, sigma)
-    sol_b = spectral_solve(FourierRhs.from_modes([(1, 2, 0.7), (3, 0, 0.25)]),
-                           eps, sigma)
-    manufactured = ManufacturedCase("smooth", 0.0, eps)
-
-    def spec(case):
-        return ProblemSpec("stabilized", eps, field, case, sigma=sigma,
-                           family="q1", n=8, Lx=np.pi, Ly=np.pi)
-
-    ops = SchemeOperators(spec(sol_a).build_mesh(), field, "q1")
+    specs = [ProblemSpec("stabilized", eps, field, case, sigma=sigma,
+                         family="q1", n=8, Lx=np.pi, Ly=np.pi)
+             for case in (FourierRhs.from_modes([(1, 1, 1.0), (2, 3, -0.5)]),
+                          FourierRhs.from_modes([(1, 2, 0.7), (3, 0, 0.25)]),
+                          "smooth")]
+    ops = SchemeOperators(specs[0].build_mesh(), field, "q1")
     records = {}
-    for case in (sol_a, sol_b, manufactured, sol_a, manufactured, sol_b, sol_b):
-        reused = run_instance(spec(case), ops)
-        fresh = run_instance(spec(case))
+    for i in (0, 1, 2, 0, 2, 1, 1):
+        reused = run_instance(specs[i], ops)
+        fresh = run_instance(specs[i])
         for name in StudyRecord.__dataclass_fields__:
             if name != "wall_time_seconds":
                 assert getattr(reused, name) == getattr(fresh, name), name
-        records[id(case)] = reused
-    errors = {records[id(c)].err_L2_abs for c in (sol_a, sol_b, manufactured)}
+        records[i] = reused
+    errors = {record.err_L2_abs for record in records.values()}
     assert len(errors) == 3
