@@ -98,6 +98,11 @@ class ProblemSpec:
                           "variable is not unique and the solver may report "
                           "a singular matrix", stacklevel=3)
 
+    @property
+    def operators_key(self) -> tuple:
+        """What its operator set is built from: family, field, nx, ny, Lx, Ly."""
+        return (self.family, self.field, self.n, self.n, self.Lx, self.Ly)
+
     def build_mesh(self) -> Mesh:
         kind, _ = FAMILIES[self.family]
         if kind == "quad":
@@ -107,8 +112,9 @@ class ProblemSpec:
 
 class SchemeOperators:
     """Mesh, spaces and the three assembled forms, reusable across
-    (case, eps, sigma) instances on the same mesh and field.  Nothing
-    that builds or solves a system writes into them.
+    (case, eps, sigma) instances on the same mesh and field, which
+    ``key`` names as a spec's ``operators_key`` does.  Nothing that
+    builds or solves a system writes into them.
 
     The inflow q-space is the u-space with a larger constrained set, so
     the two share their quadrature tables and the field's b, A and a_par
@@ -136,6 +142,7 @@ class SchemeOperators:
         self.mesh = mesh
         self.field = field
         self.family = family
+        self.key = (family, field, mesh.nx, mesh.ny, mesh.Lx, mesh.Ly)
         self.tags = classify_boundary(mesh, field)
         self.u_space = FemSpace(mesh, family, {Tag.DIRICHLET}, self.tags)
         self.q_space = self.u_space.with_constraints({Tag.DIRICHLET, Tag.INFLOW},
@@ -341,15 +348,18 @@ def build_system(spec: ProblemSpec,
     The load vector is that of spec.solution's functional, remembered by the
     operator set for later instances; u is pinned to the case's boundary
     values and the auxiliary variable to zero.  For the standard scheme
-    the system is the single primal block.
+    the system is the single primal block.  Operators built for another
+    family, field, mesh or domain raise ValueError.
     """
     if spec.case is None:
         raise ValueError("ProblemSpec.case is None: a system needs a case "
                          "for its load and boundary values")
-    if operators is None:
-        operators = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
-
     ops = operators
+    if ops is None:
+        ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
+    elif ops.key != spec.operators_key:
+        raise ValueError("the operator set was built for another family, "
+                         "field, mesh or domain than the spec's")
     us = ops.u_space
     pts = us.coords[us.constrained]
     gu = np.asarray(spec.solution.boundary_values(pts[:, 0], pts[:, 1]), dtype=float)

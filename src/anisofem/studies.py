@@ -294,24 +294,18 @@ def run_instance(spec: ProblemSpec,
                        l2, h1, l2r, h1r, q_l2, q_h1, result.cond1, "OK", elapsed)
 
 
-def _operators_key(spec: ProblemSpec) -> tuple:
-    """What a spec's operator set is built from: (family, n, field, domain)."""
-    return (spec.family, spec.n, spec.field, spec.Lx, spec.Ly)
-
-
 def _run_specs(specs) -> list[StudyRecord]:
     """Run a study's grid of instances in order.
 
-    Consecutive specs with the same _operators_key share one operator set;
+    Consecutive specs with the same operators_key share one operator set;
     a new key drops the previous set before building the next, so at most
     one set is alive.  A set keeps its last plan only, so a grid runs the
     instances of one scheme on a set together (every default grid does).
     """
-    records, key, ops = [], None, None
+    records, ops = [], None
     for spec in specs:
-        spec_key = _operators_key(spec)
-        if spec_key != key:
-            key, ops = spec_key, None
+        if ops is None or ops.key != spec.operators_key:
+            ops = None
             ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
         records.append(run_instance(spec, ops))
     return records

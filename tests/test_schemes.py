@@ -15,6 +15,7 @@ from anisofem import schemes
 from anisofem.fields import (FieldSpec, LinearFunctional, ManufacturedCase,
                              eval_A, eval_b)
 from anisofem.fem import assemble_rhs, error_norms
+from anisofem.geometry import build_quad_mesh
 from anisofem.schemes import (ProblemSpec, SchemeOperators, build_system,
                               solve_scheme)
 from anisofem.solver import lu_factor, solve
@@ -427,6 +428,25 @@ def test_build_without_case_names_the_missing_case(monkeypatch):
     with pytest.raises(ValueError, match=r"ProblemSpec\.case"):
         run_instance(spec)
     assert assembled == []          # rejected before any assembly
+
+
+_OTHER_OPERATORS = dict(family="q2", field=FieldSpec("variable_alpha", 2.0),
+                        nx=20, ny=20, Lx=2.0, Ly=2.0)
+
+
+@pytest.mark.parametrize("key", list(_OTHER_OPERATORS))
+def test_build_refuses_operators_of_another_instance(key):
+    # such a set used to solve its own problem and record the spec's n and
+    # h: at inflow, eps = 1e-10, operators for alpha = 2, n = 20 gave
+    # err_L2_rel 0.361 as OK, against 0.00906 with the spec's own set
+    field = FieldSpec("variable_alpha", 0.0)
+    spec = ProblemSpec("inflow", 1e-10, field, "smooth", family="q1", n=10)
+    built = dict(family="q1", field=field, nx=10, ny=10, Lx=1.0, Ly=1.0)
+    built[key] = _OTHER_OPERATORS[key]
+    mesh = build_quad_mesh(built["nx"], built["ny"], built["Lx"], built["Ly"])
+    ops = SchemeOperators(mesh, built["field"], built["family"])
+    with pytest.raises(ValueError, match="operator set was built for another"):
+        run_instance(spec, ops)
 
 
 def test_mesh_kind_follows_family():

@@ -231,7 +231,7 @@ def test_sweep_default_grids(kind):
 def _scheme_runs(cfg):
     """The schemes of each operator set of a sweep, in run order, with
     each run of equal schemes given once."""
-    groups = itertools.groupby(sweep_specs(cfg), key=studies._operators_key)
+    groups = itertools.groupby(sweep_specs(cfg), key=lambda s: s.operators_key)
     return [[scheme for scheme, _ in itertools.groupby(s.scheme for s in specs)]
             for _, specs in groups]
 
