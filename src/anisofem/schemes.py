@@ -43,18 +43,15 @@ SCHEME_KINDS = ("standard", "inflow", "stabilized")
 class ProblemSpec:
     """Full description of one discrete problem instance.
 
-    ``case`` is a recipe without eps, alpha or sigma: a manufactured
-    case's id ("smooth" or "low_reg"), a ``FourierRhs`` for the mode
-    solution on the aligned field over (0, pi)^2, or an object that
-    implements the case protocol, used as it stands.  The spec binds a
-    recipe once, when it is built, and exposes the result as
+    ``case`` is a recipe without eps, alpha or sigma: a manufactured case's
+    id ("smooth" or "low_reg"), a ``FourierRhs`` for the mode solution on
+    the aligned field over (0, pi)^2, or an object that implements the
+    case protocol, used as it stands.  The spec binds the recipe once, as
     ``solution``: ``ManufacturedCase(id, field.alpha, eps)``, or
-    ``spectral_solve(rhs, eps, sigma)`` with sigma on the stabilized
-    scheme only.  A solution supplies ``functional(field, eps)``, the
-    load functional; ``boundary_values(x, y)``, the Dirichlet values of
-    u; and ``u``/``grad_u``, the error reference.  A bound built-in case
-    as the recipe raises TypeError, since it fixes parameters that the
-    spec states.
+    ``spectral_solve(rhs, eps, sigma)`` with sigma on the stabilized scheme
+    only.  A solution supplies the load functional ``functional(field,
+    eps)``, the Dirichlet values ``boundary_values(x, y)`` and the error
+    reference ``u``/``grad_u``.  A bound built-in case raises TypeError.
     """
 
     scheme: str
