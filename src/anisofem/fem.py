@@ -516,4 +516,5 @@ def error_norms(space: FemSpace, coefficients, case):
 def parallel_seminorm(q_coefficients, a_par_matrix) -> float:
     """|q|-seminorm induced by the parallel form, sqrt(q^T P q)."""
     q = np.asarray(q_coefficients, dtype=float)
-    return float(np.sqrt(max(q @ (a_par_matrix @ q), 0.0)))
+    # numpy's pairwise sum: a BLAS dot splits it by thread count
+    return float(np.sqrt(max(np.sum(q * (a_par_matrix @ q)), 0.0)))

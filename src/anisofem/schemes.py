@@ -189,7 +189,8 @@ class SchemeOperators:
         b = np.zeros(len(plan.order))
         b[plan.u_rows] = r
         v = solve(self._riesz, b)
-        return float(np.sqrt(max(v @ b, 0.0)))
+        # numpy's pairwise sum: a BLAS dot (v @ b) splits it by thread count
+        return float(np.sqrt(max(np.sum(v * b), 0.0)))
 
     def dual_norm(self, q) -> float:
         """Mesh-dependent dual norm sup_v a_par(q, v)/|v| over the u-space,

@@ -152,7 +152,8 @@ def _hager_inverse_norm(factor: LuFactor, start_solves, max_iter: int = 5) -> fl
         xi = np.where(y >= 0, 1.0, -1.0)
         z = factor.solve(xi, trans="T")
         j = int(np.argmax(np.abs(z)))
-        if np.abs(z[j]) <= z @ x:
+        # numpy's pairwise sum: a BLAS dot (z @ x) splits it by thread count
+        if np.abs(z[j]) <= np.sum(z * x):
             break
         if x[j] == 1.0 and np.count_nonzero(x) == 1:
             break

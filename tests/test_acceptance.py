@@ -8,7 +8,11 @@ robustness sweep dominate.
 """
 
 import functools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,3 +293,18 @@ def test_default_output_matches_reference(kind, default_run):
                for name in STUDIES[kind].reads)
     moved = compare(kind, written(kind, default_run(kind)))
     assert not moved, "\n".join(version_mismatch() + moved)
+
+
+@pytest.mark.parametrize("threads", ["1", None], ids=["one_thread", "default"])
+def test_riesz_outputs_do_not_depend_on_blas_threads(threads):
+    # both sum a Riesz energy over up to 65,535 unknowns; as a BLAS dot that
+    # sum moved dual_norm_check by up to 4.02e-16 under one thread
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    script = Path(__file__).resolve().parent / "reference_outputs.py"
+    done = subprocess.run([sys.executable, str(script), "dual_norm_check",
+                           "infsup_probe"], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -332,7 +332,7 @@ def test_dual_norm_check_factors_once(monkeypatch):
         b = np.zeros(len(plan.order))
         b[plan.u_rows] = (ops.P @ q)[ops.u_space.free]
         v = solver.solve(factor, b)
-        assert ratio == np.sqrt(max(v @ b, 0.0)) / parallel_seminorm(q, ops.P)
+        assert ratio == np.sqrt(max(np.sum(v * b), 0.0)) / parallel_seminorm(q, ops.P)
 
 
 def test_sigma_sweep_multi_h_variant():
