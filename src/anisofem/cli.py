@@ -11,21 +11,11 @@ Exit codes: 0 success, 1 configuration error (or failed checks),
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 from .config import ConfigError, load_config
 from .studies import STUDIES, emit_csv, emit_plot_script, run_study
-
-
-def _write_tuples(rows, header, path):
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(v, ".17g") if isinstance(v, float) else v
-                             for v in row])
 
 
 def _run(args) -> int:
@@ -53,10 +43,7 @@ def _run(args) -> int:
         try:
             if item.output:
                 os.makedirs(os.path.dirname(item.output) or ".", exist_ok=True)
-                if header is None:
-                    emit_csv(result, item.output)
-                else:
-                    _write_tuples(result, header, item.output)
+                emit_csv(result, item.output, header)
                 print(f"  wrote {item.output}")
             if item.plot:
                 emit_plot_script(result, item.plot, item.output)

@@ -15,7 +15,7 @@ One section per study, key = value pairs, arrays in bracket syntax::
 
 ``sigma`` accepts a number (fixed value) or ``h^p`` (resolution-dependent
 power rule).  All keys are optional except ``study``; missing grids fall
-back to the built-in defaults of each study.
+back to the built-in defaults of each study.  Files are read as UTF-8.
 """
 
 from __future__ import annotations
@@ -93,10 +93,12 @@ def load_config(path) -> list[ConfiguredStudy]:
     """Parse a configuration file into a list of study descriptions."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
 
     studies = []
     for name in parser.sections():

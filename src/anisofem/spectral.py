@@ -14,7 +14,7 @@ element solver, not a spectral method in its own right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -25,7 +25,9 @@ class DegenerateSpectralProblem(ValueError):
     """eps = sigma = 0 with an l >= 1 mode present: no closed form."""
 
 
-@dataclass(frozen=True)
+# eq=False: a recipe compares and hashes by identity, since comparing its
+# arrays with == is ambiguous for multi-mode lists
+@dataclass(frozen=True, eq=False)
 class FourierRhs:
     """Finite list of modes (k >= 1, l >= 0) with coefficients f_kl."""
 
@@ -61,9 +63,9 @@ def _mode_sum(coeff, k, l, x, y, fx=np.sin, fy=np.cos):
     return np.sum(coeff * fx(k * x) * fy(l * y), axis=-1)
 
 
-# eq=False: two solutions compare by identity, since comparing their
-# coefficient arrays with == is ambiguous for multi-mode solutions
-@dataclass(frozen=True, eq=False)
+# compares and hashes by (rhs, eps, sigma), which fix the coefficients, so
+# specs that bind one recipe alike share the load and exact-value memos
+@dataclass(frozen=True)
 class SpectralSolution:
     """Mode coefficients of the primal and auxiliary solutions.
 
@@ -75,8 +77,8 @@ class SpectralSolution:
     rhs: FourierRhs
     eps: float
     sigma: float
-    u_coeff: np.ndarray
-    xi_coeff: np.ndarray   # zero for l = 0 modes
+    u_coeff: np.ndarray = dataclass_field(compare=False)
+    xi_coeff: np.ndarray = dataclass_field(compare=False)   # zero for l = 0 modes
 
     def u(self, x, y):
         return _mode_sum(self.u_coeff, self.rhs.k, self.rhs.l, x, y)

@@ -540,13 +540,18 @@ def _format_value(value) -> str:
     return format(float(value), ".17g")
 
 
-def emit_csv(records, path) -> None:
-    """Comma-separated records, 17-significant-digit floats, LF endings."""
+def emit_csv(rows, path, header=None) -> None:
+    """A study's result as comma-separated values, 17-significant-digit
+    floats, LF endings.  header None: StudyRecords, field by field, under
+    the record header; otherwise a table study's rows (tuples) under its
+    ``Study.header``."""
+    if header is None:
+        header = _RECORD_FIELDS
+        rows = ([getattr(rec, name) for name in header] for rec in rows)
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(_RECORD_FIELDS) + "\n")
-        for rec in records:
-            fh.write(",".join(_format_value(getattr(rec, name))
-                              for name in _RECORD_FIELDS) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_format_value, row)) + "\n")
 
 
 def read_csv(path) -> list[StudyRecord]:
@@ -577,21 +582,20 @@ def emit_plot_script(records, path, csv_path=None) -> None:
     if csv_path is None:
         csv_path = os.path.splitext(path)[0] + ".csv"
 
-    def varies(name):
-        vals = {getattr(r, name) for r in records}
-        return len(vals) > 1
+    def column(name):
+        return _RECORD_FIELDS.index(name) + 1
 
-    if records and varies("sigma"):
-        x_name, x_col = "sigma", _RECORD_FIELDS.index("sigma") + 1
-    elif records and varies("eps"):
-        x_name, x_col = "eps", _RECORD_FIELDS.index("eps") + 1
-    else:
-        x_name, x_col = "h", _RECORD_FIELDS.index("h") + 1
+    x_name = next((name for name in ("sigma", "eps")
+                   if len({getattr(r, name) for r in records}) > 1), "h")
     schemes = sorted({r.scheme for r in records}) or ["inflow"]
-    l2_col = _RECORD_FIELDS.index("err_L2_abs") + 1
-    h1_col = _RECORD_FIELDS.index("err_H1_abs") + 1
-    cond_col = _RECORD_FIELDS.index("cond1") + 1
-    with_cond = bool(records) and all(np.isfinite(r.cond1) for r in records)
+
+    def plot(curves):
+        """One plot command: each scheme's curve of each (field, label)."""
+        return "plot " + ", \\\n     ".join(
+            f"'{csv_path}' skip 1 using (strcol(1) eq '{scheme}' ? "
+            f"${column(x_name)} : NaN):{column(name)} "
+            f"with linespoints title '{scheme} {label}'"
+            for scheme in schemes for name, label in curves)
 
     lines = [
         "# log-log curves for the study output; run with gnuplot",
@@ -602,26 +606,11 @@ def emit_plot_script(records, path, csv_path=None) -> None:
         "set ylabel 'error'",
         "set terminal pngcairo size 900,600",
         f"set output '{csv_path}.errors.png'",
+        plot([("err_L2_abs", "L2"), ("err_H1_abs", "H1")]),
     ]
-    plots = []
-    for scheme in schemes:
-        sel = f"(strcol(1) eq '{scheme}' ? ${x_col} : NaN)"
-        plots.append(f"'{csv_path}' skip 1 using {sel}:{l2_col} "
-                     f"with linespoints title '{scheme} L2'")
-        plots.append(f"'{csv_path}' skip 1 using {sel}:{h1_col} "
-                     f"with linespoints title '{scheme} H1'")
-    lines.append("plot " + ", \\\n     ".join(plots))
-    if with_cond:
-        lines += [
-            "set ylabel 'cond_1'",
-            f"set output '{csv_path}.cond.png'",
-        ]
-        plots = []
-        for scheme in schemes:
-            sel = f"(strcol(1) eq '{scheme}' ? ${x_col} : NaN)"
-            plots.append(f"'{csv_path}' skip 1 using {sel}:{cond_col} "
-                         f"with linespoints title '{scheme} cond1'")
-        lines.append("plot " + ", \\\n     ".join(plots))
+    if records and all(np.isfinite(r.cond1) for r in records):
+        lines += ["set ylabel 'cond_1'", f"set output '{csv_path}.cond.png'",
+                  plot([("cond1", "cond1")])]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -11,14 +11,14 @@ the Python, numpy and scipy that wrote them.
     python tests/reference_outputs.py --update [KIND ...]   rewrite
 
 A KIND is a study kind or ``check``.  Both run the named outputs (all
-nine by default; about 45 s on two cores) through ``anisofem.cli.main``
+nine by default; about 25 s on two cores) through ``anisofem.cli.main``
 on the library in ``src/``.  The comparison reports a version mismatch
 first, then, per study and column, how many values moved and the
 largest relative move, and each line of the check that changed; it
-exits with 1 if anything moved.  The acceptance tests compare the five
-default studies that they run anyway, and ``test_cli_check_smoke`` the
-check; ``sigma_sweep``, ``eps_sweep`` and ``oracle_validation`` are
-compared only here.
+exits with 1 if anything moved.  ``run_defaults`` is the one producer of
+the default outputs: the acceptance tests read their criteria from the
+files it writes and compare all eight with their references, and
+``test_cli_check_smoke`` compares the check.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from anisofem import cli  # noqa: E402
-from anisofem.studies import STUDIES, emit_csv  # noqa: E402
+from anisofem.studies import STUDIES  # noqa: E402
 
 REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
 VERSIONS = REFERENCE_DIR / "versions.json"
@@ -64,7 +64,7 @@ def version_mismatch() -> list[str]:
             if recorded.get(name) != mine]
 
 
-def _read(path) -> list[list[str]]:
+def read_rows(path) -> list[list[str]]:
     """A CSV file as rows of fields, header first, without the wall time."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -74,30 +74,17 @@ def _read(path) -> list[list[str]]:
     return rows
 
 
-def written(kind: str, result) -> list[list[str]]:
-    """run_study's result for kind as ``anisofem run`` writes it, read
-    back by _read."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "out.csv")
-        header = STUDIES[kind].header
-        if header is None:
-            emit_csv(result, path)
-        else:
-            cli._write_tuples(result, header, path)
-        return _read(path)
-
-
-def run_defaults(kinds) -> dict[str, list[list[str]]]:
-    """Run one config section per kind that sets only its study."""
-    with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "defaults.ini")
-        with open(config, "w") as fh:
-            for kind in kinds:
-                fh.write(f"[{kind}]\nstudy = {kind}\n"
-                         f"output = {os.path.join(tmp, kind)}.csv\n\n")
-        if cli.main(["run", config]) != 0:
-            raise RuntimeError("anisofem run failed on the default studies")
-        return {kind: _read(os.path.join(tmp, f"{kind}.csv")) for kind in kinds}
+def run_defaults(kinds, directory) -> dict[str, str]:
+    """Run ``anisofem run`` on one config section per kind that sets only
+    its study; each writes ``<directory>/<kind>.csv``.  Returns the paths."""
+    config = os.path.join(directory, "defaults.ini")
+    paths = {kind: os.path.join(directory, f"{kind}.csv") for kind in kinds}
+    with open(config, "w") as fh:
+        for kind, path in paths.items():
+            fh.write(f"[{kind}]\nstudy = {kind}\noutput = {path}\n\n")
+    if cli.main(["run", config]) != 0:
+        raise RuntimeError("anisofem run failed on the default studies")
+    return paths
 
 
 def check_output() -> str:
@@ -130,7 +117,7 @@ def _relative_move(ref: str, new: str) -> float:
 def compare(kind: str, rows) -> list[str]:
     """One line per column of kind's output that differs from its
     reference: how many values moved and the largest relative move."""
-    ref = _read(REFERENCE_DIR / f"{kind}.csv")
+    ref = read_rows(REFERENCE_DIR / f"{kind}.csv")
     if rows[0] != ref[0] or len(rows) != len(ref):
         return [f"{kind}: header {rows[0]} and {len(rows) - 1} rows, reference "
                 f"header {ref[0]} and {len(ref) - 1} rows"]
@@ -159,7 +146,9 @@ def main(argv=None) -> int:
         parser.error(f"unknown KIND(s) {unknown}")
     kinds = args.kinds or every
     studies = [kind for kind in kinds if kind != CHECK]
-    outputs = run_defaults(studies) if studies else {}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = run_defaults(studies, tmp) if studies else {}
+        outputs = {kind: read_rows(path) for kind, path in paths.items()}
     check = check_output() if CHECK in kinds else None
     if args.update:
         REFERENCE_DIR.mkdir(exist_ok=True)

@@ -3,15 +3,16 @@
 Each test covers one numbered criterion, reproduces the corresponding
 reference experiment at its stated tolerance, and prints one PASS/FAIL
 line (run with ``pytest tests/test_acceptance.py -v -s`` to see them).
-The whole module takes a few minutes; the reference-table ladder and the
-robustness sweep dominate.
+Where a criterion's points lie in a default study, it reads them from
+the CSV that ``anisofem run`` writes for that study, which is also
+compared with its reference.  The whole module takes about 40 s on two
+cores; the robustness sweep and the default sigma sweep dominate.
 """
 
 import functools
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,9 @@ from anisofem.geometry import build_quad_mesh
 from anisofem.schemes import ProblemSpec, SchemeOperators
 from anisofem.spectral import FourierRhs, sobolev_seminorm, spectral_solve
 from anisofem.studies import (STUDIES, StudyConfig, loglog_slope,
-                              observed_orders, run_instance, run_study)
-from reference_outputs import compare, version_mismatch, written
-
-warnings.filterwarnings("ignore", message="stabilized scheme with sigma = 0")
+                              observed_orders, read_csv, record_h, run_instance,
+                              run_study)
+from reference_outputs import compare, read_rows, run_defaults, version_mismatch
 
 # Reference L2/H1 relative errors (both reformulations, sigma = h^3) on the
 # ladder h = 0.1 / 2^k of dof spacings, i.e. 5..80 cells for the Q2 family.
@@ -52,23 +52,14 @@ REGIMES = list(TABLE_L2)
 SCHEMES = ("inflow", "stabilized")
 
 
-# The default studies that the criteria below run, on the grids the
-# criteria state; each one's output is also compared with its reference
-# in tests/reference (see tests/reference_outputs.py).
-DEFAULT_RUNS = {
-    "h_convergence": StudyConfig("h_convergence", n_list=N_LADDER),
-    "conditioning": StudyConfig("conditioning", n_list=[10, 20, 40, 80]),
-    "low_regularity": StudyConfig("low_regularity", n_list=[16, 32, 64, 128]),
-    "dual_norm_check": StudyConfig("dual_norm_check", n_list=[128],
-                                   k_list=[1, 2, 3, 4]),
-    "infsup_probe": StudyConfig("infsup_probe", n_list=[4, 8, 16, 32]),
-}
-
-
 @pytest.fixture(scope="module")
-def default_run():
-    """run_study of a DEFAULT_RUNS entry, once per module."""
-    return functools.cache(lambda kind: run_study(DEFAULT_RUNS[kind]))
+def default_output(tmp_path_factory):
+    """The CSV that ``anisofem run`` writes for a section that sets only
+    ``study = <kind>``; each kind runs once, when a test first asks for
+    it.  Its output is also compared with its reference in
+    tests/reference (see tests/reference_outputs.py)."""
+    directory = tmp_path_factory.mktemp("defaults")
+    return functools.cache(lambda kind: run_defaults([kind], directory)[kind])
 
 
 def _report(num, ok, detail):
@@ -77,8 +68,8 @@ def _report(num, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def table_records(default_run):
-    records = default_run("h_convergence")
+def table_records(default_output):
+    records = read_csv(default_output("h_convergence"))
     out = {}
     for (eps, alpha) in REGIMES:
         for scheme in SCHEMES:
@@ -150,8 +141,8 @@ def test_criterion_4_eps_robustness():
                           + f"; solve time {total_time:.0f}s")
 
 
-def test_criterion_5_conditioning(default_run):
-    records = default_run("conditioning")
+def test_criterion_5_conditioning(default_output):
+    records = read_csv(default_output("conditioning"))
     slopes = {}
     for scheme in SCHEMES:
         sel = [r for r in records if r.scheme == scheme]
@@ -172,14 +163,14 @@ def test_criterion_5_conditioning(default_run):
                           f"eps-ratio {eps_ratio:.2f}")
 
 
-def test_criterion_6_sigma_sweep_shape():
+def test_criterion_6_sigma_sweep_shape(default_output):
     n = 50                       # dof spacing 0.01 for the Q2 family
+    points = {(r.n, r.eps, r.alpha, r.sigma): r
+              for r in read_csv(default_output("sigma_sweep"))}
     details = []
 
     def sweep(eps, alpha, sigmas):
-        cfg = StudyConfig("sigma_sweep", n_list=[n], eps_list=[eps],
-                          alpha_list=[alpha], sigma_list=list(sigmas))
-        recs = run_study(cfg)
+        recs = [points[(n, eps, alpha, sigma)] for sigma in sigmas]
         assert all(r.solve_status == "OK" for r in recs)
         return {r.sigma: r.err_L2_abs for r in recs}
 
@@ -200,11 +191,12 @@ def test_criterion_6_sigma_sweep_shape():
     assert _report(6, ok, "; ".join(details))
 
 
-def test_criterion_7_spectral_oracle():
+def test_criterion_7_spectral_oracle(default_output):
+    # the default run holds both families on (0, pi)^2; h tells them apart
+    points = {(r.n, r.h): r for r in read_csv(default_output("oracle_validation"))}
     orders = {}
     for family, n_list in (("q1", [8, 16, 32, 64]), ("q2", [8, 16, 32])):
-        cfg = StudyConfig("oracle_validation", family=family, n_list=n_list)
-        recs = run_study(cfg)
+        recs = [points[(n, record_h(family, n, np.pi))] for n in n_list]
         obs = observed_orders([r.h for r in recs], [r.err_L2_abs for r in recs])
         orders[family] = obs
     ok = (all(abs(o - 2.0) <= 0.3 for o in orders["q1"])
@@ -237,24 +229,25 @@ def test_criterion_7_spectral_oracle():
                           f"{violations}/100")
 
 
-def test_criterion_8_dual_norm_ratio(default_run):
-    out = default_run("dual_norm_check")
-    worst = max(abs(c / a - 1.0) for _, c, a in out)
+def test_criterion_8_dual_norm_ratio(default_output):
+    _, *rows = read_rows(default_output("dual_norm_check"))
+    worst = max(abs(float(c) / float(a) - 1.0) for _, c, a in rows)
     ok = worst <= 0.02
     assert _report(8, ok, f"dual-norm ratio vs closed form, worst deviation "
                           f"{worst:.2e} over k=1..4 at 128 cells")
 
 
-def test_criterion_9_infsup_probe(default_run):
-    out = dict(default_run("infsup_probe"))
+def test_criterion_9_infsup_probe(default_output):
+    _, *rows = read_rows(default_output("infsup_probe"))
+    out = {int(n): float(ratio) for n, ratio in rows}
     ok = (all(0.0 < v <= 1.0 + 1e-8 for v in out.values())
           and out[32] < out[8])
     assert _report(9, ok, "coarse/fine Riesz ratios "
                           + ", ".join(f"n={n}: {v:.3f}" for n, v in out.items()))
 
 
-def test_criterion_10_low_regularity(default_run):
-    records = default_run("low_regularity")
+def test_criterion_10_low_regularity(default_output):
+    records = read_csv(default_output("low_regularity"))
     details, ok = [], True
     for alpha in (0.0, 2.0):
         for scheme in SCHEMES:
@@ -285,13 +278,9 @@ def test_criterion_11_property_suite():
     assert _report(11, ok, f"invariant suite in {elapsed:.1f}s")
 
 
-@pytest.mark.parametrize("kind", list(DEFAULT_RUNS))
-def test_default_output_matches_reference(kind, default_run):
-    # the criteria's grids are the study's defaults
-    default = StudyConfig(kind)
-    assert all(DEFAULT_RUNS[kind].value(name) == default.value(name)
-               for name in STUDIES[kind].reads)
-    moved = compare(kind, written(kind, default_run(kind)))
+@pytest.mark.parametrize("kind", list(STUDIES))
+def test_default_output_matches_reference(kind, default_output):
+    moved = compare(kind, read_rows(default_output(kind)))
     assert not moved, "\n".join(version_mismatch() + moved)
 
 

@@ -173,6 +173,22 @@ strict = true
         assert main(["run", strict]) == 2
 
 
+def test_cli_config_is_read_as_utf8(tmp_path, capsys):
+    # UTF-8 text loads whatever the locale; another encoding's byte is a
+    # one-line configuration error, not a traceback
+    body = "[probe]\nstudy = infsup_probe\nn = [4]\n"
+    good = tmp_path / "utf8.cfg"
+    good.write_bytes("# café\n".encode("utf-8") + body.encode())
+    assert [item.name for item in load_config(good)] == ["probe"]
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(b"# caf\xe9\n" + body.encode())
+    with pytest.raises(ConfigError):
+        load_config(bad)
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
 def test_cli_rejects_power_sigma_for_oracle(tmp_path, capsys):
     # the mode solver has no mesh size, so h^p would silently become sigma = 0
     cfg = _write(tmp_path, """

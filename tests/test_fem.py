@@ -52,13 +52,6 @@ def test_family_mesh_compatibility():
         FemSpace(build_tri_mesh(2), "q2")
 
 
-def test_partition_of_unity():
-    for family in FAMILIES:
-        pts, _ = reference_rule(family, "default")
-        N, _ = shape_functions(family, pts)
-        assert np.abs(N.sum(axis=0) - 1.0).max() <= 1e-13
-
-
 def _reference_tables(mesh, family, purpose):
     """The quadrature tables from their einsum formulas, the reference the
     tables and points of FemSpace must match bit for bit; G (E,nd,Q,2)

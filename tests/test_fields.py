@@ -41,15 +41,6 @@ def test_degenerate_field_error(monkeypatch):
         fields_mod.eval_b(FieldSpec("variable_alpha", 0.0), 0.1, 0.1)
 
 
-def test_unit_norm_on_grid():
-    xs = np.linspace(0, 1, 50)
-    X, Y = np.meshgrid(xs, xs)
-    for alpha in (0.0, 1.0, 2.0):
-        b = eval_b(FieldSpec("variable_alpha", alpha), X, Y)
-        norms = np.hypot(b[..., 0], b[..., 1])
-        assert np.abs(norms - 1.0).max() <= 1e-14
-
-
 def test_A_identity_coefficients():
     # unit parallel and identity perpendicular coefficients collapse to Id
     for field in (FieldSpec("variable_alpha", 2.0), FieldSpec("aligned_e2")):

@@ -1,6 +1,5 @@
 import itertools
 import math
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,8 +16,6 @@ from anisofem.studies import (STUDIES, StudyConfig, StudyRecord, emit_csv,
                               read_csv, record_h, separated_mode_ratio,
                               resolve_sigma, run_instance, run_study,
                               sweep_specs)
-
-warnings.filterwarnings("ignore", message="stabilized scheme with sigma = 0")
 
 # frozen baseline of the coarse/fine Riesz ratio at the smallest resolution
 INFSUP_RATIO_N4 = 0.7980470866759155
@@ -462,3 +459,29 @@ def test_oracle_cases_share_operators():
         records[i] = reused
     errors = {record.err_L2_abs for record in records.values()}
     assert len(errors) == 3
+
+
+def test_mode_specs_of_one_recipe_share_the_memos(monkeypatch):
+    # three specs bind one FourierRhs at one eps and sigma: their solutions
+    # compare equal, so the set assembles one load and one exact-value array
+    calls = {"assemble_rhs": 0, "exact_values": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(schemes, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(schemes, name, counted)
+    field = FieldSpec("aligned_e2")
+    rhs = FourierRhs.from_modes([(1, 1, 1.0), (2, 3, -0.5)])
+    specs = [ProblemSpec("stabilized", 1e-4, field, rhs, sigma=1e-3, family="q1",
+                         n=8, Lx=np.pi, Ly=np.pi, flip_second_row=flip)
+             for flip in (False, True, False)]
+    assert specs[0].solution == specs[2].solution
+    assert hash(specs[0].solution) == hash(specs[2].solution)
+    ops = SchemeOperators(specs[0].build_mesh(), field, "q1")
+    reused = [run_instance(spec, ops) for spec in specs]
+    assert calls == {"assemble_rhs": 1, "exact_values": 1}
+    for spec, record in zip(specs, reused):
+        fresh = run_instance(spec)
+        for name in StudyRecord.__dataclass_fields__:
+            if name != "wall_time_seconds":
+                assert getattr(record, name) == getattr(fresh, name), name
