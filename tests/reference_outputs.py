@@ -11,7 +11,7 @@ the Python, numpy and scipy that wrote them.
     python tests/reference_outputs.py --update [KIND ...]   rewrite
 
 A KIND is a study kind or ``check``.  Both run the named outputs (all
-nine by default; about 25 s on two cores) through ``anisofem.cli.main``
+nine by default; about 23 s on two cores) through ``anisofem.cli.main``
 on the library in ``src/``.  The comparison reports a version mismatch
 first, then, per study and column, how many values moved and the
 largest relative move, and each line of the check that changed; it
