@@ -505,7 +505,8 @@ def error_components(space: FemSpace, coefficients, case=None):
 
 def error_norms(space: FemSpace, coefficients, case):
     """(l2, h1, l2_rel, h1_rel): the L2 and full H1 norms of u_h - exact,
-    and each divided by the same norm of u_h (nan when u_h is zero)."""
+    and each divided by the same norm of u_h: inf when that norm is zero
+    and the error is not, nan when both are zero."""
     e2, eh2, u2, uh2 = error_components(space, coefficients, case)
     l2 = np.sqrt(e2)
     h1 = np.sqrt(e2 + eh2)

@@ -237,8 +237,8 @@ class ManufacturedCase:
 
     # -- problem data: load functional and Dirichlet values --------------
 
-    def functional(self, field: FieldSpec, eps: float) -> LinearFunctional:
-        return rhs_functional(self, field, eps)
+    def functional(self, field: FieldSpec) -> LinearFunctional:
+        return rhs_functional(self, field)
 
     def boundary_values(self, x, y):
         """Dirichlet data on the tangential boundary: the trace of u_limit
@@ -276,8 +276,9 @@ def source_functional(f) -> LinearFunctional:
     return LinearFunctional(source=f)
 
 
-def rhs_functional(case: ManufacturedCase, field: FieldSpec, eps: float) -> LinearFunctional:
-    """Load functional of the weak problem whose exact solution is ``case``.
+def rhs_functional(case: ManufacturedCase, field: FieldSpec) -> LinearFunctional:
+    """Load functional of the weak problem whose exact solution is ``case``,
+    at the case's own eps, so the two cannot disagree.
 
     Built variationally from the analytic gradients:
 
@@ -291,11 +292,9 @@ def rhs_functional(case: ManufacturedCase, field: FieldSpec, eps: float) -> Line
     def flux(x, y, field_values: Callable[[FieldSpec], FieldValues]):
         b, A, apar = field_values(field)
         g0, gw = case._gradients(x, y)
-        # grad of the eps-solution, formed with the eps given here so the
-        # functional and the solution it manufactures always agree
-        gu = g0 + eps * gw
+        gu = g0 + case.eps * gw         # case.grad_u, from the one evaluation
         bgw = b[..., 0] * gw[..., 0] + b[..., 1] * gw[..., 1]
-        par = ((1.0 - eps) * apar * bgw)[..., None] * b
+        par = ((1.0 - case.eps) * apar * bgw)[..., None] * b
         return par + (A @ gu[..., None])[..., 0]
     return LinearFunctional(flux=flux)
 

@@ -9,8 +9,8 @@
                    -sigma * mass term restoring uniqueness.
 
 The second block row is assembled exactly as the weak equations read,
-[P^T, -(eps*C + sigma*M)]; ``flip_second_row`` negates that whole row (a
-solution-preserving transform) for experiments on the sign convention.
+[P^T, -(eps*C + sigma*M)].  sigma enters the stabilized scheme only: a
+spec of another scheme with sigma != 0 is refused.
 
 All instances of a scheme on one operator set share one sparsity
 pattern, kept as the scheme's ``SchemePlan``: an instance forms each
@@ -48,10 +48,11 @@ class ProblemSpec:
     the aligned field over (0, pi)^2, or an object that implements the
     case protocol, used as it stands.  The spec binds the recipe once, as
     ``solution``: ``ManufacturedCase(id, field.alpha, eps)``, or
-    ``spectral_solve(rhs, eps, sigma)`` with sigma on the stabilized scheme
-    only.  A solution supplies the load functional ``functional(field,
-    eps)``, the Dirichlet values ``boundary_values(x, y)`` and the error
-    reference ``u``/``grad_u``.  A bound built-in case raises TypeError.
+    ``spectral_solve(rhs, eps, sigma)``.  A solution supplies the load
+    functional ``functional(field)``, the Dirichlet values
+    ``boundary_values(x, y)`` and the error reference ``u``/``grad_u``.  A
+    bound built-in case raises TypeError.  sigma belongs to the stabilized
+    scheme: another scheme with sigma != 0 raises ValueError.
     """
 
     scheme: str
@@ -63,7 +64,6 @@ class ProblemSpec:
     n: int = 10
     Lx: float = 1.0
     Ly: float = 1.0
-    flip_second_row: bool = False
 
     def __post_init__(self):
         if self.scheme not in SCHEME_KINDS:
@@ -79,6 +79,9 @@ class ProblemSpec:
             raise ValueError("eps must be nonnegative")
         if self.sigma < 0.0:
             raise ValueError("sigma must be nonnegative")
+        if self.sigma != 0.0 and self.scheme != "stabilized":
+            raise ValueError(f"the {self.scheme} scheme takes sigma = 0: sigma "
+                             "enters the stabilized scheme only")
         if type(self.case) in (ManufacturedCase, SpectralSolution):
             raise TypeError("pass the case's recipe, its id or its FourierRhs: "
                             "the spec binds it to its own eps, alpha and sigma")
@@ -86,8 +89,7 @@ class ProblemSpec:
         if isinstance(solution, str):
             solution = ManufacturedCase(solution, self.field.alpha, self.eps)
         elif isinstance(solution, FourierRhs):
-            solution = spectral_solve(solution, self.eps, self.sigma
-                                      if self.scheme == "stabilized" else 0.0)
+            solution = spectral_solve(solution, self.eps, self.sigma)
         object.__setattr__(self, "solution", solution)
         if self.scheme == "stabilized" and self.sigma == 0.0:
             # level 3: past the dataclass-generated __init__ to its caller
@@ -117,7 +119,7 @@ class SchemeOperators:
     the two share their quadrature tables and the field's b, A and a_par
     at the quadrature points, which K, P and every load read.  Two memos
     keep what the instances of a sweep recompute otherwise: the load
-    vector of every (case, field, eps) met so far, and the exact values
+    vector of every bound case met so far, and the exact values
     of the last case at the error quadrature points (one entry, which it
     drops before computing a new one: it is 18 times the size of a
     load).  Both return read-only arrays and live as long as the
@@ -147,7 +149,7 @@ class SchemeOperators:
         self._pattern = None            # (indices, indptr) of every form
         self.K = self._stored(assemble(self.u_space, "a_full", field))
         self.P = self._stored(assemble(self.u_space, "a_par", field))
-        self._loads = {}                # (case, field, eps) -> load vector
+        self._loads = {}                # bound case -> load vector
         self._exact = (None, None)      # (case, ExactValues)
         self._plan = (None, None)       # (scheme, SchemePlan)
         self._riesz: LuFactor | None = None
@@ -198,14 +200,13 @@ class SchemeOperators:
         q = np.asarray(q, dtype=float)
         return self.riesz_norm((self.P @ q)[self.u_space.free])
 
-    def case_load(self, case, field: FieldSpec, eps: float) -> np.ndarray:
-        """Load vector of case.functional(field, eps) on the u-space."""
-        key = (case, field, eps)
-        if key not in self._loads:
-            load = assemble_rhs(self.u_space, case.functional(field, eps))
+    def case_load(self, case) -> np.ndarray:
+        """Load vector of the bound case's functional(self.field), keyed on it."""
+        if case not in self._loads:
+            load = assemble_rhs(self.u_space, case.functional(self.field))
             load.flags.writeable = False
-            self._loads[key] = load
-        return self._loads[key]
+            self._loads[case] = load
+        return self._loads[case]
 
     def exact_values(self, case) -> ExactValues | None:
         """case.u and case.grad_u at the u-space's error quadrature points."""
@@ -222,13 +223,12 @@ def _blocks(spec: ProblemSpec) -> tuple:
     """The coefficients on (K, P, M) of each block uu, uq, qu, qq, named
     by row and column unknowns: "u" the free u-dofs, "q" the free
     auxiliary dofs.  A "u" column also takes in the pinned u-dofs, so a
-    block carries its Dirichlet lift.  s is the sign of the second row."""
-    e, s = spec.eps, -1.0 if spec.flip_second_row else 1.0
+    block carries its Dirichlet lift."""
+    e = spec.eps
     if spec.scheme == "standard":
         return ((1.0, (1.0 - e) / e, 0.0),)
-    sigma = spec.sigma if spec.scheme == "stabilized" else 0.0
-    return ((1.0, 0.0, 0.0), (0.0, 1.0 - e, 0.0), (0.0, s, 0.0),
-            (0.0, -s * e, -s * sigma))
+    return ((1.0, 0.0, 0.0), (0.0, 1.0 - e, 0.0), (0.0, 1.0, 0.0),
+            (0.0, -e, -spec.sigma))
 
 
 class SchemePlan(NamedTuple):
@@ -361,7 +361,7 @@ def build_system(spec: ProblemSpec,
     us = ops.u_space
     pts = us.coords[us.constrained]
     gu = np.asarray(spec.solution.boundary_values(pts[:, 0], pts[:, 1]), dtype=float)
-    ell = ops.case_load(spec.solution, spec.field, spec.eps)
+    ell = ops.case_load(spec.solution)
     plan = ops.plan(spec.scheme)
     matrix, lift = _plan_matrices(ops, plan, _blocks(spec))
     rhs = np.zeros(len(plan.order))

@@ -88,8 +88,8 @@ class SpectralSolution:
         return np.stack([_mode_sum(c * k, k, l, x, y, np.cos, np.cos),
                          _mode_sum(-c * l, k, l, x, y, np.sin, np.sin)], axis=-1)
 
-    def functional(self, field, eps) -> LinearFunctional:
-        """The source f; the mode formulas already fixed field and eps."""
+    def functional(self, field) -> LinearFunctional:
+        """The source f; the mode formulas already fixed the field."""
         return source_functional(self.rhs)
 
     def boundary_values(self, x, y):

@@ -84,7 +84,6 @@ KEYS = {
     "modes": ("modes", _as_parsed),
     "k_list": ("k", _as_list),
     "multi_h": ("multi_h", as_flag),
-    "flip_second_row": ("flip_second_row", as_flag),
 }
 
 
@@ -106,7 +105,6 @@ class StudyConfig:
     modes: list | None = None
     k_list: list | None = None
     multi_h: bool = False
-    flip_second_row: bool = False
 
     def value(self, name: str):
         """A field as configured, else the study's fixed or default value."""
@@ -314,6 +312,7 @@ def _run_specs(specs) -> list[StudyRecord]:
 # -- the sweeps -------------------------------------------------------------
 
 _THREE_REGIMES = ((1.0, 0.0), (1e-10, 0.0), (1e-10, 2.0))   # (eps, alpha)
+_H_LADDER = (5, 10, 20, 40, 80)     # h_convergence's n, and multi_h's default
 
 
 def _regimes(cfg: StudyConfig):
@@ -324,14 +323,14 @@ def _regimes(cfg: StudyConfig):
     return list(product(eps_list, cfg.value("alpha_list")))
 
 
-def _spec(cfg: StudyConfig, scheme: str, family: str, n: int, eps: float,
-          sigma, alpha: float, case: str = "smooth") -> ProblemSpec:
+def _spec(scheme: str, family: str, n: int, eps: float, sigma, alpha: float,
+          case: str = "smooth") -> ProblemSpec:
     """One grid point on the variable field; sigma, a rule resolved at the
     record h, reaches only the stabilized scheme."""
     sigma = resolve_sigma(sigma, record_h(family, n))
     return ProblemSpec(scheme, eps, FieldSpec("variable_alpha", alpha), case,
                        sigma=sigma if scheme == "stabilized" else 0.0,
-                       family=family, n=n, flip_second_row=cfg.flip_second_row)
+                       family=family, n=n)
 
 
 def _axis(cfg: StudyConfig, name: str) -> list[dict]:
@@ -355,8 +354,8 @@ def sweep_specs(cfg: StudyConfig) -> list[ProblemSpec]:
     if cfg.multi_h:
         grids = [dict(axes, n_list=axes["n_list"][:1]),
                  dict(axes, regime=[dict(eps=1e-10, alpha=2.0)],
-                      n_list=[dict(n=n) for n in cfg.n_list or [5, 10, 20, 40, 80]])]
-    return [_spec(cfg, **ChainMap(*point))
+                      n_list=[dict(n=n) for n in cfg.n_list or _H_LADDER])]
+    return [_spec(**ChainMap(*point))
             for grid in grids for point in product(*grid.values())]
 
 
@@ -378,8 +377,7 @@ def _oracle_validation(cfg: StudyConfig) -> list[StudyRecord]:
     rhs = FourierRhs.from_modes(cfg.value("modes"))
     scheme = "standard" if eps == 1.0 and sigma == 0.0 else "stabilized"
     specs = [ProblemSpec(scheme, eps, FieldSpec("aligned_e2"), rhs,
-                         sigma=sigma, family=family, n=n, Lx=np.pi, Ly=np.pi,
-                         flip_second_row=cfg.flip_second_row)
+                         sigma=sigma, family=family, n=n, Lx=np.pi, Ly=np.pi)
              for family in families for n in cfg.value("n_list")]
     records = _run_specs(specs)
     return [replace(rec, scheme="stabilized") for rec in records]
@@ -471,19 +469,18 @@ class Study:
 # what a sweep reads unless its entry says otherwise; eps None runs the
 # three reference regimes of _regimes
 _SWEEP = dict(schemes=["inflow", "stabilized"], family="q2", alpha_list=[2.0],
-              sigma_rule=("power", 3), flip_second_row=False)
+              sigma_rule=("power", 3))
 
 STUDIES = {
     "sigma_sweep": Study(
         "stabilization-parameter sweep at fixed mesh (3 regimes)",
         dict(family="q2", n_list=[50], eps_list=None, alpha_list=[2.0],
-             sigma_list=[10.0 ** (-i) for i in range(16)], multi_h=False,
-             flip_second_row=False),
+             sigma_list=[10.0 ** (-i) for i in range(16)], multi_h=False),
         once=("n_list",), fixed=dict(schemes=["stabilized"]),
         axes=("family", "schemes", "n_list", "regime", "sigma_list")),
     "h_convergence": Study(
         "refinement ladder for both reformulations",
-        dict(_SWEEP, n_list=[5, 10, 20, 40, 80], eps_list=None, case_id="smooth"),
+        dict(_SWEEP, n_list=list(_H_LADDER), eps_list=None, case_id="smooth"),
         axes=("family", "sigma_rule", "case_id", "regime", "n_list", "schemes")),
     "eps_sweep": Study(
         "anisotropy-strength robustness sweep",
@@ -506,7 +503,7 @@ STUDIES = {
     "oracle_validation": Study(
         "finite elements vs closed-form mode solver",
         dict(family=None, n_list=[8, 16, 32, 64], eps_list=[1e-10],   # None: q1, q2
-             sigma_rule=("fixed", 1e-6), modes=[(1, 1, 1.0)], flip_second_row=False),
+             sigma_rule=("fixed", 1e-6), modes=[(1, 1, 1.0)]),
         once=("eps_list",), runner=_oracle_validation),
     "infsup_probe": Study(
         "coarse/fine Riesz-norm ratio diagnostic",

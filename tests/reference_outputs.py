@@ -14,8 +14,9 @@ A KIND is a study kind or ``check``.  Both run the named outputs (all
 nine by default; about 23 s on two cores) through ``anisofem.cli.main``
 on the library in ``src/``.  The comparison reports a version mismatch
 first, then, per study and column, how many values moved and the
-largest relative move, and each line of the check that changed; it
-exits with 1 if anything moved.  ``run_defaults`` is the one producer of
+largest relative move, and each line of the check that changed; a value
+whose text changed but not its float is counted apart.  It exits with 1
+if anything moved or changed.  ``run_defaults`` is the one producer of
 the default outputs: the acceptance tests read their criteria from the
 files it writes and compare all eight with their references, and
 ``test_cli_check_smoke`` compares the check.
@@ -105,6 +106,14 @@ def compare_check(text: str) -> list[str]:
     return [f"check: {a!r} is now {b!r}" for a, b in zip(ref, new) if a != b]
 
 
+def _same_float(ref: str, new: str) -> bool:
+    """Whether both texts parse to one float64, bit for bit."""
+    try:
+        return np.float64(ref).tobytes() == np.float64(new).tobytes()
+    except ValueError:
+        return False
+
+
 def _relative_move(ref: str, new: str) -> float:
     """|new - ref| / |ref|: inf where ref is 0, nan for text or a nan value."""
     try:
@@ -116,20 +125,29 @@ def _relative_move(ref: str, new: str) -> float:
 
 def compare(kind: str, rows) -> list[str]:
     """One line per column of kind's output that differs from its
-    reference: how many values moved and the largest relative move."""
+    reference: how many values moved and the largest relative move, and
+    how many changed in their text only (the same float, written
+    otherwise), which is a difference too."""
     ref = read_rows(REFERENCE_DIR / f"{kind}.csv")
     if rows[0] != ref[0] or len(rows) != len(ref):
         return [f"{kind}: header {rows[0]} and {len(rows) - 1} rows, reference "
                 f"header {ref[0]} and {len(ref) - 1} rows"]
-    lines = []
+    lines, total = [], len(ref) - 1
     for j, name in enumerate(ref[0]):
-        moves = [_relative_move(a[j], b[j]) for a, b in zip(ref[1:], rows[1:])
-                 if a[j] != b[j]]
+        changed = [(a[j], b[j]) for a, b in zip(ref[1:], rows[1:]) if a[j] != b[j]]
+        text_only = sum(_same_float(a, b) for a, b in changed)
+        moves = [_relative_move(a, b) for a, b in changed if not _same_float(a, b)]
+        parts = []
         if moves:
             numeric = [m for m in moves if not math.isnan(m)]
             largest = f"{max(numeric):.3g}" if numeric else "n/a (text or nan)"
-            lines.append(f"{kind}.{name}: {len(moves)} of {len(ref) - 1} values "
-                         f"moved, largest relative move {largest}")
+            parts.append(f"{len(moves)} of {total} values moved, largest "
+                         f"relative move {largest}")
+        if text_only:
+            parts.append(f"{text_only} of {total} values changed in text only, "
+                         "not in value")
+        if parts:
+            lines.append(f"{kind}.{name}: " + "; ".join(parts))
     return lines
 
 

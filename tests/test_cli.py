@@ -8,7 +8,8 @@ import pytest
 from anisofem import studies
 from anisofem.cli import main
 from anisofem.config import ConfigError, load_config, parse_value
-from reference_outputs import compare_check, version_mismatch
+from reference_outputs import (REFERENCE_DIR, compare, compare_check, read_rows,
+                               version_mismatch)
 
 
 def test_parse_value_kinds():
@@ -213,6 +214,22 @@ def test_cli_check_smoke(capsys):
     assert not changed, "\n".join(version_mismatch() + changed)
 
 
+def test_compare_counts_text_only_changes_apart():
+    # a trailing 0 leaves the float as it is: it was reported as "largest
+    # relative move 0"; it still fails the comparison, under its own count
+    rows = read_rows(REFERENCE_DIR / "sigma_sweep.csv")
+    assert compare("sigma_sweep", rows) == []
+    j, k = rows[0].index("err_L2_abs"), rows[0].index("cond1")
+    i = [row[j] for row in rows].index("0.012276432310683894")
+    rows[i][j] += "0"
+    rows[1][j] = repr(float(rows[1][j]) * 1.5)
+    rows[2][k] = "+" + rows[2][k]
+    assert compare("sigma_sweep", rows) == [
+        "sigma_sweep.err_L2_abs: 1 of 48 values moved, largest relative move "
+        "0.5; 1 of 48 values changed in text only, not in value",
+        "sigma_sweep.cond1: 1 of 48 values changed in text only, not in value"]
+
+
 # the first values used to end in a traceback, most of them partway
 # through the run, or (alpha without eps) to be silently replaced by the
 # three reference regimes
@@ -293,6 +310,8 @@ def test_cli_check_smoke(capsys):
     # that overflows to inf wrote NaN errors with solve_status OK
     "study = oracle_validation\nfamily = q1\nn = [4]\nmodes = [[1.5, 1, 1.0]]",
     "study = oracle_validation\nfamily = q1\nn = [4]\nmodes = [[1, 1, 1e400]]",
+    # the second-row sign knob is gone; a file that sets it fails at load
+    "study = eps_sweep\nfamily = q1\nn = [4]\nflip_second_row = true",
 ], ids=["family_q3", "case_rough", "infsup_odd_n", "alpha_5_eps_sweep",
         "alpha_5_h_convergence", "alpha_5_sigma_sweep",
         "alpha_without_eps_h_convergence", "alpha_without_eps_sigma_sweep",
@@ -311,7 +330,7 @@ def test_cli_check_smoke(capsys):
         "sigma_true", "plot_list", "sigma_h_nan", "sigma_h_inf", "sigma_inf",
         "eps_inf", "sigma_list_inf", "n_unterminated", "modes_unterminated",
         "n_one_q1", "n_one_low_regularity", "n_one_oracle", "oracle_degenerate",
-        "modes_fractional_k", "modes_inf_coeff"])
+        "modes_fractional_k", "modes_inf_coeff", "flip_second_row"])
 def test_cli_rejects_bad_study_values(tmp_path, capsys, body):
     out_csv = tmp_path / "out.csv"
     cfg = _write(tmp_path, f"[bad]\n{body}\noutput = {out_csv}\n")
@@ -320,8 +339,41 @@ def test_cli_rejects_bad_study_values(tmp_path, capsys, body):
     assert main(["run", cfg]) == 1
     captured = capsys.readouterr()
     assert "configuration error:" in captured.err
+    assert len(captured.err.splitlines()) == 1
     assert "running" not in captured.out
     assert not out_csv.exists()
+
+
+def test_config_names_the_removed_flip_key(tmp_path):
+    cfg = _write(tmp_path, "[old]\nstudy = eps_sweep\nflip_second_row = false\n")
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['flip_second_row'\]"):
+        load_config(cfg)
+
+
+def _readme_table(heading: str) -> list[list[str]]:
+    """The rows of the README table under the header row ``heading``, as
+    the backquoted names of their first cell."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index(heading) + 2            # past the header and rule rows
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        first = line.split("|")[1]
+        rows.append(first.strip().replace("`", "").replace(" ", "").split(","))
+    return rows
+
+
+def test_readme_key_tables_match_the_loader():
+    # the key table lists what load_config accepts, the study table one row
+    # per study kind
+    keys = [key for row in _readme_table("| key | meaning |") for key in row]
+    accepted = {key for key, _ in studies.KEYS.values()} | {
+        "study", "output", "plot", "strict"}
+    assert sorted(keys) == sorted(accepted)
+    kinds = [row[0] for row in _readme_table("| study | keys and defaults |")]
+    assert kinds == list(studies.STUDIES)
 
 
 def test_cli_runs_q2_at_n_one(tmp_path, capsys):

@@ -152,7 +152,7 @@ def test_kernels_match_einsum_over_gradients(family, kind, alpha, case_id):
     space = FemSpace(_mesh(family, 5, 4), family)
     field = FieldSpec(kind, alpha)
     case = ManufacturedCase(case_id, alpha, 0.3)
-    functional = rhs_functional(case, field, 0.3)
+    functional = rhs_functional(case, field)
     coefficients = np.random.default_rng(3).standard_normal(space.n_dofs)
     forms, load, norms = _reference_kernels(space, field, functional,
                                             coefficients, case)
@@ -175,7 +175,7 @@ def test_table_cache_holds_no_per_point_gradients(family):
     case = ManufacturedCase("smooth", 2.0, 0.3)
     for form in ("a_full", "a_par", "mass"):
         assemble(space, form, field)
-    assemble_rhs(space, rhs_functional(case, field, 0.3))
+    assemble_rhs(space, rhs_functional(case, field))
     error_norms(space, space.interpolate(case.u), case)
     arrays = {}
     for entry in space._tables.values():
@@ -198,7 +198,7 @@ def _kernel_outputs(family, field):
     out += [form.data for form in (ops.K, ops.P, ops.M)]
     for case_id in ("smooth", "low_reg"):
         case = ManufacturedCase(case_id, field.alpha, 0.3)
-        out.append(ops.case_load(case, field, 0.3))
+        out.append(ops.case_load(case))
         out += list(ops.exact_values(case))
     return out
 
@@ -246,7 +246,7 @@ def test_operator_set_transients_stay_within_a_budget():
     tracemalloc.start()
     try:
         ops = SchemeOperators(mesh, field, "q1")
-        ops.case_load(case, field, 1e-4)
+        ops.case_load(case)
         ops.exact_values(case)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
@@ -391,7 +391,7 @@ def test_rhs_functional_matches_quadrature_oracle():
     # on 16 cells per side the default rule is quadrature-converged for the
     # trigonometric load and must agree with a tenth-order oracle
     case = ManufacturedCase("smooth", 0.0, 1.0)
-    functional = rhs_functional(case, UNIT_FIELD, 1.0)
+    functional = rhs_functional(case, UNIT_FIELD)
     sp = _space(16, "q1")
     r = assemble_rhs(sp, functional)
     oracle = _q1_oracle_load(16, lambda x, y: functional.flux(

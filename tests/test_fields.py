@@ -146,7 +146,7 @@ def test_rhs_functional_eps_one_drops_parallel_term():
     # at eps = 1 the flux reduces to A grad(u), A = Id here
     field = FieldSpec("variable_alpha", 2.0)
     case = ManufacturedCase("smooth", 2.0, 1.0)
-    F = rhs_functional(case, field, 1.0).flux(
+    F = rhs_functional(case, field).flux(
         0.3, 0.6, lambda f: eval_field(f, 0.3, 0.6))
     assert np.allclose(F, case.grad_u(0.3, 0.6), atol=1e-13)
 
@@ -170,7 +170,7 @@ def test_exact_values_and_flux_evaluate_t_once(case_id, monkeypatch):
     field = FieldSpec("variable_alpha", 2.0)
     case = ManufacturedCase(case_id, 2.0, 0.3)
     x, y = np.meshgrid(np.linspace(0.1, 0.9, 5), np.linspace(0.1, 0.9, 4))
-    flux = rhs_functional(case, field, 0.3).flux
+    flux = rhs_functional(case, field).flux
     for evaluate, t_calls, grad_t_calls in (
             (lambda: case.u(x, y), 1, 0),
             (lambda: case.grad_u(x, y), 1, 1),

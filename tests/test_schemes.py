@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from anisofem import schemes
 
 from anisofem.fields import (FieldSpec, LinearFunctional, ManufacturedCase,
-                             eval_A, eval_b)
+                             eval_A, eval_b, rhs_functional)
 from anisofem.fem import assemble_rhs, error_norms
 from anisofem.geometry import build_quad_mesh
 from anisofem.schemes import (ProblemSpec, SchemeOperators, build_system,
@@ -40,6 +40,15 @@ def test_spec_validation():
     ProblemSpec("inflow", 0.0, field)          # eps = 0 allowed for AP schemes
     with pytest.warns(UserWarning):
         ProblemSpec("stabilized", 0.5, field, sigma=0.0)
+
+
+@pytest.mark.parametrize("scheme", ["inflow", "standard"])
+def test_spec_refuses_sigma_off_the_stabilized_scheme(scheme):
+    # these schemes once ignored sigma while their record still reported
+    # it; a stabilized spec at sigma = 0 only warns (test_spec_validation)
+    with pytest.raises(ValueError, match="stabilized scheme only") as caught:
+        ProblemSpec(scheme, 0.5, FieldSpec("variable_alpha", 0.0), sigma=1e-3)
+    assert "\n" not in str(caught.value)
 
 
 def test_sigma_zero_warning_names_the_caller():
@@ -79,9 +88,9 @@ def test_spec_rejects_a_case_built_for_other_parameters(field, case, sigma):
 def test_spec_binds_its_case_to_its_parameters(scheme):
     sigma = 1e-6 if scheme == "stabilized" else 0.0
     curved = ProblemSpec(scheme, 0.5, FieldSpec("variable_alpha", 2.0), "low_reg",
-                         sigma=1e-6)
+                         sigma=sigma)
     assert curved.solution == ManufacturedCase("low_reg", 2.0, 0.5)
-    aligned = ProblemSpec(scheme, 0.5, FieldSpec("aligned_e2"), _MODE, sigma=1e-6)
+    aligned = ProblemSpec(scheme, 0.5, FieldSpec("aligned_e2"), _MODE, sigma=sigma)
     expected, bound = spectral_solve(_MODE, 0.5, sigma), aligned.solution
     assert bound.rhs is _MODE and (bound.eps, bound.sigma) == (0.5, sigma)
     for name in ("u_coeff", "xi_coeff"):
@@ -89,7 +98,7 @@ def test_spec_binds_its_case_to_its_parameters(scheme):
     # a replaced parameter binds again; a user case stands as it is
     assert replace(curved, eps=0.25).solution == ManufacturedCase("low_reg", 2.0, 0.25)
     zero = _ZeroCase()
-    assert ProblemSpec(scheme, 0.5, curved.field, zero, sigma=1e-6).solution is zero
+    assert ProblemSpec(scheme, 0.5, curved.field, zero, sigma=sigma).solution is zero
 
 
 def test_dof_partition_counts():
@@ -129,7 +138,7 @@ def _block_assembly(spec, ops):
     uf, uc = us.free, us.constrained
     pts = us.coords[uc]
     gu = spec.solution.boundary_values(pts[:, 0], pts[:, 1])
-    ell = ops.case_load(spec.solution, spec.field, spec.eps)
+    ell = ops.case_load(spec.solution)
     eps = spec.eps
     if spec.scheme == "standard":
         S = (ops.K + ((1.0 - eps) / eps) * ops.P).tocsr()
@@ -143,8 +152,6 @@ def _block_assembly(spec, ops):
         A22 = A22 - spec.sigma * sub(ops.M, qf, qf)
     rhs_u = ell[uf] - sub(ops.K, uf, uc) @ gu
     rhs_q = -(sub(ops.P, qf, uc) @ gu)
-    if spec.flip_second_row:
-        A21, A22, rhs_q = -A21, -A22, -rhs_q
     return (sp.bmat([[A11, A12], [A21, A22]], format="csr"),
             np.concatenate([rhs_u, rhs_q]))
 
@@ -161,28 +168,26 @@ def test_plan_matrix_matches_block_assembly(scheme, family, field):
         # a_par cancels the entries it couples across the diagonals
         # exactly, and keeps them as zeros in the shared pattern
         assert ops.P.nnz == ops.M.nnz
-    for flip in (False, True):
-        for profile in ("smooth", "low_reg"):
-            spec = ProblemSpec(scheme, 0.3, field, profile, family=family, n=5,
-                               sigma=1e-3 if scheme == "stabilized" else 0.0,
-                               flip_second_row=flip)
-            system = build_system(spec, ops)
-            matrix, rhs = _block_assembly(spec, ops)
-            order = system.order
-            expected = matrix[order][:, order]
-            assert system.matrix.format == "csc"
-            if family.startswith("q"):
-                assert system.matrix.nnz == expected.nnz
-            else:
-                # the sums of the block assembly drop cancelled entries,
-                # which the plan keeps as exact zeros
-                ours, theirs = system.matrix.tocoo(), expected.tocoo()
-                mine, their = [np.ravel_multi_index((m.row, m.col), m.shape)
-                               for m in (ours, theirs)]
-                assert np.all(np.isin(their, mine))
-                assert np.all(ours.data[~np.isin(mine, their)] == 0.0)
-            assert abs(system.matrix - expected).max() == 0.0
-            assert np.array_equal(system.rhs, rhs[order])
+    for profile in ("smooth", "low_reg"):
+        spec = ProblemSpec(scheme, 0.3, field, profile, family=family, n=5,
+                           sigma=1e-3 if scheme == "stabilized" else 0.0)
+        system = build_system(spec, ops)
+        matrix, rhs = _block_assembly(spec, ops)
+        order = system.order
+        expected = matrix[order][:, order]
+        assert system.matrix.format == "csc"
+        if family.startswith("q"):
+            assert system.matrix.nnz == expected.nnz
+        else:
+            # the sums of the block assembly drop cancelled entries,
+            # which the plan keeps as exact zeros
+            ours, theirs = system.matrix.tocoo(), expected.tocoo()
+            mine, their = [np.ravel_multi_index((m.row, m.col), m.shape)
+                           for m in (ours, theirs)]
+            assert np.all(np.isin(their, mine))
+            assert np.all(ours.data[~np.isin(mine, their)] == 0.0)
+        assert abs(system.matrix - expected).max() == 0.0
+        assert np.array_equal(system.rhs, rhs[order])
 
 
 @pytest.mark.parametrize("field", [FieldSpec("variable_alpha", 2.0),
@@ -232,7 +237,7 @@ def test_plan_is_built_once_per_scheme(monkeypatch):
     # both systems gathered their data by the one plan's read-only idx
     assert not ops.plan("stabilized").idx.flags.writeable
     assert calls == ["stabilized"]
-    build_system(replace(spec, scheme="inflow"), ops)
+    build_system(replace(spec, scheme="inflow", sigma=0.0), ops)
     assert calls == ["stabilized", "inflow"]
 
 
@@ -342,11 +347,46 @@ def test_rhs_lower_block_zero_for_homogeneous_case():
 class _ZeroCase:
     """Zero load functional and zero Dirichlet values."""
 
-    def functional(self, field, eps):
+    def functional(self, field):
         return LinearFunctional()
 
     def boundary_values(self, x, y):
         return np.zeros(np.shape(x))
+
+
+class _WrappedCase:
+    """A user case that holds a manufactured solution and implements the
+    protocol itself: its load functional takes the field only."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def functional(self, field):
+        return rhs_functional(self.inner, field)
+
+    def boundary_values(self, x, y):
+        return self.inner.boundary_values(x, y)
+
+    def u(self, x, y):
+        return self.inner.u(x, y)
+
+    def grad_u(self, x, y):
+        return self.inner.grad_u(x, y)
+
+
+@pytest.mark.parametrize("scheme", ["standard", "inflow", "stabilized"])
+def test_user_case_runs_through_run_instance(scheme):
+    # a user case of the functional(field) protocol gives the record of the
+    # built-in case it wraps, bit for bit, on fresh and on shared operators
+    built_in = _smooth_spec(scheme, 0.5, 2.0, 6,
+                            sigma=1e-3 if scheme == "stabilized" else 0.0)
+    user = replace(built_in, case=_WrappedCase(built_in.solution))
+    assert user.solution is user.case
+    ops = SchemeOperators(user.build_mesh(), user.field, user.family)
+    want = repr(replace(run_instance(built_in), wall_time_seconds=0.0))
+    for got in (run_instance(user), run_instance(user, ops)):
+        assert got.solve_status == "OK"
+        assert repr(replace(got, wall_time_seconds=0.0)) == want   # nan too
 
 
 def test_zero_load_gives_zero_solution():
@@ -365,21 +405,12 @@ def test_decoupling_at_eps_one(scheme, sigma):
     system = build_system(spec, operators=ops)
     result = solve_scheme(system)
     # pure primal solve of the same load
-    ell = assemble_rhs(ops.u_space, spec.solution.functional(spec.field, 1.0))
+    ell = assemble_rhs(ops.u_space, spec.solution.functional(spec.field))
     uf = ops.u_space.free
     K = ops.K[uf][:, uf].tocsr()
     u_pure = ops.u_space.expand(solve(lu_factor(K), ell[uf]), 0.0)
     scale = np.abs(u_pure).max()
     assert np.abs(result.u - u_pure).max() <= 1e-10 * scale
-
-
-def test_flip_second_row_preserves_solution():
-    base = _smooth_spec("stabilized", 1e-6, 2.0, 6, sigma=1e-4)
-    flipped = ProblemSpec("stabilized", 1e-6, base.field, base.case, sigma=1e-4,
-                          family="q2", n=6, flip_second_row=True)
-    u0 = solve_scheme(build_system(base)).u
-    u1 = solve_scheme(build_system(flipped)).u
-    assert np.abs(u0 - u1).max() <= 1e-9 * np.abs(u0).max()
 
 
 def test_schemes_agree_when_aligned():
@@ -535,7 +566,7 @@ def test_load_memo_survives_the_scheme_loop(monkeypatch):
     assert len(loads) == len(eps_list)
     assert set(loads) == set(factors) == {threading.current_thread()}
     for rec in records:
-        fresh = run_instance(_spec(cfg, rec.scheme, "q1", 8, rec.eps,
+        fresh = run_instance(_spec(rec.scheme, "q1", 8, rec.eps,
                                    ("power", 3), 2.0))
         for name in StudyRecord.__dataclass_fields__:
             if name != "wall_time_seconds":
@@ -601,7 +632,7 @@ def test_case_load_reads_the_assembly_field_values(profile, family):
     ops = SchemeOperators(spec.build_mesh(), field, family)
     for eps in (0.0, 1e-10, 0.5, 1.0):
         case = ManufacturedCase(profile, 2.0, eps)
-        assert np.array_equal(ops.case_load(case, field, eps),
+        assert np.array_equal(ops.case_load(case),
                               _reference_load(ops.u_space, case, field, eps))
 
 
@@ -632,7 +663,7 @@ class _LoadFailure(Exception):
 class _FailingLoadCase(_ZeroCase):
     """Zero Dirichlet values and a load functional that raises."""
 
-    def functional(self, field, eps):
+    def functional(self, field):
         def source(x, y):
             raise _LoadFailure("no load here")
         return LinearFunctional(source=source)
@@ -654,6 +685,6 @@ def test_singular_instance_waits_for_its_load(monkeypatch):
         spec = _smooth_spec("stabilized", 0.0, 0.0, 8, sigma=0.0)
     ops = SchemeOperators(spec.build_mesh(), spec.field, spec.family)
     assert run_instance(spec, ops).solve_status == "SINGULAR"
-    assert (spec.solution, spec.field, spec.eps) in ops._loads
-    ell = ops.case_load(spec.solution, spec.field, spec.eps)
+    assert spec.solution in ops._loads
+    ell = ops.case_load(spec.solution)
     assert len(loads) == 1 and not ell.flags.writeable
