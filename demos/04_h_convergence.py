@@ -11,7 +11,7 @@ import os
 from anisofem import StudyConfig, emit_csv, emit_plot_script, observed_orders
 from anisofem.studies import run_study
 
-cfg = StudyConfig("h_convergence", n_list=[5, 10, 20, 40])
+cfg = StudyConfig("h_convergence", n=[5, 10, 20, 40])
 records = run_study(cfg)
 
 for eps, alpha in ((1.0, 0.0), (1e-10, 0.0), (1e-10, 2.0)):

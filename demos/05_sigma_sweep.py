@@ -11,8 +11,8 @@ solution.  sigma = h^3 sits comfortably in the trough for Q2 elements.
 from anisofem import StudyConfig
 from anisofem.studies import run_study
 
-cfg = StudyConfig("sigma_sweep", n_list=[25],
-                  sigma_list=[10.0 ** (-i) for i in range(0, 15, 2)])
+cfg = StudyConfig("sigma_sweep", n=[25],
+                  sigma=[("fixed", 10.0 ** (-i)) for i in range(0, 15, 2)])
 records = run_study(cfg)
 
 regimes = ((1.0, 0.0, "isotropic"), (1e-10, 0.0, "strong, aligned"),

@@ -9,8 +9,8 @@ discretization loses completely.
 from anisofem import StudyConfig
 from anisofem.studies import run_study
 
-cfg = StudyConfig("eps_sweep", n_list=[25],
-                  eps_list=[1e-20, 1e-12, 1e-8, 1e-4, 1e-2, 1e-1, 1.0, 10.0])
+cfg = StudyConfig("eps_sweep", n=[25],
+                  eps=[1e-20, 1e-12, 1e-8, 1e-4, 1e-2, 1e-1, 1.0, 10.0])
 records = run_study(cfg)
 
 print(f"{'eps':>8s} {'inflow L2':>12s} {'stabilized L2':>14s}")

@@ -9,7 +9,7 @@ factorization without forming an inverse.
 from anisofem import StudyConfig, loglog_slope
 from anisofem.studies import run_study
 
-records = run_study(StudyConfig("conditioning", n_list=[5, 10, 20, 40]))
+records = run_study(StudyConfig("conditioning", n=[5, 10, 20, 40]))
 
 print(f"{'h':>9s} {'inflow cond1':>14s} {'stabilized cond1':>18s}")
 for n in (5, 10, 20, 40):

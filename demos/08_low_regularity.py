@@ -10,7 +10,7 @@ The L2 norms stay bounded either way.
 from anisofem import StudyConfig
 from anisofem.studies import observed_orders, run_study
 
-records = run_study(StudyConfig("low_regularity", n_list=[16, 32, 64]))
+records = run_study(StudyConfig("low_regularity", n=[16, 32, 64]))
 
 for alpha in (0.0, 2.0):
     print(f"\nalpha = {alpha:g}")

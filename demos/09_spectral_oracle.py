@@ -24,7 +24,7 @@ print("inflow auxiliary series at (pi/2, pi):",
 
 print("\nFEM against the series, mode (1,1), eps = 1e-10, sigma = 1e-6:")
 for family, expected in (("q1", 2), ("q2", 3)):
-    cfg = StudyConfig("oracle_validation", family=family, n_list=[8, 16, 32])
+    cfg = StudyConfig("oracle_validation", family=family, n=[8, 16, 32])
     recs = run_study(cfg)
     orders = observed_orders([r.h for r in recs], [r.err_L2_abs for r in recs])
     print(f"  {family}: L2 differences "

@@ -15,10 +15,10 @@ from anisofem import StudyConfig
 from anisofem.studies import run_study
 
 print("dual-norm ratio against the closed form (64 cells, Q2):")
-for k, computed, analytic in run_study(StudyConfig("dual_norm_check", n_list=[64])):
+for k, computed, analytic in run_study(StudyConfig("dual_norm_check", n=[64])):
     print(f"  k = {k}: computed {computed:.6f}, analytic {analytic:.6f}")
 
 print("\ncoarse/fine Riesz-norm ratio for a mesh-scale transverse oscillation:")
-for n, ratio in run_study(StudyConfig("infsup_probe", n_list=[4, 8, 16, 32])):
+for n, ratio in run_study(StudyConfig("infsup_probe", n=[4, 8, 16, 32])):
     print(f"  n = {n:3d}: {ratio:.4f}")
 print("the decay toward zero is the failing mesh-uniform inf-sup bound")

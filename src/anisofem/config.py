@@ -13,18 +13,20 @@ One section per study, key = value pairs, arrays in bracket syntax::
     output = runs/h_convergence.csv
     plot = runs/h_convergence.gp
 
-``sigma`` accepts a number (fixed value) or ``h^p`` (resolution-dependent
-power rule).  All keys are optional except ``study``; missing grids fall
-back to the built-in defaults of each study.  Files are read as UTF-8.
+``sigma`` accepts a number (fixed value), ``h^p`` (resolution-dependent
+power rule) or a bracketed list of either.  All keys are optional except
+``study``; missing grids fall back to the built-in defaults of each study.
+No two paths may name one file.  Files are read as UTF-8.
 """
 
 from __future__ import annotations
 
 import ast
 import configparser
+import os
 from dataclasses import dataclass
 
-from .studies import KEYS, STUDIES, StudyConfig, as_flag
+from .studies import KEYS, STUDIES, StudyConfig
 
 
 class ConfigError(ValueError):
@@ -66,10 +68,17 @@ def parse_value(text: str):
 
 
 def _path(text):
-    """A path is the key's text as written; a bracketed list is not one."""
-    if text is not None and text.startswith("["):
-        raise ValueError("a list is not a path")
+    """A path is the key's text as written, neither empty nor a list."""
+    if text is not None and (text.startswith("[") or not text):
+        raise ValueError("a path is one path, not a list, and not empty")
     return text
+
+
+def _flag(value) -> bool:
+    """A flag as parse_value reads true/yes/on, false/no/off."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
 
 
 def _convert(section: str, key: str, value, convert):
@@ -77,7 +86,7 @@ def _convert(section: str, key: str, value, convert):
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot parse {key} {value!r} in section "
-                          f"[{section}]") from exc
+                          f"[{section}]: {exc}") from exc
 
 
 @dataclass
@@ -100,7 +109,7 @@ def load_config(path) -> list[ConfiguredStudy]:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
 
-    studies = []
+    studies, written = [], {}          # absolute path: the key that writes it
     for name in parser.sections():
         text = dict(parser[name])
         kind = text.pop("study", None)
@@ -109,12 +118,12 @@ def load_config(path) -> list[ConfiguredStudy]:
         output = _convert(name, "output", text.pop("output", None), _path)
         plot = _convert(name, "plot", text.pop("plot", None), _path)
         strict = _convert(name, "strict", parse_value(text.pop("strict", "false")),
-                          as_flag)
-        unknown = set(text) - {key for key, _ in KEYS.values()}
+                          _flag)
+        unknown = set(text) - set(KEYS)
         if unknown:
             raise ConfigError(f"unknown key(s) {sorted(unknown)} in section [{name}]")
-        values = {field: _convert(name, key, parse_value(text[key]), convert)
-                  for field, (key, convert) in KEYS.items() if key in text}
+        values = {key: _convert(name, key, parse_value(text[key]), convert)
+                  for key, convert in KEYS.items() if key in text}
         try:
             cfg = StudyConfig(kind, **values)
         except ValueError as exc:
@@ -125,6 +134,11 @@ def load_config(path) -> list[ConfiguredStudy]:
         if plot is not None and output is None:
             raise ConfigError(f"plot needs output in section [{name}]: the "
                               "script reads the CSV that output writes")
+        for key, where in (("output", output), ("plot", plot)):
+            writer = f"{key} of [{name}]"
+            if where and written.setdefault(os.path.abspath(where), writer) != writer:
+                raise ConfigError(f"{where} is written twice: by "
+                                  f"{written[os.path.abspath(where)]} and by {writer}")
         studies.append(ConfiguredStudy(name, cfg, output, plot, strict))
     if not studies:
         raise ConfigError("configuration file defines no study section")

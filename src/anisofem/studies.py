@@ -1,7 +1,9 @@
 """Experiment harness: parameter sweeps, diagnostics, CSV and plot output.
 
-``STUDIES`` holds one entry per study kind: the StudyConfig fields it
-reads, with their defaults, its grid or runner and its output format.
+``STUDIES`` holds one entry per study kind: the config keys it reads,
+with their defaults, its grid or runner and its output format.  A
+StudyConfig field is named by its config key and holds one form of
+value; ``KEYS`` maps each key to the converter of its parsed text.
 ``run_study`` runs a StudyConfig.  Every study is deterministic; solver
 failures are recorded per point and never abort a sweep.
 """
@@ -48,63 +50,53 @@ def _as_parsed(value):
     return value
 
 
-def as_flag(value) -> bool:
-    """A flag as the configuration parser reads true/yes/on, false/no/off."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{value!r} is not true or false")
-    return value
+def _sigma(value) -> list:
+    """sigma rules, one per value: a number is ("fixed", number) and h^p
+    is ("power", p); a scalar is a list of one."""
+    rules = []
+    for item in _as_list(value):
+        if isinstance(item, str):
+            text = item.strip().lower()
+            if not text.startswith("h^"):
+                raise ValueError(f"{item!r} is not a number or h^p")
+            rules.append(("power", float(text[2:])))
+        else:
+            rules.append(("fixed", _float(item)))
+    return rules
 
 
-def _sigma_rule(value):
-    """("fixed", number) or ("power", p) from h^p; None for a list."""
-    if isinstance(value, list):
-        return None
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if not text.startswith("h^"):
-            raise ValueError(f"{value!r} is not a number or h^p")
-        return ("power", float(text[2:]))
-    return ("fixed", _float(value))
-
-
-def _sigma_list(value):
-    return [_float(s) for s in value] if isinstance(value, list) else None
-
-
-# StudyConfig field: (config-file key, converter of the parsed value)
+# config-file key (and StudyConfig field): converter of the parsed value
 KEYS = {
-    "schemes": ("scheme", _as_list),
-    "family": ("family", _as_parsed),
-    "n_list": ("n", _as_list),
-    "eps_list": ("eps", _as_list),
-    "sigma_rule": ("sigma", _sigma_rule),
-    "sigma_list": ("sigma", _sigma_list),
-    "alpha_list": ("alpha", _as_list),
-    "case_id": ("case", _as_parsed),
-    "modes": ("modes", _as_parsed),
-    "k_list": ("k", _as_list),
-    "multi_h": ("multi_h", as_flag),
+    "scheme": _as_list,
+    "family": _as_parsed,
+    "n": _as_list,
+    "eps": _as_list,
+    "sigma": _sigma,
+    "alpha": _as_list,
+    "case": _as_parsed,
+    "modes": _as_parsed,
+    "k": _as_list,
 }
 
 
 @dataclass
 class StudyConfig:
-    """Grids and selectors for one study; None fields fall back to the
-    defaults of the study's STUDIES entry.  Values a study cannot run
-    with raise ValueError here, before any instance is built."""
+    """Grids and selectors for one study, each field named by its config
+    key; None fields fall back to the defaults of the study's STUDIES
+    entry.  sigma is a list of ("fixed", value) or ("power", p) rules.
+    Values a study cannot run with raise ValueError here, before any
+    instance is built."""
 
     kind: str
-    schemes: list | None = None
+    scheme: list | None = None
     family: str | None = None
-    n_list: list | None = None
-    eps_list: list | None = None
-    sigma_rule: tuple | None = None       # ("fixed", value) | ("power", p)
-    sigma_list: list | None = None
-    alpha_list: list | None = None
-    case_id: str | None = None
+    n: list | None = None
+    eps: list | None = None
+    sigma: list | None = None
+    alpha: list | None = None
+    case: str | None = None
     modes: list | None = None
-    k_list: list | None = None
-    multi_h: bool = False
+    k: list | None = None
 
     def value(self, name: str):
         """A field as configured, else the study's fixed or default value."""
@@ -116,28 +108,29 @@ class StudyConfig:
             raise ValueError(f"unknown study kind {self.kind!r}")
         study = STUDIES[self.kind]
         for f in dataclass_fields(self)[1:]:      # every field but kind
-            value, key = getattr(self, f.name), KEYS[f.name][0]
-            if f.name not in study.reads and value is not None and value is not False:
-                if f.name == "sigma_rule" and "sigma_list" in study.reads:
-                    raise ValueError(f"{self.kind} takes sigma as a list of values")
-                if f.name == "sigma_list" and "sigma_rule" in study.reads:
-                    raise ValueError(f"{self.kind} takes one sigma value or an h^p "
-                                     "rule, not a list")
-                raise ValueError(f"{self.kind} does not use {key}")
+            value = getattr(self, f.name)
+            if f.name not in study.reads and value is not None:
+                raise ValueError(f"{self.kind} does not use {f.name}")
             # an empty list would fall back to the defaults, or run nothing
             if isinstance(value, (list, tuple)) and not value:
-                raise ValueError(f"{key} is an empty list; "
+                raise ValueError(f"{f.name} is an empty list; "
                                  "omit the key for the study's default values")
-        for name in () if self.multi_h else study.once:
+        rules = self.sigma or []
+        if not isinstance(rules, list) or not all(
+                isinstance(r, tuple) and r[0] in ("fixed", "power") for r in rules):
+            raise ValueError(f"sigma {rules!r} is not a list of ('fixed', value) "
+                             "and ('power', p) rules")
+        for name in study.once:
             if len(getattr(self, name) or ()) > 1:
-                raise ValueError(f"{self.kind} takes a single {KEYS[name][0]}, "
+                raise ValueError(f"{self.kind} takes a single {name}, "
                                  f"got {getattr(self, name)}")
-        if (self.kind == "oracle_validation" and self.sigma_rule is not None
-                and self.sigma_rule[0] != "fixed"):
+        sigmas = [value for rule, value in rules if rule == "fixed"]
+        powers = [p for rule, p in rules if rule == "power"]
+        if self.kind == "oracle_validation" and powers:
             raise ValueError("oracle_validation needs a fixed sigma: the mode "
                              "solver has no mesh size for an h^p rule")
         # membership in a tuple, so that an unhashable value is reported too
-        bad = [s for s in self.schemes or () if s not in SCHEME_KINDS]
+        bad = [s for s in self.scheme or () if s not in SCHEME_KINDS]
         if bad:
             raise ValueError(f"unknown scheme(s) {bad}; expected any of {SCHEME_KINDS}")
         if self.family is not None and self.family not in tuple(FAMILIES):
@@ -146,51 +139,42 @@ class StudyConfig:
         if (self.kind == "dual_norm_check" and self.family is not None
                 and FAMILIES[self.family][0] != "quad"):
             raise ValueError("dual_norm_check runs on rectangles: family q1 or q2")
-        if self.case_id is not None and self.case_id not in CASE_IDS:
-            raise ValueError(f"unknown case {self.case_id!r}; expected one of {CASE_IDS}")
-        bad = [a for a in self.alpha_list or ()
+        if self.case is not None and self.case not in CASE_IDS:
+            raise ValueError(f"unknown case {self.case!r}; expected one of {CASE_IDS}")
+        bad = [a for a in self.alpha or ()
                if not _is_number(a) or not 0.0 <= a <= ALPHA_MAX]
         if bad:
             raise ValueError(f"alpha {bad} outside [0, {ALPHA_MAX:.6f}], where "
                              "the inflow/outflow split of the boundary is fixed")
-        if self.multi_h and (self.eps_list is not None or self.alpha_list is not None):
-            raise ValueError("sigma_sweep with multi_h runs its three reference "
-                             "regimes and a mesh ladder at eps = 1e-10, "
-                             "alpha = 2; it takes no eps or alpha")
-        if (self.kind in ("sigma_sweep", "h_convergence") and self.eps_list is None
-                and self.alpha_list is not None):
+        if (self.kind in ("sigma_sweep", "h_convergence") and self.eps is None
+                and self.alpha is not None):
             raise ValueError(f"{self.kind} takes alpha only together with eps: "
                              "without eps it runs its three reference "
                              "(eps, alpha) regimes")
-        if any(not _is_number(n, Integral) or n < 1 for n in self.n_list or ()):
-            raise ValueError(f"n {self.n_list}: resolutions are positive integers")
+        if any(not _is_number(n, Integral) or n < 1 for n in self.n or ()):
+            raise ValueError(f"n {self.n}: resolutions are positive integers")
         # oracle_validation runs q1 and q2 unless a family is given
-        if ("family" in study.reads and 1 in (self.n_list or ())
+        if ("family" in study.reads and 1 in (self.n or ())
                 and FAMILIES[self.value("family") or "q1"][1] == 1):
             raise ValueError("n = 1 leaves a degree-1 family no unknowns: every "
                              "dof of the mesh lies on the Dirichlet boundary")
-        if any(not _is_number(k, Integral) or k < 1 for k in self.k_list or ()):
-            raise ValueError(f"k {self.k_list}: mode indices are positive integers")
-        if self.kind == "infsup_probe" and any(n % 2 for n in self.n_list or ()):
+        if any(not _is_number(k, Integral) or k < 1 for k in self.k or ()):
+            raise ValueError(f"k {self.k}: mode indices are positive integers")
+        if self.kind == "infsup_probe" and any(n % 2 for n in self.n or ()):
             raise ValueError("infsup_probe needs even resolutions n: the probe "
                              "function vanishes on the constrained sides only then")
-        if any(not _is_number(e) or not e >= 0.0 for e in self.eps_list or ()):
-            raise ValueError(f"eps {self.eps_list}: anisotropy strengths are >= 0")
-        if "standard" in (self.schemes or ()) and 0.0 in (self.eps_list or ()):
+        if any(not _is_number(e) or not e >= 0.0 for e in self.eps or ()):
+            raise ValueError(f"eps {self.eps}: anisotropy strengths are >= 0")
+        if "standard" in (self.scheme or ()) and 0.0 in (self.eps or ()):
             raise ValueError("the standard scheme needs eps > 0")
-        sigmas = list(self.sigma_list or ())
-        if self.sigma_rule is not None and self.sigma_rule[0] == "fixed":
-            sigmas.append(self.sigma_rule[1])
         if any(not _is_number(sigma) or not sigma >= 0.0 for sigma in sigmas):
             raise ValueError(f"sigma {sigmas}: stabilization parameters are >= 0")
-        # what passed the two checks above is a number >= 0, inf included
-        for key, values in (("eps", self.eps_list or []), ("sigma", sigmas)):
+        # what passed the two checks above is a number >= 0, inf included;
+        # an exponent p of h^p is any float
+        for key, values in (("eps", self.eps or []), ("sigma", sigmas),
+                            ("sigma h^p, p =", powers)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{key} {values}: the values must be finite")
-        if (self.sigma_rule is not None and self.sigma_rule[0] == "power"
-                and not np.isfinite(self.sigma_rule[1])):
-            raise ValueError(f"sigma h^{self.sigma_rule[1]}: the exponent of "
-                             "an h^p rule must be finite")
         if self.modes is not None:
             try:
                 FourierRhs.from_modes(self.modes)
@@ -199,10 +183,10 @@ class StudyConfig:
                                  "with integers k >= 1 and l >= 0 and a finite "
                                  "coeff") from exc
         if self.kind == "oracle_validation":
-            eps, = self.value("eps_list")
+            (eps,), (rule,) = self.value("eps"), self.value("sigma")
             try:
                 spectral_solve(FourierRhs.from_modes(self.value("modes")), eps,
-                               resolve_sigma(self.value("sigma_rule"), 0.0))
+                               resolve_sigma(rule, 0.0))
             except DegenerateSpectralProblem as exc:
                 raise ValueError(f"oracle_validation: {exc}") from None
 
@@ -312,15 +296,12 @@ def _run_specs(specs) -> list[StudyRecord]:
 # -- the sweeps -------------------------------------------------------------
 
 _THREE_REGIMES = ((1.0, 0.0), (1e-10, 0.0), (1e-10, 2.0))   # (eps, alpha)
-_H_LADDER = (5, 10, 20, 40, 80)     # h_convergence's n, and multi_h's default
 
 
 def _regimes(cfg: StudyConfig):
     """(eps, alpha) pairs: the three reference regimes unless eps is given."""
-    eps_list = cfg.value("eps_list")
-    if eps_list is None:
-        return _THREE_REGIMES
-    return list(product(eps_list, cfg.value("alpha_list")))
+    eps = cfg.value("eps")
+    return _THREE_REGIMES if eps is None else list(product(eps, cfg.value("alpha")))
 
 
 def _spec(scheme: str, family: str, n: int, eps: float, sigma, alpha: float,
@@ -337,26 +318,17 @@ def _axis(cfg: StudyConfig, name: str) -> list[dict]:
     """The _spec arguments along one grid axis of a sweep."""
     if name == "regime":
         return [dict(eps=eps, alpha=alpha) for eps, alpha in _regimes(cfg)]
-    values = cfg.value(name)
-    if name == "sigma_list":
-        values = [("fixed", sigma) for sigma in values]
-    return [{KEYS[name][0]: v} for v in _as_list(values)]
+    return [{name: v} for v in _as_list(cfg.value(name))]
 
 
 def sweep_specs(cfg: StudyConfig) -> list[ProblemSpec]:
     """The instances of a sweep, in order: the product of its entry's axes,
-    outermost first.  An axis is the values of a field, one value if the
-    study reads one, or "regime", the (eps, alpha) pairs of _regimes.
-    With multi_h, the sigma sweep runs at the first n, then the
-    variable-field regime over every n of its ladder."""
-    axes = {name: _axis(cfg, name) for name in STUDIES[cfg.kind].axes}
-    grids = [axes]
-    if cfg.multi_h:
-        grids = [dict(axes, n_list=axes["n_list"][:1]),
-                 dict(axes, regime=[dict(eps=1e-10, alpha=2.0)],
-                      n_list=[dict(n=n) for n in cfg.n_list or _H_LADDER])]
-    return [_spec(**ChainMap(*point))
-            for grid in grids for point in product(*grid.values())]
+    outermost first.  An axis is the values of a key, one value if the
+    study reads one, or "regime", the (eps, alpha) pairs of _regimes.  A
+    variant grid, such as the sigma sweep over a mesh ladder in one
+    regime, is one more StudyConfig (one more config section)."""
+    axes = [_axis(cfg, name) for name in STUDIES[cfg.kind].axes]
+    return [_spec(**ChainMap(*point)) for point in product(*axes)]
 
 
 # -- oracle and diagnostics --------------------------------------------------
@@ -372,13 +344,13 @@ def _oracle_validation(cfg: StudyConfig) -> list[StudyRecord]:
     as the standard scheme at eps = 1, and still recorded as stabilized.
     """
     families = [cfg.family] if cfg.family else ["q1", "q2"]
-    eps, = cfg.value("eps_list")
-    sigma = resolve_sigma(cfg.value("sigma_rule"), 0.0)
+    (eps,), (rule,) = cfg.value("eps"), cfg.value("sigma")
+    sigma = resolve_sigma(rule, 0.0)
     rhs = FourierRhs.from_modes(cfg.value("modes"))
     scheme = "standard" if eps == 1.0 and sigma == 0.0 else "stabilized"
     specs = [ProblemSpec(scheme, eps, FieldSpec("aligned_e2"), rhs,
                          sigma=sigma, family=family, n=n, Lx=np.pi, Ly=np.pi)
-             for family in families for n in cfg.value("n_list")]
+             for family in families for n in cfg.value("n")]
     records = _run_specs(specs)
     return [replace(rec, scheme="stabilized") for rec in records]
 
@@ -395,7 +367,7 @@ def _infsup_probe(cfg: StudyConfig) -> list[tuple[int, float]]:
     sides exactly when n is even.
     """
     field = FieldSpec("aligned_e2")
-    return [(n, _infsup_ratio(n, field)) for n in cfg.value("n_list")]
+    return [(n, _infsup_ratio(n, field)) for n in cfg.value("n")]
 
 
 def _infsup_ratio(n: int, field: FieldSpec) -> float:
@@ -438,11 +410,11 @@ def _dual_norm_check(cfg: StudyConfig) -> list[tuple[int, float, float]]:
     constrained multiplier space, so the discrete ratio converges to the
     analytic one under refinement.
     """
-    n, = cfg.value("n_list")
+    n, = cfg.value("n")
     ops = SchemeOperators(build_quad_mesh(n, n, np.pi, np.pi),
                           FieldSpec("aligned_e2"), cfg.value("family"))
     out = []
-    for k in cfg.value("k_list"):
+    for k in cfg.value("k"):
         q = ops.q_space.interpolate(
             lambda x, y, k=k: np.sin(k * x) * (np.cos(y) - np.cos(2 * y)))
         q[ops.q_space.constrained] = 0.0
@@ -458,8 +430,8 @@ class Study:
     """One study kind: what it reads, how it runs, what it writes."""
 
     blurb: str                      # its line in ``anisofem list-studies``
-    reads: dict                     # each StudyConfig field it reads: default
-    once: tuple = ()                # fields of which it reads a single value
+    reads: dict                     # each key it reads: its default
+    once: tuple = ()                # keys of which it reads a single value
     axes: tuple = ()                # a sweep's grid (sweep_specs)
     fixed: dict = dataclass_field(default_factory=dict)   # grid values, no key
     header: tuple | None = None     # a table study's CSV header; None: records
@@ -468,51 +440,52 @@ class Study:
 
 # what a sweep reads unless its entry says otherwise; eps None runs the
 # three reference regimes of _regimes
-_SWEEP = dict(schemes=["inflow", "stabilized"], family="q2", alpha_list=[2.0],
-              sigma_rule=("power", 3))
+_SWEEP = dict(scheme=["inflow", "stabilized"], family="q2", alpha=[2.0],
+              sigma=[("power", 3)])
 
 STUDIES = {
     "sigma_sweep": Study(
-        "stabilization-parameter sweep at fixed mesh (3 regimes)",
-        dict(family="q2", n_list=[50], eps_list=None, alpha_list=[2.0],
-             sigma_list=[10.0 ** (-i) for i in range(16)], multi_h=False),
-        once=("n_list",), fixed=dict(schemes=["stabilized"]),
-        axes=("family", "schemes", "n_list", "regime", "sigma_list")),
+        "stabilization-parameter sweep per mesh (3 regimes)",
+        dict(family="q2", n=[50], eps=None, alpha=[2.0],
+             sigma=[("fixed", 10.0 ** (-i)) for i in range(16)]),
+        fixed=dict(scheme=["stabilized"]),
+        axes=("family", "scheme", "n", "regime", "sigma")),
     "h_convergence": Study(
         "refinement ladder for both reformulations",
-        dict(_SWEEP, n_list=list(_H_LADDER), eps_list=None, case_id="smooth"),
-        axes=("family", "sigma_rule", "case_id", "regime", "n_list", "schemes")),
+        dict(_SWEEP, n=[5, 10, 20, 40, 80], eps=None, case="smooth"),
+        once=("sigma",),
+        axes=("family", "sigma", "case", "regime", "n", "scheme")),
     "eps_sweep": Study(
         "anisotropy-strength robustness sweep",
-        dict(_SWEEP, n_list=[50], case_id="smooth",
-             eps_list=[1e-20, 1e-16, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1e-1,
-                       1.0, 10.0]),
-        once=("n_list", "alpha_list"),
-        axes=("family", "n_list", "sigma_rule", "case_id", "schemes", "regime")),
+        dict(_SWEEP, n=[50], case="smooth",
+             eps=[1e-20, 1e-16, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1e-1,
+                  1.0, 10.0]),
+        once=("n", "alpha", "sigma"),
+        axes=("family", "n", "sigma", "case", "scheme", "regime")),
     "conditioning": Study(
         "cond_1 growth under refinement",
-        dict(_SWEEP, n_list=[10, 20, 40, 80], eps_list=[1e-10]),
-        once=("alpha_list",),
-        axes=("family", "sigma_rule", "n_list", "schemes", "regime")),
+        dict(_SWEEP, n=[10, 20, 40, 80], eps=[1e-10]),
+        once=("alpha", "sigma"),
+        axes=("family", "sigma", "n", "scheme", "regime")),
     "low_regularity": Study(
         "square-integrable-only source term study",
-        dict(_SWEEP, family="q1", n_list=[16, 32, 64, 128], eps_list=[1e-10],
-             alpha_list=[0.0, 2.0], sigma_rule=("power", 2)),
-        once=("eps_list",), fixed=dict(case_id="low_reg"),
-        axes=("family", "sigma_rule", "case_id", "regime", "n_list", "schemes")),
+        dict(_SWEEP, family="q1", n=[16, 32, 64, 128], eps=[1e-10],
+             alpha=[0.0, 2.0], sigma=[("power", 2)]),
+        once=("eps", "sigma"), fixed=dict(case="low_reg"),
+        axes=("family", "sigma", "case", "regime", "n", "scheme")),
     "oracle_validation": Study(
         "finite elements vs closed-form mode solver",
-        dict(family=None, n_list=[8, 16, 32, 64], eps_list=[1e-10],   # None: q1, q2
-             sigma_rule=("fixed", 1e-6), modes=[(1, 1, 1.0)]),
-        once=("eps_list",), runner=_oracle_validation),
+        dict(family=None, n=[8, 16, 32, 64], eps=[1e-10],   # None: q1, q2
+             sigma=[("fixed", 1e-6)], modes=[(1, 1, 1.0)]),
+        once=("eps", "sigma"), runner=_oracle_validation),
     "infsup_probe": Study(
         "coarse/fine Riesz-norm ratio diagnostic",
-        dict(n_list=[4, 8, 16, 32]),
+        dict(n=[4, 8, 16, 32]),
         header=("n", "ratio"), runner=_infsup_probe),
     "dual_norm_check": Study(
         "dual-norm ratio vs closed form for separated modes",
-        dict(family="q2", n_list=[128], k_list=[1, 2, 3, 4]),
-        once=("n_list",), header=("k", "computed_ratio", "analytic_ratio"),
+        dict(family="q2", n=[128], k=[1, 2, 3, 4]),
+        once=("n",), header=("k", "computed_ratio", "analytic_ratio"),
         runner=_dual_norm_check),
 }
 
@@ -572,7 +545,10 @@ def read_csv(path) -> list[StudyRecord]:
 def emit_plot_script(records, path, csv_path=None) -> None:
     """gnuplot command file producing log-log curves from the matching CSV.
 
-    The abscissa is whichever of sigma, eps, h varies in the records.
+    The abscissa is the first of sigma, h and eps that varies among the
+    records of one scheme and the other grid values (sigma at one n, eps
+    and alpha; h at one eps and alpha; eps at one n and alpha), else h:
+    the inflow sigma = 0 beside a stabilized sigma > 0 is no variation.
     The script is emitted, never executed.
     """
     records = list(records)
@@ -582,8 +558,16 @@ def emit_plot_script(records, path, csv_path=None) -> None:
     def column(name):
         return _RECORD_FIELDS.index(name) + 1
 
-    x_name = next((name for name in ("sigma", "eps")
-                   if len({getattr(r, name) for r in records}) > 1), "h")
+    shared = {"sigma": ("scheme", "n", "eps", "alpha"),
+              "h": ("scheme", "eps", "alpha"), "eps": ("scheme", "n", "alpha")}
+
+    def varies(name):
+        first = {}
+        return any(first.setdefault(tuple(getattr(r, k) for k in shared[name]),
+                                    getattr(r, name)) != getattr(r, name)
+                   for r in records)
+
+    x_name = next((name for name in shared if varies(name)), "h")
     schemes = sorted({r.scheme for r in records}) or ["inflow"]
 
     def plot(curves):

@@ -125,9 +125,9 @@ def test_criterion_3_convergence_orders(table_records):
 
 
 def test_criterion_4_eps_robustness():
-    cfg = StudyConfig("eps_sweep", n_list=[100],
-                      eps_list=[1e-20, 1e-12, 1e-8, 1e-4, 1e-2],
-                      sigma_rule=("fixed", 1e-6))
+    cfg = StudyConfig("eps_sweep", n=[100],
+                      eps=[1e-20, 1e-12, 1e-8, 1e-4, 1e-2],
+                      sigma=[("fixed", 1e-6)])
     records = run_study(cfg)
     spans, total_time = {}, 0.0
     for scheme in SCHEMES:

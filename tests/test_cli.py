@@ -1,4 +1,5 @@
 import importlib
+import re
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from anisofem import studies
 from anisofem.cli import main
 from anisofem.config import ConfigError, load_config, parse_value
+from anisofem.fields import CASE_IDS
 from reference_outputs import (REFERENCE_DIR, compare, compare_check, read_rows,
                                version_mismatch)
 
@@ -52,9 +54,9 @@ plot = out/tables.gp
     assert len(items) == 1
     cfg = items[0].config
     assert cfg.kind == "h_convergence"
-    assert cfg.schemes == ["inflow", "stabilized"]
-    assert cfg.sigma_rule == ("power", 3.0)
-    assert cfg.n_list == [5, 10]
+    assert cfg.scheme == ["inflow", "stabilized"]
+    assert cfg.sigma == [("power", 3.0)]
+    assert cfg.n == [5, 10]
     assert items[0].output == "out/tables.csv"
 
 
@@ -69,7 +71,7 @@ sigma = 1e-6
 modes = [[1, 1, 1.0]]
 """)
     cfg = load_config(path)[0].config
-    assert cfg.sigma_rule == ("fixed", 1e-6)
+    assert cfg.sigma == [("fixed", 1e-6)]
     assert cfg.modes == [[1, 1, 1.0]]
 
 
@@ -257,9 +259,7 @@ def test_compare_counts_text_only_changes_apart():
     "study = low_regularity\nfamily = q1\nn = [4]\neps = [1e-10, 1e-4]",
     "study = oracle_validation\nfamily = q1\nn = [4]\neps = [1e-10, 1]",
     "study = conditioning\nfamily = q1\nn = [4]\nalpha = [0, 2]",
-    "study = sigma_sweep\nfamily = q1\nn = [4, 8]",
     "study = dual_norm_check\nn = [8, 16]",
-    "study = sigma_sweep\nfamily = q1\nn = [4]\nsigma = 1e-3",
     "study = sigma_sweep\nfamily = q1\nn = [4]\nscheme = [inflow]",
     "study = eps_sweep\nfamily = q1\nn = [4]\nsigma = [1e-3, 1e-5]",
     "study = conditioning\nfamily = q1\nn = [4]\ncase = low_reg",
@@ -267,12 +267,6 @@ def test_compare_counts_text_only_changes_apart():
     "study = infsup_probe\nn = [4]\nstrict = true",
     "study = dual_norm_check\nn = [8]\nplot = probe.gp",
     "study = dual_norm_check\nn = [8]\nstrict = true",
-    # the multi_h ladder used to run at eps = 1e-10, alpha = 2 whatever
-    # eps and alpha said
-    "study = sigma_sweep\nfamily = q1\nn = [4, 8]\neps = [1]\nalpha = [0]\n"
-    "sigma = [1e-3]\nmulti_h = true",
-    "study = sigma_sweep\nfamily = q1\nn = [4, 8]\neps = [1]\n"
-    "sigma = [1e-3]\nmulti_h = true",
     # an empty list used to run the study's defaults (or, for alpha in
     # low_regularity, no instance at all)
     "study = eps_sweep\nfamily = q1\nn = [4]\neps = []",
@@ -284,12 +278,13 @@ def test_compare_counts_text_only_changes_apart():
     "study = oracle_validation\nfamily = q1\nn = [4]\nmodes = []",
     # flags took any value as true, and numeric keys took true as 1
     "study = sigma_sweep\nfamily = q1\nn = [4]\nsigma = [1e-3]\nstrict = nope",
-    "study = sigma_sweep\nfamily = q1\nn = [4, 8]\nsigma = [1e-3]\nmulti_h = maybe",
     "study = eps_sweep\nfamily = q1\nn = [4]\neps = [true]",
     "study = eps_sweep\nfamily = q1\nn = true",
     "study = eps_sweep\nfamily = q1\nn = [4]\nsigma = true",
-    # a path is one path, not a list
+    # a path is one path, not a list, and not empty: an empty plot wrote
+    # a script that reads ''
     "study = eps_sweep\nfamily = q1\nn = [4]\nplot = [a.gp]",
+    "study = eps_sweep\nfamily = q1\nn = [4]\nplot =",
     # non-finite values used to run and write SINGULAR rows
     "study = eps_sweep\nfamily = q1\nn = [4]\nsigma = h^nan",
     "study = eps_sweep\nfamily = q1\nn = [4]\nsigma = h^inf",
@@ -310,8 +305,10 @@ def test_compare_counts_text_only_changes_apart():
     # that overflows to inf wrote NaN errors with solve_status OK
     "study = oracle_validation\nfamily = q1\nn = [4]\nmodes = [[1.5, 1, 1.0]]",
     "study = oracle_validation\nfamily = q1\nn = [4]\nmodes = [[1, 1, 1e400]]",
-    # the second-row sign knob is gone; a file that sets it fails at load
+    # the second-row sign knob and the multi_h ladder flag are gone; a file
+    # that sets either fails at load
     "study = eps_sweep\nfamily = q1\nn = [4]\nflip_second_row = true",
+    "study = sigma_sweep\nfamily = q1\nn = [4, 8]\nsigma = [1e-3]\nmulti_h = true",
 ], ids=["family_q3", "case_rough", "infsup_odd_n", "alpha_5_eps_sweep",
         "alpha_5_h_convergence", "alpha_5_sigma_sweep",
         "alpha_without_eps_h_convergence", "alpha_without_eps_sigma_sweep",
@@ -319,18 +316,17 @@ def test_compare_counts_text_only_changes_apart():
         "standard_eps_zero", "sigma_negative", "sigma_unparsable", "modes_flat",
         "k_zero", "eps_sweep_two_n", "eps_sweep_two_alpha",
         "low_regularity_two_eps", "oracle_two_eps", "conditioning_two_alpha",
-        "sigma_sweep_two_n", "dual_norm_check_two_n", "sigma_sweep_scalar_sigma",
-        "sigma_sweep_scheme", "eps_sweep_sigma_list", "conditioning_case",
-        "infsup_plot", "infsup_strict", "dual_norm_check_plot",
-        "dual_norm_check_strict", "sigma_sweep_multi_h_eps_alpha",
-        "sigma_sweep_multi_h_eps", "eps_sweep_empty_eps",
+        "dual_norm_check_two_n", "sigma_sweep_scheme", "eps_sweep_sigma_list",
+        "conditioning_case", "infsup_plot", "infsup_strict",
+        "dual_norm_check_plot", "dual_norm_check_strict", "eps_sweep_empty_eps",
         "eps_sweep_empty_scheme", "eps_sweep_empty_n", "sigma_sweep_empty_sigma",
         "dual_norm_check_empty_k", "low_regularity_empty_alpha",
-        "oracle_empty_modes", "strict_nope", "multi_h_maybe", "eps_true", "n_true",
-        "sigma_true", "plot_list", "sigma_h_nan", "sigma_h_inf", "sigma_inf",
+        "oracle_empty_modes", "strict_nope", "eps_true", "n_true",
+        "sigma_true", "plot_list", "plot_empty", "sigma_h_nan", "sigma_h_inf",
+        "sigma_inf",
         "eps_inf", "sigma_list_inf", "n_unterminated", "modes_unterminated",
         "n_one_q1", "n_one_low_regularity", "n_one_oracle", "oracle_degenerate",
-        "modes_fractional_k", "modes_inf_coeff", "flip_second_row"])
+        "modes_fractional_k", "modes_inf_coeff", "flip_second_row", "multi_h"])
 def test_cli_rejects_bad_study_values(tmp_path, capsys, body):
     out_csv = tmp_path / "out.csv"
     cfg = _write(tmp_path, f"[bad]\n{body}\noutput = {out_csv}\n")
@@ -344,15 +340,98 @@ def test_cli_rejects_bad_study_values(tmp_path, capsys, body):
     assert not out_csv.exists()
 
 
-def test_config_names_the_removed_flip_key(tmp_path):
-    cfg = _write(tmp_path, "[old]\nstudy = eps_sweep\nflip_second_row = false\n")
-    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['flip_second_row'\]"):
+_REGIMES = ((1.0, 0), (1e-10, 0), (1e-10, 2))
+
+
+@pytest.mark.parametrize("body,grid", [
+    ("n = [4, 8]", [(n, eps, alpha, 10.0 ** -i) for n in (4, 8)
+                    for eps, alpha in _REGIMES for i in range(16)]),
+    ("n = [4]\nsigma = 1e-3", [(4, eps, alpha, 1e-3) for eps, alpha in _REGIMES]),
+    ("n = [4]\nsigma = [h^2, 1e-3]", [(4, eps, alpha, sigma) for eps, alpha in _REGIMES
+                                     for sigma in (0.25 ** 2, 1e-3)]),
+], ids=["sigma_sweep_two_n", "sigma_sweep_scalar_sigma", "sigma_sweep_mixed_sigma"])
+def test_cli_runs_sigma_sweep_grids(tmp_path, body, grid):
+    # several n and a scalar sigma used to be refused: n is one more axis
+    # of the grid, outside the regimes, and a scalar is a list of one
+    out_csv = tmp_path / "sweep.csv"
+    cfg = _write(tmp_path, f"[sweep]\nstudy = sigma_sweep\nfamily = q1\n{body}\n"
+                           f"output = {out_csv}\n")
+    assert main(["run", cfg]) == 0
+    records = studies.read_csv(out_csv)
+    assert [(r.n, r.eps, r.alpha, r.sigma) for r in records] == grid
+
+
+# what the removed multi_h flag gave for family q1, n = [4, 8] and
+# sigma = [1e-4]: (n, eps, alpha, err_L2_abs, err_H1_abs, cond1)
+_MULTI_H_RECORDS = [
+    (4, 1, 0, 0.1058818916000779, 1.5253436847936486, 4800007.5000841962),
+    (4, 1e-10, 0, 0.03928434782804776, 0.50005395664426722, 4800102.2044791095),
+    (4, 1e-10, 2, 0.59075082001290391, 2.0902909588886422, 346898.40243266465),
+    (4, 1e-10, 2, 0.59075082001290391, 2.0902909588886422, 346898.40243266465),
+    (8, 1e-10, 2, 0.14424906265710311, 0.68954093573069419, 6890018.3311690623),
+]
+
+
+def test_sigma_sweep_ladder_as_a_second_section(tmp_path):
+    # the sweep at the first n, then a section of the variable-field regime
+    # over the mesh ladder, give the former multi_h records bit for bit
+    common = "study = sigma_sweep\nfamily = q1\nsigma = [1e-4]\n"
+    cfg = _write(tmp_path, f"[sweep]\n{common}n = [4]\noutput = {tmp_path / 'a.csv'}\n"
+                           f"[ladder]\n{common}n = [4, 8]\neps = 1e-10\nalpha = 2\n"
+                           f"output = {tmp_path / 'b.csv'}\n")
+    assert main(["run", cfg]) == 0
+    records = studies.read_csv(tmp_path / "a.csv") + studies.read_csv(tmp_path / "b.csv")
+    assert [(r.n, r.eps, r.alpha, r.err_L2_abs, r.err_H1_abs, r.cond1)
+            for r in records] == _MULTI_H_RECORDS
+    assert {(r.scheme, r.sigma, r.solve_status) for r in records} == {
+        ("stabilized", 1e-4, "OK")}
+
+
+def _refused_at_load(tmp_path, capsys, cfg, *, match):
+    """A one-line configuration error, exit 1, before anything runs."""
+    with pytest.raises(ConfigError, match=match):
         load_config(cfg)
+    assert main(["run", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert captured.err.count("\n") == 1
+    assert "running" not in captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["study.cfg"]
 
 
-def _readme_table(heading: str) -> list[list[str]]:
+def test_cli_rejects_an_empty_output(tmp_path, monkeypatch, capsys):
+    # it wrote no CSV and exited 0, and its plot script read '' (an empty
+    # plot is an id of test_cli_rejects_bad_study_values)
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "[s]\nstudy = eps_sweep\nfamily = q1\nn = [4]\n"
+                           "output =\nplot = x.gp\n")
+    _refused_at_load(tmp_path, capsys, cfg, match="cannot parse output ''")
+
+
+@pytest.mark.parametrize("sections", [
+    "[a]\n{s}output = {d}/run.csv\nplot = {d}/run.csv\n",
+    "[a]\n{s}output = {d}/run.csv\n[b]\n{s}output = {d}/./run.csv\n",
+    "[a]\n{s}output = {d}/a.csv\nplot = {d}/b.gp\n[b]\n{s}output = b.gp\n",
+], ids=["plot_is_output", "two_sections_one_output", "plot_is_a_later_output"])
+def test_cli_rejects_a_path_written_twice(tmp_path, monkeypatch, capsys, sections):
+    # the plot script replaced the CSV, or the second section's CSV the
+    # first one's, with exit 0
+    monkeypatch.chdir(tmp_path)
+    body = sections.format(s="study = eps_sweep\nfamily = q1\nn = [4]\n", d=tmp_path)
+    _refused_at_load(tmp_path, capsys, _write(tmp_path, body), match="written twice")
+
+
+def test_config_names_the_removed_flip_key(tmp_path):
+    # and the removed multi_h flag: its ladder is a second section now
+    for key, kind in (("flip_second_row", "eps_sweep"), ("multi_h", "sigma_sweep")):
+        cfg = _write(tmp_path, f"[old]\nstudy = {kind}\n{key} = false\n")
+        with pytest.raises(ConfigError, match=fr"unknown key\(s\) \['{key}'\]"):
+            load_config(cfg)
+
+
+def _readme_table(heading: str) -> list[list[list[str]]]:
     """The rows of the README table under the header row ``heading``, as
-    the backquoted names of their first cell."""
+    the backquoted names of each cell."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = readme.read_text(encoding="utf-8").splitlines()
     start = lines.index(heading) + 2            # past the header and rule rows
@@ -360,20 +439,23 @@ def _readme_table(heading: str) -> list[list[str]]:
     for line in lines[start:]:
         if not line.startswith("|"):
             break
-        first = line.split("|")[1]
-        rows.append(first.strip().replace("`", "").replace(" ", "").split(","))
+        rows.append([re.findall(r"`([^`]*)`", cell) for cell in line.split("|")[1:-1]])
     return rows
 
 
 def test_readme_key_tables_match_the_loader():
     # the key table lists what load_config accepts, the study table one row
-    # per study kind
-    keys = [key for row in _readme_table("| key | meaning |") for key in row]
-    accepted = {key for key, _ in studies.KEYS.values()} | {
-        "study", "output", "plot", "strict"}
+    # per study kind, which names exactly the keys that study reads
+    accepted = set(studies.KEYS) | {"study", "output", "plot", "strict"}
+    keys = [key for row in _readme_table("| key | meaning |") for key in row[0]]
     assert sorted(keys) == sorted(accepted)
-    kinds = [row[0] for row in _readme_table("| study | keys and defaults |")]
-    assert kinds == list(studies.STUDIES)
+    rows = _readme_table("| study | keys and defaults |")
+    assert [kind for (kind,), _ in rows] == list(studies.STUDIES)
+    for (kind,), names in rows:
+        assert set(names) & accepted == set(studies.STUDIES[kind].reads), kind
+        # any other backquoted name is a value, such as a case; a removed
+        # key would pass the line above
+        assert set(names) - accepted <= set(CASE_IDS), kind
 
 
 def test_cli_runs_q2_at_n_one(tmp_path, capsys):

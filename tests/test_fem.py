@@ -449,7 +449,7 @@ def test_star_norm_ratio_approaches_closed_form():
     # moderate resolution variant of the separated-mode ratio check
     from anisofem.studies import separated_mode_ratio, run_study, StudyConfig
 
-    out = run_study(StudyConfig("dual_norm_check", n_list=[32], k_list=[1]))
+    out = run_study(StudyConfig("dual_norm_check", n=[32], k=[1]))
     k, computed, analytic = out[0]
     assert analytic == pytest.approx(separated_mode_ratio(1), rel=1e-15)
     assert computed == pytest.approx(analytic, rel=0.01)

@@ -552,7 +552,7 @@ def test_load_memo_survives_the_scheme_loop(monkeypatch):
     # operator set: each (case, field, eps) load is assembled once, and
     # every load and factor runs on the calling thread
     eps_list = [1e-10, 1e-4, 1.0]
-    cfg = StudyConfig("eps_sweep", family="q1", n_list=[8], eps_list=eps_list)
+    cfg = StudyConfig("eps_sweep", family="q1", n=[8], eps=eps_list)
     loads = _counted_loads(monkeypatch)
     factors = []
 
@@ -604,8 +604,8 @@ def test_field_values_are_evaluated_once_per_operator_set(monkeypatch):
         if (module.__name__.startswith("anisofem")
                 and vars(module).get("eval_A") is eval_A):
             monkeypatch.setattr(module, "eval_A", counted)
-    cfg = StudyConfig("eps_sweep", family="q1", n_list=[8],
-                      eps_list=[1e-10, 1e-4, 1.0])
+    cfg = StudyConfig("eps_sweep", family="q1", n=[8],
+                      eps=[1e-10, 1e-4, 1.0])
     assert len(run_study(cfg)) == 6
     assert calls == [FieldSpec("variable_alpha", 2.0)]
 
@@ -645,8 +645,8 @@ def test_mass_matrix_is_assembled_on_first_read(monkeypatch):
 
     assemble = schemes.assemble
     monkeypatch.setattr(schemes, "assemble", counted)
-    cfg = StudyConfig("eps_sweep", schemes=["inflow"], family="q1", n_list=[8],
-                      eps_list=[1e-10, 1.0])
+    cfg = StudyConfig("eps_sweep", scheme=["inflow"], family="q1", n=[8],
+                      eps=[1e-10, 1.0])
     assert len(run_study(cfg)) == 2
     assert kinds == ["a_full", "a_par"]
     spec = _smooth_spec("stabilized", 1e-4, 2.0, 4, sigma=1e-3, family="q1")

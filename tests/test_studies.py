@@ -16,6 +16,7 @@ from anisofem.studies import (STUDIES, StudyConfig, StudyRecord, emit_csv,
                               read_csv, record_h, separated_mode_ratio,
                               resolve_sigma, run_instance, run_study,
                               sweep_specs)
+from reference_outputs import REFERENCE_DIR, read_rows
 
 # frozen baseline of the coarse/fine Riesz ratio at the smallest resolution
 INFSUP_RATIO_N4 = 0.7980470866759155
@@ -25,6 +26,16 @@ def test_study_kind_validation():
     with pytest.raises(ValueError):
         StudyConfig("unknown_study")
     assert len(STUDIES) == 8
+
+
+@pytest.mark.parametrize("sigma", [1e-3, [1e-3], ("fixed", 1e-3), [("x", 1)]],
+                         ids=["number", "numbers", "one_rule", "unknown_rule"])
+def test_study_config_sigma_is_a_list_of_rules(sigma):
+    # one form for every study: a list, a scalar given as a list of one
+    with pytest.raises(ValueError, match="not a list of"):
+        StudyConfig("sigma_sweep", sigma=sigma)
+    cfg = StudyConfig("eps_sweep", sigma=[("power", 2.0)])
+    assert cfg.value("sigma") == [("power", 2.0)]
 
 
 def test_record_h_convention():
@@ -116,6 +127,23 @@ def test_plot_script_default_csv_beside_it_in_a_dotted_directory(tmp_path):
     assert str(tmp_path / "run.csv") not in text
 
 
+_PLOT_AXES = {"sigma_sweep": "sigma", "eps_sweep": "eps", "h_convergence": "h",
+              "conditioning": "h", "low_regularity": "h", "oracle_validation": "h"}
+
+
+@pytest.mark.parametrize("kind", sorted(_PLOT_AXES))
+def test_plot_script_axis_of_each_reference_study(tmp_path, kind):
+    # the inflow scheme records sigma = 0 beside the stabilized sigma > 0;
+    # that is no sigma axis, which a log scale would empty of inflow points
+    header, *rows = read_rows(REFERENCE_DIR / f"{kind}.csv")
+    csv = tmp_path / "records.csv"
+    csv.write_text("\n".join(",".join(row) for row in
+                             [header + ["wall_time_seconds"]]
+                             + [row + ["0"] for row in rows]) + "\n")
+    emit_plot_script(read_csv(csv), tmp_path / "plot.gp")
+    assert f"set xlabel '{_PLOT_AXES[kind]}'" in (tmp_path / "plot.gp").read_text()
+
+
 @pytest.mark.parametrize("edit", [lambda row: row.rsplit(",", 1)[0],
                                   lambda row: row + ",1.5"],
                          ids=["short", "long"])
@@ -130,8 +158,8 @@ def test_read_csv_rejects_a_row_with_the_wrong_field_count(tmp_path, edit):
 
 def test_small_study_deterministic(tmp_path):
     # every column except the wall time must be bit-identical across runs
-    cfg = StudyConfig("h_convergence", schemes=["inflow"], family="q1",
-                      n_list=[4, 8], eps_list=[1.0], alpha_list=[0.0])
+    cfg = StudyConfig("h_convergence", scheme=["inflow"], family="q1",
+                      n=[4, 8], eps=[1.0], alpha=[0.0])
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(run_study(cfg), a)
     emit_csv(run_study(cfg), b)
@@ -143,9 +171,8 @@ def test_small_study_deterministic(tmp_path):
 
 
 def test_sigma_sweep_records_failures_without_aborting():
-    cfg = StudyConfig("sigma_sweep", family="q1", n_list=[4],
-                      eps_list=[0.0], alpha_list=[0.0],
-                      sigma_list=[1e-3, 0.0])
+    cfg = StudyConfig("sigma_sweep", family="q1", n=[4], eps=[0.0], alpha=[0.0],
+                      sigma=[("fixed", 1e-3), ("fixed", 0.0)])
     records = run_study(cfg)
     statuses = [r.solve_status for r in records]
     assert statuses == ["OK", "SINGULAR"]
@@ -154,19 +181,28 @@ def test_sigma_sweep_records_failures_without_aborting():
 
 _I, _S = "inflow", "stabilized"
 _S4, _S8 = 0.25 ** 3, 0.125 ** 3            # sigma = h^3 on the Q1 ladder
+_SIGMAS = [("fixed", 1e-2), ("fixed", 1e-4)]
 
-# (config, expected (scheme, n, eps, sigma, alpha) of every record, in order)
+# (the configs of one section each, expected (scheme, n, eps, sigma, alpha)
+# of every record, in order)
 _GRID_ORDER = {
     "sigma_sweep": (
-        dict(n_list=[4, 8], sigma_list=[1e-2, 1e-4], multi_h=True),
+        [dict(n=[4, 8], sigma=_SIGMAS)],
+        [(_S, n, eps, sigma, alpha) for n in (4, 8)
+         for eps, alpha in ((1.0, 0.0), (1e-10, 0.0), (1e-10, 2.0))
+         for sigma in (1e-2, 1e-4)]),
+    # the sweep at one n, then a section of the variable-field regime over
+    # a mesh ladder
+    "sigma_sweep_ladder": (
+        [dict(n=[4], sigma=_SIGMAS),
+         dict(n=[4, 8], eps=[1e-10], alpha=[2.0], sigma=_SIGMAS)],
         [(_S, 4, 1.0, 1e-2, 0.0), (_S, 4, 1.0, 1e-4, 0.0),
          (_S, 4, 1e-10, 1e-2, 0.0), (_S, 4, 1e-10, 1e-4, 0.0),
          (_S, 4, 1e-10, 1e-2, 2.0), (_S, 4, 1e-10, 1e-4, 2.0),
-         # multi_h ladder: the variable-field regime over every n
          (_S, 4, 1e-10, 1e-2, 2.0), (_S, 4, 1e-10, 1e-4, 2.0),
          (_S, 8, 1e-10, 1e-2, 2.0), (_S, 8, 1e-10, 1e-4, 2.0)]),
     "h_convergence": (
-        dict(n_list=[4, 8]),
+        [dict(n=[4, 8])],
         [(_I, 4, 1.0, 0.0, 0.0), (_S, 4, 1.0, _S4, 0.0),
          (_I, 8, 1.0, 0.0, 0.0), (_S, 8, 1.0, _S8, 0.0),
          (_I, 4, 1e-10, 0.0, 0.0), (_S, 4, 1e-10, _S4, 0.0),
@@ -174,17 +210,17 @@ _GRID_ORDER = {
          (_I, 4, 1e-10, 0.0, 2.0), (_S, 4, 1e-10, _S4, 2.0),
          (_I, 8, 1e-10, 0.0, 2.0), (_S, 8, 1e-10, _S8, 2.0)]),
     "eps_sweep": (
-        dict(n_list=[4], eps_list=[1e-8, 1.0]),
+        [dict(n=[4], eps=[1e-8, 1.0])],
         [(_I, 4, 1e-8, 0.0, 2.0), (_I, 4, 1.0, 0.0, 2.0),
          (_S, 4, 1e-8, _S4, 2.0), (_S, 4, 1.0, _S4, 2.0)]),
     "conditioning": (
-        dict(n_list=[4, 8], eps_list=[1e-10, 1.0]),
+        [dict(n=[4, 8], eps=[1e-10, 1.0])],
         [(_I, 4, 1e-10, 0.0, 2.0), (_I, 4, 1.0, 0.0, 2.0),
          (_S, 4, 1e-10, _S4, 2.0), (_S, 4, 1.0, _S4, 2.0),
          (_I, 8, 1e-10, 0.0, 2.0), (_I, 8, 1.0, 0.0, 2.0),
          (_S, 8, 1e-10, _S8, 2.0), (_S, 8, 1.0, _S8, 2.0)]),
     "low_regularity": (
-        dict(n_list=[4, 8]),
+        [dict(n=[4, 8])],
         [(_I, 4, 1e-10, 0.0, 0.0), (_S, 4, 1e-10, 0.25 ** 2, 0.0),
          (_I, 8, 1e-10, 0.0, 0.0), (_S, 8, 1e-10, 0.125 ** 2, 0.0),
          (_I, 4, 1e-10, 0.0, 2.0), (_S, 4, 1e-10, 0.25 ** 2, 2.0),
@@ -196,8 +232,9 @@ _GRID_ORDER = {
 def test_h_convergence_grid_order(kind):
     # every sweep keeps its grid order; sigma reaches only the stabilized
     # scheme, the inflow scheme records 0 whatever the sigma rule
-    overrides, expected = _GRID_ORDER[kind]
-    records = run_study(StudyConfig(kind, family="q1", **overrides))
+    sections, expected = _GRID_ORDER[kind]
+    records = [r for overrides in sections for r in run_study(
+        StudyConfig(kind.removesuffix("_ladder"), family="q1", **overrides))]
     assert [(r.scheme, r.n, r.eps, r.sigma, r.alpha) for r in records] == expected
     assert all(r.h == 1.0 / r.n for r in records)
 
@@ -235,8 +272,9 @@ def _scheme_runs(cfg):
 
 @pytest.mark.parametrize("cfg", [StudyConfig(kind) for kind, study in STUDIES.items()
                                  if study.runner is None]
-                         + [StudyConfig("sigma_sweep", multi_h=True)],
-                         ids=lambda cfg: cfg.kind + ("_multi_h" if cfg.multi_h else ""))
+                         + [StudyConfig("sigma_sweep", n=[5, 10, 20, 40, 80],
+                                        eps=[1e-10], alpha=[2.0])],
+                         ids=lambda cfg: cfg.kind + ("_ladder" if cfg.n else ""))
 def test_default_sweeps_run_each_scheme_of_a_set_together(cfg):
     # an operator set keeps its last plan only: a grid that came back to a
     # scheme on the same set would build that scheme's plan again
@@ -267,18 +305,17 @@ def test_operators_reusable_after_low_regularity_solve(scheme, sigma):
 
 
 def test_low_regularity_uses_h_squared():
-    cfg = StudyConfig("low_regularity", schemes=["stabilized"], n_list=[8],
-                      alpha_list=[0.0])
+    cfg = StudyConfig("low_regularity", scheme=["stabilized"], n=[8], alpha=[0.0])
     rec = run_study(cfg)[0]
     assert rec.sigma == pytest.approx(rec.h ** 2)
 
 
 def test_infsup_probe_baseline_and_oddity():
-    out = run_study(StudyConfig("infsup_probe", n_list=[4]))
+    out = run_study(StudyConfig("infsup_probe", n=[4]))
     assert out[0][0] == 4
     assert out[0][1] == pytest.approx(INFSUP_RATIO_N4, rel=1e-9)
     with pytest.raises(ValueError):
-        run_study(StudyConfig("infsup_probe", n_list=[5]))
+        run_study(StudyConfig("infsup_probe", n=[5]))
 
 
 def test_dual_norm_check_analytic_values():
@@ -289,7 +326,7 @@ def test_dual_norm_check_analytic_values():
 
 
 def test_oracle_regression_point():
-    cfg = StudyConfig("oracle_validation", family="q2", n_list=[16])
+    cfg = StudyConfig("oracle_validation", family="q2", n=[16])
     rec = run_study(cfg)[0]
     assert rec.solve_status == "OK"
     # frozen from a reference run of this implementation
@@ -297,7 +334,7 @@ def test_oracle_regression_point():
 
 
 def test_dual_norm_check_fast_path():
-    out = run_study(StudyConfig("dual_norm_check", n_list=[16], k_list=[1, 2]))
+    out = run_study(StudyConfig("dual_norm_check", n=[16], k=[1, 2]))
     for k, computed, analytic in out:
         assert computed == pytest.approx(analytic, rel=0.05)
 
@@ -312,8 +349,7 @@ def test_dual_norm_check_factors_once(monkeypatch):
     for module in (fem, schemes, studies):
         if hasattr(module, "lu_factor"):
             monkeypatch.setattr(module, "lu_factor", counted)
-    out = run_study(StudyConfig("dual_norm_check", n_list=[16],
-                                k_list=[1, 2, 3, 4]))
+    out = run_study(StudyConfig("dual_norm_check", n=[16], k=[1, 2, 3, 4]))
     assert len(calls) == 1
     # every ratio equals the one from a fresh factor of the standard plan's
     # matrix at coefficients (1, 0, 0): K on the free dofs in its order
@@ -330,22 +366,6 @@ def test_dual_norm_check_factors_once(monkeypatch):
         b[plan.u_rows] = (ops.P @ q)[ops.u_space.free]
         v = solver.solve(factor, b)
         assert ratio == np.sqrt(max(np.sum(v * b), 0.0)) / parallel_seminorm(q, ops.P)
-
-
-def test_sigma_sweep_multi_h_variant():
-    cfg = StudyConfig("sigma_sweep", family="q1", n_list=[4, 8],
-                      sigma_list=[1e-4], multi_h=True)
-    records = run_study(cfg)
-    # one fixed-h record per reference regime plus the ladder records,
-    # which run at eps = 1e-10, alpha = 2
-    assert [r.n for r in records] == [4, 4, 4, 4, 8]
-    assert [(r.eps, r.alpha) for r in records[3:]] == [(1e-10, 2.0)] * 2
-    assert all(r.solve_status == "OK" for r in records)
-    # so an eps or alpha given with multi_h would not reach the ladder
-    for grid in (dict(eps_list=[1e-10], alpha_list=[2.0]), dict(eps_list=[1.0])):
-        with pytest.raises(ValueError, match="multi_h"):
-            StudyConfig("sigma_sweep", family="q1", n_list=[4, 8],
-                        sigma_list=[1e-4], multi_h=True, **grid)
 
 
 def test_xi_against_mode_series():

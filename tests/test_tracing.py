@@ -24,7 +24,7 @@ if unresolved:
     sys.exit("TARGETS not found: " + ", ".join(unresolved))
 tracer = tracing.Tracer()
 tracing.install(tracer)
-records = run_study(StudyConfig("eps_sweep", family="q1", n_list=[4]))
+records = run_study(StudyConfig("eps_sweep", family="q1", n=[4]))
 spans = {}
 for span in tracer.spans:
     layer = tracing.LAYER_OF.get(span[0], span[0])
