@@ -34,14 +34,11 @@ class ConfigError(ValueError):
 
 
 def _parse_scalar(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
     if text.lower() in ("true", "yes", "on"):
         return True
     if text.lower() in ("false", "no", "off"):

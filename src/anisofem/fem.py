@@ -326,47 +326,44 @@ class FemSpace:
         return self._tables[field]
 
 
-# Lattice regions at most this many points on each side are not split.
-ND_LEAF = 8
-
-
 def nd_blocks(mx: int, my: int, k: int):
-    """Nested dissection of an mx x my dof lattice, as (points, is_separator)
-    blocks in elimination order; a point is its index j*mx + i.
+    """Nested dissection of an mx x my dof lattice, as (i0, i1, j0, j1,
+    is_separator) blocks in elimination order: a block is the points
+    i0 <= i < i1, j0 <= j < j1, in the order of their index j*mx + i.
 
-    A region is cut at the lattice line nearest its middle that is a
-    multiple of k, across its longer side: that line is a union of element
-    edges (triangle diagonals stay inside their cell), so no element
-    couples the two halves.  Both halves come first, then the separator.
-    A side with no such line strictly inside it is not cut; a region
-    that cannot be cut at all is a leaf, whatever its size.  Leaves are
-    ordered lexicographically, x fastest.
+    A region is cut across its longer side at the last lattice line at or
+    below its middle that is a multiple of k, else the first one above:
+    a union of element edges (triangle diagonals stay inside their cell),
+    so no element couples the two halves.  Both halves come first, then
+    the separator.  A side with no such line strictly inside is not cut;
+    a region that no element line crosses is a leaf (George 1973).
     """
     def cut(lo, hi):
-        s = (lo + hi - 1) // 2 // k * k
-        return s if lo < s < hi - 1 else None
+        s = max((lo + hi - 1) // 2 // k * k, lo // k * k + k)
+        return s if s < hi - 1 else None
 
     def dissect(i0, i1, j0, j1):
         si, sj = cut(i0, i1), cut(j0, j1)
-        small = i1 - i0 <= ND_LEAF and j1 - j0 <= ND_LEAF
-        if small or (si is None and sj is None):
-            yield (np.arange(j0, j1)[:, None] * mx + np.arange(i0, i1)).ravel(), False
+        if si is None and sj is None:
+            yield i0, i1, j0, j1, False
         elif sj is None or (si is not None and i1 - i0 >= j1 - j0):
             yield from dissect(i0, si, j0, j1)
             yield from dissect(si + 1, i1, j0, j1)
-            yield np.arange(j0, j1) * mx + si, True
+            yield si, si + 1, j0, j1, True
         else:
             yield from dissect(i0, i1, j0, sj)
             yield from dissect(i0, i1, sj + 1, j1)
-            yield sj * mx + np.arange(i0, i1), True
+            yield i0, i1, sj, sj + 1, True
 
     yield from dissect(0, mx, 0, my)
 
 
 def nested_dissection(space: FemSpace) -> np.ndarray:
     """The space's lattice points in nested-dissection order."""
-    return np.concatenate([points for points, _ in
-                           nd_blocks(space.mx, space.my, space.degree)])
+    block = np.empty((space.my, space.mx), dtype=int)
+    for b, (i0, i1, j0, j1, _) in enumerate(nd_blocks(space.mx, space.my, space.degree)):
+        block[j0:j1, i0:i1] = b
+    return np.argsort(block.ravel(), kind="stable")
 
 
 def apply_map(x, m):

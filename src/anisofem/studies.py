@@ -121,9 +121,12 @@ class StudyConfig:
             raise ValueError(f"sigma {rules!r} is not a list of ('fixed', value) "
                              "and ('power', p) rules")
         for name in study.once:
-            if len(getattr(self, name) or ()) > 1:
-                raise ValueError(f"{self.kind} takes a single {name}, "
-                                 f"got {getattr(self, name)}")
+            value = getattr(self, name) or ()
+            if len(value) > 1:
+                if name == "sigma":     # as a config file writes it: [0.001, h^2]
+                    value = "[" + ", ".join(f"h^{v:g}" if rule == "power" else repr(v)
+                                            for rule, v in value) + "]"
+                raise ValueError(f"{self.kind} takes a single {name}, got {value}")
         sigmas = [value for rule, value in rules if rule == "fixed"]
         powers = [p for rule, p in rules if rule == "power"]
         if self.kind == "oracle_validation" and powers:
@@ -545,38 +548,45 @@ def read_csv(path) -> list[StudyRecord]:
 def emit_plot_script(records, path, csv_path=None) -> None:
     """gnuplot command file producing log-log curves from the matching CSV.
 
-    The abscissa is the first of sigma, h and eps that varies among the
-    records of one scheme and the other grid values (sigma at one n, eps
-    and alpha; h at one eps and alpha; eps at one n and alpha), else h:
-    the inflow sigma = 0 beside a stabilized sigma > 0 is no variation.
-    The script is emitted, never executed.
+    The abscissa is the first of sigma, h and eps that varies along a
+    curve, else h.  A curve holds fixed scheme, n, eps and alpha along
+    sigma; scheme, eps, alpha and the family's n*h = L/degree along h;
+    scheme, n and alpha along eps.  So no line joins two regimes, meshes
+    or families, and the inflow sigma = 0 beside a stabilized sigma > 0 is
+    no variation.  The script is emitted, never executed.
     """
     records = list(records)
     if csv_path is None:
         csv_path = os.path.splitext(path)[0] + ".csv"
-
-    def column(name):
-        return _RECORD_FIELDS.index(name) + 1
-
+    column = {name: f"${i}" for i, name in enumerate(_RECORD_FIELDS, 1)} | {"n*h": "$2*$3"}
     shared = {"sigma": ("scheme", "n", "eps", "alpha"),
-              "h": ("scheme", "eps", "alpha"), "eps": ("scheme", "n", "alpha")}
+              "h": ("scheme", "eps", "alpha", "n*h"), "eps": ("scheme", "n", "alpha")}
 
-    def varies(name):
-        first = {}
-        return any(first.setdefault(tuple(getattr(r, k) for k in shared[name]),
-                                    getattr(r, name)) != getattr(r, name)
-                   for r in records)
+    def along(x):
+        """The curves along x, each by the values it holds fixed: its x values."""
+        out = {}
+        for r in records:
+            key = tuple(r.n * r.h if name == "n*h" else getattr(r, name)
+                        for name in shared[x])
+            out.setdefault(key, set()).add(getattr(r, x))
+        return out
 
-    x_name = next((name for name in shared if varies(name)), "h")
-    schemes = sorted({r.scheme for r in records}) or ["inflow"]
+    x_name = next((x for x in shared if any(len(v) > 1 for v in along(x).values())), "h")
+    names, keys = shared[x_name], list(along(x_name)) or [("inflow",)]
 
-    def plot(curves):
-        """One plot command: each scheme's curve of each (field, label)."""
+    def curve(k, name, label):
+        """The CSV rows of the curve k, the others undefined."""
+        test = " && ".join(f"strcol(1) eq '{v}'" if part == "scheme" else
+                           f"{column[part]} == {_format_value(v)}"
+                           for part, v in zip(names, k))
+        title = " ".join([k[0], label] + [f"{p}={v:g}" for p, v in zip(names[1:], k[1:])])
+        return (f"'{csv_path}' skip 1 using ({test} ? {column[x_name]} : NaN):"
+                f"({column[name]}) with linespoints title '{title}'")
+
+    def plot(fields):
+        """One plot command: each curve of each (field, label)."""
         return "plot " + ", \\\n     ".join(
-            f"'{csv_path}' skip 1 using (strcol(1) eq '{scheme}' ? "
-            f"${column(x_name)} : NaN):{column(name)} "
-            f"with linespoints title '{scheme} {label}'"
-            for scheme in schemes for name, label in curves)
+            curve(k, name, label) for k in keys for name, label in fields)
 
     lines = [
         "# log-log curves for the study output; run with gnuplot",

