@@ -61,8 +61,8 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be finite and nonnegative")
         if self.kind == "variable_alpha" and self.alpha > ALPHA_MAX:
             raise ValueError(f"alpha={self.alpha} exceeds {ALPHA_MAX:.6f}; "
                              "the boundary split would no longer be fixed")
@@ -189,8 +189,10 @@ class ManufacturedCase:
     def __post_init__(self):
         if self.case_id not in CASE_IDS:
             raise ValueError(f"unknown case {self.case_id!r}")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not 0.0 <= self.eps < np.inf:
+            raise ValueError("eps must be finite and nonnegative")
+        if not np.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
 
     # -- limit solution u0 (constant along field lines), perturbation w --
 

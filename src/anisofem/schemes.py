@@ -51,8 +51,9 @@ class ProblemSpec:
     ``spectral_solve(rhs, eps, sigma)``.  A solution supplies the load
     functional ``functional(field)``, the Dirichlet values
     ``boundary_values(x, y)`` and the error reference ``u``/``grad_u``.  A
-    bound built-in case raises TypeError.  sigma belongs to the stabilized
-    scheme: another scheme with sigma != 0 raises ValueError.
+    bound built-in case raises TypeError.  eps and sigma are finite and
+    nonnegative, and sigma belongs to the stabilized scheme: another
+    scheme with sigma != 0 raises ValueError.
     """
 
     scheme: str
@@ -72,13 +73,12 @@ class ProblemSpec:
             raise ValueError(f"unknown family {self.family!r}")
         # the AP formulations target eps in [0, 1] but remain assemblable
         # beyond it, which the robustness sweeps exploit (eps up to 10)
-        if self.scheme == "standard":
-            if self.eps <= 0.0:
-                raise ValueError("the standard scheme needs eps > 0")
-        elif self.eps < 0.0:
-            raise ValueError("eps must be nonnegative")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= self.eps < np.inf:
+            raise ValueError("eps must be finite and nonnegative")
+        if self.scheme == "standard" and self.eps == 0.0:
+            raise ValueError("the standard scheme needs eps > 0")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be finite and nonnegative")
         if self.sigma != 0.0 and self.scheme != "stabilized":
             raise ValueError(f"the {self.scheme} scheme takes sigma = 0: sigma "
                              "enters the stabilized scheme only")
@@ -187,7 +187,7 @@ class SchemeOperators:
         plan = self.plan("standard")
         if self._riesz is None:
             matrix, _ = _plan_matrices(self, plan, ((1.0, 0.0, 0.0),))
-            self._riesz = lu_factor(matrix, order=plan.order)
+            self._riesz = lu_factor(matrix, ordered=True)
         b = np.zeros(len(plan.order))
         b[plan.u_rows] = r
         v = solve(self._riesz, b)
@@ -386,8 +386,7 @@ def solve_scheme(system: BlockSystem) -> SchemeResult:
     example the stabilized scheme at eps = sigma = 0, whose auxiliary
     variable is genuinely non-unique).
     """
-    factor = lu_factor(system.matrix, pivot_rtol=SCHEME_PIVOT_RTOL,
-                       order=system.order)
+    factor = lu_factor(system.matrix, pivot_rtol=SCHEME_PIVOT_RTOL, ordered=True)
     y, cond1 = solve_with_cond1(factor, system.rhs)
     x = np.empty(len(y))
     x[system.order] = y

@@ -8,10 +8,11 @@ error studies), and a Hager-style estimator for
 cond_1 = ||A||_1 ||A^-1||_1 that never forms the inverse.
 
 A matrix already in its elimination order (the scheme and Riesz solves
-pass the nested-dissection order of the dof lattice) is factored as it
-stands, with static diagonal pivots.  Any other matrix, and the retry of
-a failed static-pivot factor, gets partial pivoting in the unknowns' own
-order with COLAMD's column order.  Every solve works in the coordinates
+pass theirs in the nested-dissection order of the dof lattice) is
+factored as it stands, with static diagonal pivots.  Any other matrix,
+and the retry of a failed static-pivot factor, gets partial pivoting
+with COLAMD's column order, on the matrix as it was passed.  The solver
+knows no permutation of its own: every solve works in the coordinates
 of the matrix that was passed in.
 """
 
@@ -32,15 +33,10 @@ class SingularMatrixError(RuntimeError):
 
 @dataclass
 class LuFactor:
-    """LU factorization of a square sparse matrix plus the matrix itself.
-
-    ``lu`` factors ``matrix[order][:, order]`` when ``order`` is set, and
-    ``matrix`` itself otherwise.
-    """
+    """LU factorization of a square sparse matrix plus the matrix itself."""
 
     matrix: sp.csc_matrix
     lu: spla.SuperLU
-    order: np.ndarray | None = None
 
     @property
     def shape(self):
@@ -49,51 +45,43 @@ class LuFactor:
     def solve(self, b, trans: str = "N") -> np.ndarray:
         """x with A x = b, or A^T x = b for trans = "T"; b may hold
         several right-hand sides as columns."""
-        if self.order is None:
-            return self.lu.solve(b, trans=trans)
-        x = np.empty(np.shape(b))
-        x[self.order] = self.lu.solve(b[self.order], trans=trans)
-        return x
+        return self.lu.solve(b, trans=trans)
 
 
-def lu_factor(A, pivot_rtol: float = PIVOT_RTOL, order=None) -> LuFactor:
+def lu_factor(A, pivot_rtol: float = PIVOT_RTOL, ordered: bool = False) -> LuFactor:
     """Factor a square sparse matrix.
 
-    With ``order``, A is in its elimination order: A = B[order][:, order]
-    for the matrix B of the unknowns in their own order.  A is then
-    factored as it stands, with static diagonal pivots, and if that factor
-    fails, B is factored with partial pivoting in COLAMD's column order.
-    Without ``order``, only the latter runs, on B = A.  A factor fails when
-    it is exactly singular or its smallest pivot is below pivot_rtol times
-    the largest matrix entry; SingularMatrixError is raised if the last
-    attempt fails.  Callers that deliberately probe near-singular regimes
-    (the stabilization sweeps) pass a smaller pivot_rtol.
+    ``ordered`` says that A is already in its elimination order.  A is
+    then factored as it stands, with static diagonal pivots, and if that
+    factor fails, A is factored again with partial pivoting in COLAMD's
+    column order.  Without ``ordered``, only the latter runs.  A factor
+    fails when it is exactly singular or its smallest pivot is below
+    pivot_rtol times the largest matrix entry; SingularMatrixError is
+    raised if the last attempt fails.  Callers that deliberately probe
+    near-singular regimes (the stabilization sweeps) pass a smaller
+    pivot_rtol.
     """
     A = sp.csc_matrix(A)
     n, m = A.shape
     if n != m:
         raise ValueError("matrix must be square")
     amax = np.abs(A.data).max() if A.nnz else 0.0
-    # The retry leaves a given order: its row interchanges reach across
-    # the order's separators (a lattice line separates the graph of A, not
-    # that of A^T A, whose Cholesky fill bounds that of any row pivoting
-    # and which COLAMD orders).  On the Q2 n = 30 sigma tail the retry's
-    # fill was 3.4M in the nested-dissection order and 2.5M under COLAMD.
-    if order is None:
-        attempts = ((None, "COLAMD", 1.0),)
-    else:
-        attempts = ((None, "NATURAL", 0.0), (np.argsort(order), "COLAMD", 1.0))
+    # The retry lets COLAMD choose the columns afresh: its row interchanges
+    # reach across the given order's separators (a lattice line separates
+    # the graph of A, not that of A^T A, whose Cholesky fill bounds that of
+    # any row pivoting and which COLAMD orders from the pattern alone).  On
+    # the Q2 sigma tails COLAMD filled 14% (n = 30) and 16-22% (n = 50)
+    # less on the matrix in its nested-dissection order than in the
+    # unknowns' own order.
+    attempts = (("NATURAL", 0.0),) if ordered else ()
     # Only the message survives a failed attempt: a kept exception would tie
     # its traceback, and with it the failed factor, into a reference cycle.
-    for perm, permc_spec, thresh in attempts:
-        Ac = A if perm is None else A[perm][:, perm].tocsc()
+    for permc_spec, thresh in attempts + (("COLAMD", 1.0),):
         try:
-            lu = spla.splu(Ac, permc_spec=permc_spec, diag_pivot_thresh=thresh)
+            lu = spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=thresh)
         except RuntimeError as exc:       # "Factor is exactly singular"
             message = str(exc)
             continue
-        finally:
-            Ac = None                     # freed before the pivot test and retry
         # lu.U builds CSC copies of both L and U, cached for the factor's
         # lifetime (0.03-0.07 s per attempt for the 3.05M entries of U on
         # an n = 50 Q2 system; reading lu.L afterwards is free).  scipy's
@@ -102,7 +90,7 @@ def lu_factor(A, pivot_rtol: float = PIVOT_RTOL, order=None) -> LuFactor:
         # non-default values crash scipy 1.17.1 at interpreter exit.
         pivot = np.abs(lu.U.diagonal()).min()
         if amax > 0.0 and pivot >= pivot_rtol * amax:
-            return LuFactor(A, lu, perm)
+            return LuFactor(A, lu)
         message = f"pivot {pivot:.3e} below threshold {pivot_rtol * amax:.3e}"
         lu = None
     raise SingularMatrixError(message)

@@ -98,8 +98,8 @@ class SpectralSolution:
 
 def spectral_solve(f: FourierRhs, eps: float, sigma: float) -> SpectralSolution:
     """Coefficient-wise application of the closed-form mode formulas."""
-    if eps < 0 or sigma < 0:
-        raise ValueError("eps and sigma must be nonnegative")
+    if not (0.0 <= eps < np.inf and 0.0 <= sigma < np.inf):
+        raise ValueError("eps and sigma must be finite and nonnegative")
     k, l, c = f.k.astype(float), f.l.astype(float), f.coeff
     if eps == 0.0 and sigma == 0.0 and np.any(l >= 1):
         raise DegenerateSpectralProblem(

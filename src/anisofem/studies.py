@@ -178,6 +178,14 @@ class StudyConfig:
                             ("sigma h^p, p =", powers)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{key} {values}: the values must be finite")
+        # an h^p rule is resolved at each resolution of the study
+        for p, n in product(powers, self.value("n")):
+            h = record_h(self.value("family"), n)
+            try:
+                resolve_sigma(("power", p), h)
+            except OverflowError:
+                raise ValueError(f"sigma h^{p:g} overflows at n = {n} "
+                                 f"(h = {h:g})") from None
         if self.modes is not None:
             try:
                 FourierRhs.from_modes(self.modes)

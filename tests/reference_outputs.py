@@ -14,8 +14,9 @@ A KIND is a study kind or ``check``.  Both run the named outputs (all
 nine by default; about 23 s on two cores) through ``anisofem.cli.main``
 on the library in ``src/``.  The comparison reports a version mismatch
 first, then, per study and column, how many values moved and the
-largest relative move, and each line of the check that changed; a value
-whose text changed but not its float is counted apart.  It exits with 1
+largest relative move, each row whose ``solve_status`` changed, by its
+grid point, and each line of the check that changed; a value whose text
+changed but not its float is counted apart.  It exits with 1
 if anything moved or changed.  ``run_defaults`` is the one producer of
 the default outputs: the acceptance tests read their criteria from the
 files it writes and compare all eight with their references, and
@@ -50,6 +51,8 @@ VERSIONS = REFERENCE_DIR / "versions.json"
 CHECK = "check"
 CHECK_FILE = REFERENCE_DIR / "check.txt"
 WALL_TIME = "wall_time_seconds"
+STATUS = "solve_status"
+GRID_POINT = ("scheme", "n", "eps", "sigma", "alpha")
 
 
 def versions() -> dict:
@@ -123,11 +126,22 @@ def _relative_move(ref: str, new: str) -> float:
     return abs(b - a) / abs(a) if a != 0.0 else math.inf
 
 
+def _grid_point(header, row) -> str:
+    """The row's (scheme, n, eps, sigma, alpha), numbers in %g."""
+    def text(value: str) -> str:
+        try:
+            return f"{float(value):g}"
+        except ValueError:
+            return value
+    return ", ".join(f"{name} {text(row[header.index(name)])}" for name in GRID_POINT)
+
+
 def compare(kind: str, rows) -> list[str]:
     """One line per column of kind's output that differs from its
     reference: how many values moved and the largest relative move, and
     how many changed in their text only (the same float, written
-    otherwise), which is a difference too."""
+    otherwise), which is a difference too.  A changed solve_status adds
+    one line per row that changed, naming its grid point."""
     ref = read_rows(REFERENCE_DIR / f"{kind}.csv")
     if rows[0] != ref[0] or len(rows) != len(ref):
         return [f"{kind}: header {rows[0]} and {len(rows) - 1} rows, reference "
@@ -148,6 +162,9 @@ def compare(kind: str, rows) -> list[str]:
                          "not in value")
         if parts:
             lines.append(f"{kind}.{name}: " + "; ".join(parts))
+        if name == STATUS:
+            lines += [f"{kind}.{name}: {a[j]} -> {b[j]} at {_grid_point(ref[0], a)}"
+                      for a, b in zip(ref[1:], rows[1:]) if a[j] != b[j]]
     return lines
 
 

@@ -226,10 +226,18 @@ def test_compare_counts_text_only_changes_apart():
     rows[i][j] += "0"
     rows[1][j] = repr(float(rows[1][j]) * 1.5)
     rows[2][k] = "+" + rows[2][k]
+    # a flipped status is listed by its grid point, under its column's count
+    s = rows[0].index("solve_status")
+    flipped = [row[s] for row in rows].index("SINGULAR")
+    rows[flipped][s] = "OK"
     assert compare("sigma_sweep", rows) == [
         "sigma_sweep.err_L2_abs: 1 of 48 values moved, largest relative move "
         "0.5; 1 of 48 values changed in text only, not in value",
-        "sigma_sweep.cond1: 1 of 48 values changed in text only, not in value"]
+        "sigma_sweep.cond1: 1 of 48 values changed in text only, not in value",
+        "sigma_sweep.solve_status: 1 of 48 values moved, largest relative "
+        "move n/a (text or nan)",
+        "sigma_sweep.solve_status: SINGULAR -> OK at scheme stabilized, n 50, "
+        "eps 1e-10, sigma 1e-13, alpha 0"]
 
 
 # the first values used to end in a traceback, most of them partway
@@ -291,6 +299,9 @@ def test_compare_counts_text_only_changes_apart():
     "study = eps_sweep\nfamily = q1\nn = [4]\nsigma = inf",
     "study = eps_sweep\nfamily = q1\nn = [4]\neps = [inf]",
     "study = sigma_sweep\nfamily = q1\nn = [4]\nsigma = [1e-3, inf]",
+    # an h^p rule that overflows at a resolution ended in an OverflowError
+    # traceback after "running [bad] ..."
+    "study = eps_sweep\nfamily = q1\nn = [4]\nsigma = h^-1000",
     # an unterminated bracket used to read as if it were closed
     "study = h_convergence\nfamily = q1\nn = [4, 8",
     "study = oracle_validation\nfamily = q1\nn = [4]\nmodes = [[1, 1, 1.0], [2",
@@ -324,7 +335,7 @@ def test_compare_counts_text_only_changes_apart():
         "oracle_empty_modes", "strict_nope", "eps_true", "n_true",
         "sigma_true", "plot_list", "plot_empty", "sigma_h_nan", "sigma_h_inf",
         "sigma_inf",
-        "eps_inf", "sigma_list_inf", "n_unterminated", "modes_unterminated",
+        "eps_inf", "sigma_list_inf", "sigma_h_overflow", "n_unterminated", "modes_unterminated",
         "n_one_q1", "n_one_low_regularity", "n_one_oracle", "oracle_degenerate",
         "modes_fractional_k", "modes_inf_coeff", "flip_second_row", "multi_h"])
 def test_cli_rejects_bad_study_values(tmp_path, capsys, body):

@@ -30,6 +30,21 @@ def test_alpha_guard():
         FieldSpec("variable_alpha", -0.5)
 
 
+@pytest.mark.parametrize("kind", ["variable_alpha", "aligned_e2"])
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+def test_field_spec_refuses_nonfinite_alpha(kind, alpha):
+    # NaN passed both bounds, and inf the upper one of the aligned field
+    with pytest.raises(ValueError, match="finite"):
+        FieldSpec(kind, alpha)
+
+
+@pytest.mark.parametrize("name", ["eps", "alpha"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_manufactured_case_refuses_nonfinite_parameters(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        ManufacturedCase("smooth", **{name: value})
+
+
 def test_degenerate_field_error(monkeypatch):
     # the built-in fields never vanish, so exercise the guard directly
     import anisofem.fields as fields_mod

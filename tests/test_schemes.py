@@ -42,6 +42,16 @@ def test_spec_validation():
         ProblemSpec("stabilized", 0.5, field, sigma=0.0)
 
 
+@pytest.mark.parametrize("name", ["eps", "sigma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_spec_refuses_nonfinite_parameters(name, value):
+    # a NaN eps used to build, and its solve to be reported SINGULAR
+    params = {"eps": 0.5, "sigma": 1e-3, name: value}
+    with pytest.raises(ValueError, match="finite"):
+        ProblemSpec("stabilized", params["eps"], FieldSpec("variable_alpha", 0.0),
+                    "smooth", sigma=params["sigma"], n=4)
+
+
 @pytest.mark.parametrize("scheme", ["inflow", "standard"])
 def test_spec_refuses_sigma_off_the_stabilized_scheme(scheme):
     # these schemes once ignored sigma while their record still reported
@@ -504,7 +514,7 @@ def test_sigma_tail_point_solves_after_threshold_failure():
     # canonical sigma-sweep point whose threshold-pivoted factor failed the
     # scheme's pivot test in COLAMD's column order and was solved by the
     # partial-pivoting retry; in the nested-dissection order it passes on
-    # the first attempt (test_solver covers the retry in a given order)
+    # the first attempt (test_solver covers the retry of an ordered matrix)
     spec = _smooth_spec("stabilized", 1e-10, 0.0, 30, sigma=1e-12)
     assert run_instance(spec).solve_status == "OK"
 
@@ -517,7 +527,7 @@ def test_riesz_norm_factors_the_standard_plan(monkeypatch, family):
     factors = []
 
     def factor(*args, **kwargs):
-        factors.append((lu_factor(*args, **kwargs), kwargs.get("order")))
+        factors.append((lu_factor(*args, **kwargs), kwargs.get("ordered")))
         return factors[-1][0]
 
     monkeypatch.setattr(schemes, "lu_factor", factor)
@@ -528,10 +538,12 @@ def test_riesz_norm_factors_the_standard_plan(monkeypatch, family):
     Kf = ops.K[free][:, free].tocsr()
     v = solve(lu_factor(Kf), r)
     assert abs(norm - np.sqrt(v @ r)) <= 1e-13 * norm
-    (riesz, order), = factors
-    assert order is ops.plan("standard").order
+    (riesz, ordered), = factors
+    order = ops.plan("standard").order
+    assert ordered is True
     assert abs(riesz.matrix - Kf[order][:, order]).max() == 0.0
-    assert riesz.order is None          # the first attempt, not the retry
+    # the first attempt, not the retry
+    assert np.array_equal(riesz.lu.perm_c, np.arange(len(order)))
 
 
 def _counted_loads(monkeypatch):

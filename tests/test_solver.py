@@ -125,21 +125,24 @@ def test_solve_with_cond1_matches_separate_calls():
 
 def test_explicit_order_reaches_the_retry(monkeypatch):
     # the static-pivot factor keeps the 0.02 pivot, which fails the pivot
-    # test; partial pivoting takes the 1 instead and passes.  A is given in
-    # the order [1, 0] of its unknowns, so the retry factors it unpermuted.
+    # test; partial pivoting takes the 1 instead and passes.  Both attempts
+    # factor the matrix as it was passed, not a permuted copy of it.
     A = sp.csr_matrix(np.array([[0.02, 1.0], [1.0, 1.0]]))
     calls, original = [], spla.splu
 
     def counted(M, **kwargs):
-        calls.append(kwargs)
+        calls.append((M, kwargs))
         return original(M, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counted)
-    F = lu_factor(A, pivot_rtol=0.05, order=np.array([1, 0]))
-    assert [(c["permc_spec"], c["diag_pivot_thresh"]) for c in calls] == [
+    F = lu_factor(A, pivot_rtol=0.05, ordered=True)
+    assert [(c["permc_spec"], c["diag_pivot_thresh"]) for _, c in calls] == [
         ("NATURAL", 0.0), ("COLAMD", 1.0)]
-    assert np.array_equal(F.order, [1, 0])     # the retry's unpermuting
-    assert np.allclose(A @ solve(F, np.array([1.0, 2.0])), [1.0, 2.0])
+    assert all(M is F.matrix for M, _ in calls)
+    assert abs(F.matrix - A).max() == 0.0
+    b = np.array([1.0, 2.0])
+    assert np.allclose(A @ solve(F, b), b)
+    assert np.allclose(A.T @ F.solve(b, trans="T"), b)
 
 
 def _stabilized(n=20):
@@ -149,15 +152,14 @@ def _stabilized(n=20):
 
 
 def test_order_is_solved_in_original_coordinates():
-    # a nontrivial order and a tiny leading pivot that sends the factor to
-    # the retry: the unpermuted retry factor must give A's own solution
+    # a tiny leading pivot sends the ordered factor to the retry, which
+    # factors A as it was passed: its solves are A's own, transposed too
     rng = np.random.default_rng(5)
     A = _random_dd(rng, 60).tolil()
     A[0, 0] = 1e-12
     A = sp.csr_matrix(A)
-    order = rng.permutation(60)
-    F = lu_factor(A, pivot_rtol=1e-10, order=order)
-    assert F.order is not None
+    F = lu_factor(A, pivot_rtol=1e-10, ordered=True)
+    assert not np.array_equal(F.lu.perm_c, np.arange(60))    # the retry
     b = rng.standard_normal(60)
     x = solve(F, b)
     assert np.abs(A @ x - b).max() <= 1e-12 * np.abs(b).max()
@@ -169,7 +171,7 @@ def test_nested_dissection_matches_colamd_solution():
     inv = np.argsort(system.order)            # the unknowns' own order
     A = system.matrix[inv][:, inv]
     nd = lu_factor(system.matrix, pivot_rtol=schemes.SCHEME_PIVOT_RTOL,
-                   order=system.order)
+                   ordered=True)
     colamd = lu_factor(A, pivot_rtol=schemes.SCHEME_PIVOT_RTOL)
     x_nd = solve(nd, system.rhs)[inv]
     x_colamd = solve(colamd, system.rhs[inv])
@@ -181,7 +183,7 @@ def test_nested_dissection_cuts_fill():
     # guards against a silent return to COLAMD for the scheme solves
     system = build_system(_stabilized())
     inv = np.argsort(system.order)
-    nd = lu_factor(system.matrix, order=system.order).lu
+    nd = lu_factor(system.matrix, ordered=True).lu
     colamd = lu_factor(system.matrix[inv][:, inv]).lu
     assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
 
@@ -190,21 +192,23 @@ def test_static_pivots_cut_fill():
     # the scheme factor keeps every nonzero diagonal in the nested-dissection
     # order: on this system its fill is 150,652 against 170,224 with
     # threshold pivoting at 0.01 in the same order (ratio 0.8850), and
-    # 273,059 with the retry's partial pivoting in COLAMD's order (0.5517)
+    # 273,059 with partial pivoting in COLAMD's column order on the
+    # unknowns' own order (0.5517)
     eps = 1e-10
     spec = ProblemSpec("stabilized", eps, FieldSpec("variable_alpha", 0.0),
                        "low_reg", sigma=(1.0 / 32) ** 2, family="q1", n=32)
     system = build_system(spec)
     factor = lu_factor(system.matrix, pivot_rtol=schemes.SCHEME_PIVOT_RTOL,
-                       order=system.order)
-    assert factor.order is None      # the first attempt, not the retry
+                       ordered=True)
+    # the first attempt, not the retry
+    assert np.array_equal(factor.lu.perm_c, np.arange(system.matrix.shape[0]))
     threshold = spla.splu(system.matrix, permc_spec="NATURAL",
                           diag_pivot_thresh=0.01)
     inv = np.argsort(system.order)
-    retry = lu_factor(system.matrix[inv][:, inv]).lu
+    colamd = lu_factor(system.matrix[inv][:, inv]).lu
     fill = factor.lu.L.nnz + factor.lu.U.nnz
     assert fill <= 0.8851 * (threshold.L.nnz + threshold.U.nnz)
-    assert fill <= 0.5518 * (retry.L.nnz + retry.U.nnz)
+    assert fill <= 0.5518 * (colamd.L.nnz + colamd.U.nnz)
 
 
 def test_scheme_factor_fill_on_a_benchmark_lattice():
@@ -215,9 +219,32 @@ def test_scheme_factor_fill_on_a_benchmark_lattice():
                        "smooth", family="q2", n=50)
     system = build_system(spec)
     factor = lu_factor(system.matrix, pivot_rtol=schemes.SCHEME_PIVOT_RTOL,
-                       order=system.order)
-    assert factor.order is None
+                       ordered=True)
+    assert np.array_equal(factor.lu.perm_c, np.arange(system.matrix.shape[0]))
     assert factor.lu.nnz <= 2_352_316
+
+
+def test_sigma_tail_retry_fill(monkeypatch):
+    # a sigma_q2_n30 tail point that fails both attempts: the retry factors
+    # the matrix in its nested-dissection order as it was passed, with
+    # COLAMD's columns, at 2,175,880 stored entries of L + U as measured
+    # (2,535,578 on the unknowns' own order)
+    calls, original = [], spla.splu
+
+    def recorded(M, **kwargs):
+        calls.append((M, kwargs["permc_spec"], original(M, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    spec = ProblemSpec("stabilized", 1e-10, FieldSpec("variable_alpha", 0.0),
+                       "smooth", sigma=1e-13, family="q2", n=30)
+    system = build_system(spec)
+    with pytest.raises(SingularMatrixError):
+        lu_factor(system.matrix, pivot_rtol=schemes.SCHEME_PIVOT_RTOL, ordered=True)
+    (first, _, _), (matrix, permc_spec, retry) = calls
+    assert permc_spec == "COLAMD" and matrix is first
+    assert abs(matrix - system.matrix).max() == 0.0
+    assert retry.nnz <= 2_175_880
 
 
 def test_batched_cond1_matches_single_solves(monkeypatch):
@@ -233,16 +260,17 @@ def test_batched_cond1_matches_single_solves(monkeypatch):
 
 
 def test_scheme_solves_factor_in_the_scheme_order(monkeypatch):
-    orders = []
+    calls = []
 
-    def recorded(A, pivot_rtol, order=None):
-        orders.append(order)
-        return lu_factor(A, pivot_rtol, order)
+    def recorded(A, pivot_rtol, ordered=False):
+        calls.append((A, ordered))
+        return lu_factor(A, pivot_rtol, ordered)
 
     monkeypatch.setattr(schemes, "lu_factor", recorded)
     system = build_system(_stabilized(n=4))
     schemes.solve_scheme(system)
-    assert len(orders) == 1 and orders[0] is system.order
+    (matrix, ordered), = calls
+    assert matrix is system.matrix and ordered is True
 
 
 @pytest.mark.parametrize("scheme", ["standard", "inflow", "stabilized"])

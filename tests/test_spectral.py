@@ -32,6 +32,14 @@ def test_degenerate_combination_rejected():
     assert sol.u_coeff[0] == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("name", ["eps", "sigma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_spectral_solve_refuses_nonfinite_parameters(name, value):
+    params = {"eps": 0.5, "sigma": 1e-3, name: value}
+    with pytest.raises(ValueError, match="finite"):
+        spectral_solve(FourierRhs.from_modes([(1, 1, 1.0)]), **params)
+
+
 def test_mode_validation():
     with pytest.raises(ValueError):
         FourierRhs.from_modes([])

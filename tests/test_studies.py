@@ -408,7 +408,7 @@ def test_dual_norm_check_factors_once(monkeypatch):
                           FieldSpec("aligned_e2"), "q2")
     plan = ops.plan("standard")
     matrix, _ = schemes._plan_matrices(ops, plan, ((1.0, 0.0, 0.0),))
-    factor = solver.lu_factor(matrix, order=plan.order)
+    factor = solver.lu_factor(matrix, ordered=True)
     for k, ratio, _ in out:
         q = ops.q_space.interpolate(
             lambda x, y: np.sin(k * x) * (np.cos(y) - np.cos(2 * y)))
